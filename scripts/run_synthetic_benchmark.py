@@ -56,8 +56,9 @@ def main() -> int:
           f"(best validation at epoch {metrics['best_epoch']})")
     print(f"test MAE   model: {model_mae:.4f}   historical average: {ha_mae:.4f}   "
           f"improvement: {100 * (1 - model_mae / ha_mae):.1f}%")
+    mape = metrics["test"]["mape"]  # null when no target is large enough
     print(f"test RMSE  {metrics['test']['rmse']:.4f}   "
-          f"test MAPE  {100 * metrics['test']['mape']:.2f}%")
+          f"test MAPE  {'undefined' if mape is None else f'{100 * mape:.2f}%'}")
 
     code = cli.main([
         "predict",

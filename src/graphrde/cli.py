@@ -70,10 +70,20 @@ def _select_split(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
 
 
 def _apply_stored_drop(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
+    """Hide the observations training hid: each stored split's drop, with
+    that split's seed, over the windows inside the split's stored range."""
     drop = extra.get("drop")
-    if not drop or drop.get("rate", 0.0) <= 0.0 or which == "all":
+    if not drop or drop.get("rate", 0.0) <= 0.0:
         return windows
-    return D.drop_observations(windows, drop["rate"], drop["seeds"][which])
+    ranges = extra.get("split_offsets", {})
+    masks = windows.masks.copy()
+    for name in ranges if which == "all" else [which]:
+        lo, hi = ranges[name]
+        keep = (windows.offsets >= lo) & (windows.offsets < hi)
+        if keep.any():
+            dropped = D.drop_observations(windows.take(keep), drop["rate"], drop["seeds"][name])
+            masks[keep] = dropped.masks
+    return D.WindowSet(windows.inputs, masks, windows.targets, windows.offsets)
 
 
 def _load_eval_inputs(args, which: str):
@@ -169,6 +179,22 @@ def run_fold(
     }
 
 
+def summarize_folds(fold_docs: list[dict]) -> dict:
+    """Cross-validation metrics: every fold, plus mean and std of the test
+    MAE, RMSE and MAPE.  A fold whose metric is null (an undefined MAPE)
+    is left out of that metric's mean and std, which are null if no fold
+    defines it."""
+    table = {
+        key: [doc["test"][key] for doc in fold_docs if doc["test"][key] is not None]
+        for key in ("mae", "rmse", "mape")
+    }
+    return {
+        "folds": fold_docs,
+        "mean": {k: float(np.mean(v)) if v else None for k, v in table.items()},
+        "std": {k: float(np.std(v)) if v else None for k, v in table.items()},
+    }
+
+
 def run_training(run: RunConfig, out_dir: str) -> dict:
     """Execute a resolved run config; returns the metrics document."""
     spec = run.dataset_spec()
@@ -189,17 +215,7 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
         suffix = f"_fold{k}" if len(folds) > 1 else ""
         fold_docs.append(run_fold(run, config, adjacency, values, parts, out_dir, k, suffix))
 
-    if len(fold_docs) == 1:
-        metrics = fold_docs[0]
-    else:
-        table = {
-            key: [doc["test"][key] for doc in fold_docs] for key in ("mae", "rmse", "mape")
-        }
-        metrics = {
-            "folds": fold_docs,
-            "mean": {k: float(np.mean(v)) for k, v in table.items()},
-            "std": {k: float(np.std(v)) for k, v in table.items()},
-        }
+    metrics = fold_docs[0] if len(fold_docs) == 1 else summarize_folds(fold_docs)
     _atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
     return metrics
 

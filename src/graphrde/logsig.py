@@ -7,11 +7,14 @@ signatures of polylines are Chen (concatenation) products of chord
 signatures; the tensor logarithm of a signature is a Lie element, and
 its coordinates in the Lyndon bracket basis form the log-signature
 vector of length given by the Witt formula.
+
+Every operation works elementwise over leading cell axes (one cell is
+one node of one window), so a whole batch of cells goes through each
+step as one numpy call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,20 +32,21 @@ __all__ = [
     "sig_polyline",
     "chen_mul",
     "tensor_log",
-    "tensor_exp",
     "lyndon_dimension",
     "lyndon_project",
-    "lyndon_expand",
     "window_logsig",
 ]
 
 
 @dataclass
 class TruncatedTensor:
-    """Element of the tensor algebra truncated at ``depth``.
+    """Elements of the tensor algebra truncated at ``depth``, one per cell.
 
-    ``levels[k-1]`` is a dense array of shape ``(dim,) * k``; ``scalar``
-    is the level-0 component (1 for signatures, 0 for Lie elements).
+    ``levels[k-1]`` has shape ``(*cells, dim, ..., dim)`` with k trailing
+    ``dim`` axes; an unbatched element has no cell axes.  ``scalar`` is
+    the level-0 component shared by every cell (1 for signatures, 0 for
+    Lie elements).  Construction checks nothing: the public functions
+    below check their inputs once per batched array.
     """
 
     dim: int
@@ -50,26 +54,18 @@ class TruncatedTensor:
     scalar: float
     levels: list[np.ndarray]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.depth < 1:
-            raise ContractError(f"need dim >= 1 and depth >= 1, got {self.dim}, {self.depth}")
-        if len(self.levels) != self.depth:
-            raise ContractError(f"expected {self.depth} levels, got {len(self.levels)}")
-        for k, lvl in enumerate(self.levels, start=1):
-            if lvl.shape != (self.dim,) * k:
-                raise ContractError(f"level {k} has shape {lvl.shape}, expected {(self.dim,) * k}")
-        if not np.isfinite(self.scalar) or not all(np.isfinite(l).all() for l in self.levels):
-            raise NonFiniteError("non-finite truncated tensor")
+    @property
+    def cells(self) -> tuple[int, ...]:
+        return self.levels[0].shape[:-1]
 
     def copy(self) -> "TruncatedTensor":
         return TruncatedTensor(self.dim, self.depth, self.scalar, [l.copy() for l in self.levels])
 
-    def max_abs(self) -> float:
-        return max([abs(self.scalar)] + [float(np.max(np.abs(l))) for l in self.levels])
 
-
-def zero_tensor(dim: int, depth: int) -> TruncatedTensor:
-    return TruncatedTensor(dim, depth, 0.0, [np.zeros((dim,) * k) for k in range(1, depth + 1)])
+def zero_tensor(dim: int, depth: int, cells: tuple[int, ...] = ()) -> TruncatedTensor:
+    return TruncatedTensor(
+        dim, depth, 0.0, [np.zeros(cells + (dim,) * k) for k in range(1, depth + 1)]
+    )
 
 
 def identity_tensor(dim: int, depth: int) -> TruncatedTensor:
@@ -84,20 +80,32 @@ def _axpy(acc: TruncatedTensor, c: float, x: TruncatedTensor) -> None:
         a += c * b
 
 
-def sig_linear(increment: np.ndarray, depth: int) -> TruncatedTensor:
-    """Signature of a straight chord: exp of the increment, level k = v^(x)k / k!."""
-    v = np.asarray(increment, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractError(f"increment must be a vector, got shape {v.shape}")
-    out = identity_tensor(len(v), depth)
-    out.levels[0] = v.copy()
+def _outer(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
+    """Per-cell tensor product of an order-i level and an order-j level."""
+    cells = b.shape[: b.ndim - j]
+    return a.reshape(a.shape + (1,) * j) * b.reshape(cells + (1,) * i + b.shape[len(cells) :])
+
+
+def _sig_linear(v: np.ndarray, depth: int) -> TruncatedTensor:
+    levels = [v.copy()]
     for k in range(2, depth + 1):
-        out.levels[k - 1] = np.multiply.outer(out.levels[k - 2], v) / k
-    return out
+        levels.append(_outer(levels[-1], k - 1, v, 1) / k)
+    return TruncatedTensor(v.shape[-1], depth, 1.0, levels)
+
+
+def sig_linear(increment: np.ndarray, depth: int) -> TruncatedTensor:
+    """Signature of a straight chord per cell: exp of the increment,
+    level k = v^(x)k / k!.  ``increment`` is (*cells, dim)."""
+    v = np.asarray(increment, dtype=np.float64)
+    if v.ndim < 1 or depth < 1:
+        raise ContractError(f"need an increment vector and depth >= 1, got {v.shape}, {depth}")
+    if not np.isfinite(v).all():
+        raise NonFiniteError("non-finite chord increment")
+    return _sig_linear(v, depth)
 
 
 def chen_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    """Truncated concatenation (tensor) product; Chen's identity multiplier."""
+    """Truncated concatenation (tensor) product per cell; Chen's identity multiplier."""
     if a.dim != b.dim or a.depth != b.depth:
         raise ContractError(
             f"operands disagree: dim {a.dim} vs {b.dim}, depth {a.depth} vs {b.depth}"
@@ -106,49 +114,39 @@ def chen_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     for n in range(1, a.depth + 1):
         acc = a.scalar * b.levels[n - 1] + b.scalar * a.levels[n - 1]
         for i in range(1, n):
-            acc = acc + np.multiply.outer(a.levels[i - 1], b.levels[n - i - 1])
+            acc = acc + _outer(a.levels[i - 1], i, b.levels[n - i - 1], n - i)
         levels.append(acc)
     return TruncatedTensor(a.dim, a.depth, a.scalar * b.scalar, levels)
 
 
 def sig_polyline(points: np.ndarray, depth: int) -> TruncatedTensor:
-    """Signature of the polyline through ``points`` (rows are vertices)."""
+    """Signature of the polyline through ``points`` (*cells, vertices, dim)."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ContractError(f"polyline needs at least two points, got shape {pts.shape}")
-    sig = sig_linear(pts[1] - pts[0], depth)
-    for i in range(1, pts.shape[0] - 1):
-        sig = chen_mul(sig, sig_linear(pts[i + 1] - pts[i], depth))
+    if pts.ndim < 2 or pts.shape[-2] < 2 or depth < 1:
+        raise ContractError(
+            f"polyline needs at least two points and depth >= 1, got shape {pts.shape}, {depth}"
+        )
+    if not np.isfinite(pts).all():
+        raise NonFiniteError("non-finite polyline vertex")
+    sig = _sig_linear(pts[..., 1, :] - pts[..., 0, :], depth)
+    for i in range(1, pts.shape[-2] - 1):
+        sig = chen_mul(sig, _sig_linear(pts[..., i + 1, :] - pts[..., i, :], depth))
     return sig
 
 
 def tensor_log(s: TruncatedTensor) -> TruncatedTensor:
-    """Tensor logarithm of a group-like element (level-0 scalar must be 1)."""
+    """Tensor logarithm of group-like elements (level-0 scalar must be 1)."""
     if abs(s.scalar - 1.0) > 1e-12:
         raise ContractError(f"tensor_log needs level-0 scalar 1, got {s.scalar}")
-    u = s.copy()
-    u.scalar = 0.0
-    out = zero_tensor(s.dim, s.depth)
-    power = u.copy()
+    u = TruncatedTensor(s.dim, s.depth, 0.0, s.levels)
+    out = zero_tensor(s.dim, s.depth, s.cells)
+    power = u
     sign = 1.0
     for n in range(1, s.depth + 1):
         _axpy(out, sign / n, power)
         if n < s.depth:
             power = chen_mul(power, u)
             sign = -sign
-    return out
-
-
-def tensor_exp(l: TruncatedTensor) -> TruncatedTensor:
-    """Tensor exponential of an element with zero level-0 scalar."""
-    if abs(l.scalar) > 1e-12:
-        raise ContractError(f"tensor_exp needs level-0 scalar 0, got {l.scalar}")
-    out = identity_tensor(l.dim, l.depth)
-    power = l.copy()
-    for n in range(1, l.depth + 1):
-        _axpy(out, 1.0 / math.factorial(n), power)
-        if n < l.depth:
-            power = chen_mul(power, l)
     return out
 
 
@@ -257,7 +255,7 @@ class LyndonBasis:
 
 
 def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of a Lie element in the Lyndon basis.
+    """Coordinates (*cells, L) of Lie elements in the Lyndon basis.
 
     Exploits triangularity: sweeping words in (length, lex) order, the
     residual coefficient at each word is that word's coordinate.  A
@@ -270,29 +268,25 @@ def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis, tol: float = 1e-8) 
         )
     if abs(lie.scalar) > tol:
         raise ContractError(f"Lie element must have zero level-0 scalar, got {lie.scalar}")
+    for k, lvl in enumerate(lie.levels, start=1):
+        if lvl.ndim < k or lvl.shape[lvl.ndim - k :] != (lie.dim,) * k:
+            raise ContractError(
+                f"level {k} has shape {lvl.shape}, expected {k} trailing axes of {lie.dim}"
+            )
+        if not np.isfinite(lvl).all():
+            raise NonFiniteError(f"non-finite level {k} of a Lie element")
     residual = [l.copy() for l in lie.levels]
-    coords = np.zeros(len(basis))
+    coords = np.zeros(lie.cells + (len(basis),))
     for i, word in enumerate(basis.words):
         lvl = residual[len(word) - 1]
-        c = lvl[word]
-        coords[i] = c
-        if c != 0.0:
-            lvl -= c * basis.expansions[i]
+        c = lvl[(...,) + word]
+        coords[..., i] = c
+        c = c[(...,) + (None,) * len(word)]
+        np.subtract(lvl, c * basis.expansions[i], out=lvl, where=c != 0.0)
     worst = max(float(np.max(np.abs(l))) for l in residual)
     if worst > tol:
         raise ContractError(f"input is not a Lie element: projection residual {worst:.3e}")
     return coords
-
-
-def lyndon_expand(coords: np.ndarray, basis: LyndonBasis) -> TruncatedTensor:
-    """Rebuild the Lie element from Lyndon coordinates (inverse of project)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape != (len(basis),):
-        raise ContractError(f"expected {len(basis)} coordinates, got shape {coords.shape}")
-    out = zero_tensor(basis.dim, basis.depth)
-    for c, word, expansion in zip(coords, basis.words, basis.expansions):
-        out.levels[len(word) - 1] += c * expansion
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +336,11 @@ def window_logsig(
     substeps: int = 1,
     basis: LyndonBasis | None = None,
 ) -> LogSigSequence:
-    """Depth-``depth`` log-signature of each node over each sub-path window.
+    """Depth-``depth`` log-signature of each cell over each sub-path window.
 
-    The knot grid 0..N is cut into ceil(N / subpath_len) windows
+    Returns coordinates of shape (windows, *cells, L), one vectorised
+    pass over every cell per sub-path window.  The knot grid 0..N is cut
+    into ceil(N / subpath_len) windows
     [i*P, min((i+1)*P, N)]; the final window may be shorter and its true
     length is recorded in the boundaries.  Each window is approximated
     by ``substeps`` chords per knot interval (samples evenly spaced in
@@ -367,15 +363,12 @@ def window_logsig(
         raise ContractError("supplied basis does not match path channels / depth")
     n_windows = -(-n_intervals // subpath_len)
     edges = [min(i * subpath_len, n_intervals) for i in range(n_windows + 1)]
-    coords = np.zeros((n_windows, path.num_nodes, len(basis)))
+    coords = np.empty((n_windows,) + path.cell_shape + (len(basis),))
     for w in range(n_windows):
         i0, i1 = edges[w], edges[w + 1]
-        lo, hi = float(grid[i0]), float(grid[i1])
-        nseg = (i1 - i0) * substeps
-        for v in range(path.num_nodes):
-            pts = sample_chords(path, v, (lo, hi), nseg)
-            lie = tensor_log(sig_polyline(pts, depth))
-            coords[w, v] = lyndon_project(lie, basis)
+        span = (float(grid[i0]), float(grid[i1]))
+        pts = sample_chords(path, None, span, (i1 - i0) * substeps)
+        coords[w] = lyndon_project(tensor_log(sig_polyline(pts, depth)), basis)
     return LogSigSequence(
         coords=coords,
         boundaries=np.asarray(edges, dtype=np.float64),

@@ -276,7 +276,6 @@ def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tens
         ones_col = T.constant(np.ones((v, 1)))
         scores = s_self @ ones_row + ones_col @ T.transpose_last2(s_neigh)
         prop = T.softmax_rows(scores)
-        return (prop @ b0) @ params["w_spatial"]
     else:  # pragma: no cover - guarded by ModelConfig validation
         raise ConfigError(f"unknown gnn_kind {kind!r}")
     return (prop @ b0) @ params["w_spatial"]

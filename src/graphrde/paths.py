@@ -6,6 +6,12 @@ A normalized time channel is appended as the last path channel, so a
 series with D data channels yields a (D+1)-channel path.  The time
 channel is the identity map rescaled to [0, 1] over the window and is
 evaluated exactly rather than splined.
+
+Everything here is batched over cells: a cell is one node's series,
+of one window when a batch of windows is handled at once.  Cells with
+irregular masks have different knot counts; their knot arrays are
+padded to a common length, so one vectorised spline fit and one
+vectorised evaluation serve every cell.
 """
 
 from __future__ import annotations
@@ -21,9 +27,13 @@ from .errors import DataError, DomainError
 class RawSeries:
     """Discrete multichannel series on a shared time grid.
 
-    ``values``: (nodes, timesteps, channels) float64.
-    ``mask``: (nodes, timesteps) bool; True where observed.
+    ``values``: (nodes, timesteps, channels) float64, or (windows, nodes,
+    timesteps, channels) for a batch of windows.
+    ``mask``: ``values.shape[:-1]`` bool; True where observed.
     ``times``: (timesteps,) strictly increasing float64.
+
+    Construction checks every cell once; a ``DataError`` names the
+    offending node (and window, for a batch).
     """
 
     values: np.ndarray
@@ -34,56 +44,68 @@ class RawSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
         self.times = np.asarray(self.times, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise DataError(f"values must be (nodes, timesteps, channels), got {self.values.shape}")
-        nodes, steps, _ = self.values.shape
-        if self.mask.shape != (nodes, steps):
-            raise DataError(f"mask shape {self.mask.shape} does not match values {self.values.shape}")
+        if self.values.ndim not in (3, 4):
+            raise DataError(
+                f"values must be ([windows,] nodes, timesteps, channels), got {self.values.shape}"
+            )
+        steps = self.values.shape[-2]
+        if self.mask.shape != self.values.shape[:-1]:
+            raise DataError(
+                f"mask shape {self.mask.shape} does not match values {self.values.shape}"
+            )
         if self.times.shape != (steps,):
             raise DataError(f"times shape {self.times.shape} does not match {steps} timesteps")
         if steps < 2:
             raise DataError("a series needs at least two timesteps")
         if not np.all(np.diff(self.times) > 0):
             raise DataError("times must be strictly increasing")
-        if not np.isfinite(self.values[self.mask]).all():
-            raise DataError("observed values must be finite")
-        for v in range(nodes):
-            if not self.mask[v, 0] or not self.mask[v, -1]:
-                raise DataError(f"node {v}: first and last timestep must be observed")
-            if int(self.mask[v].sum()) < 2:
-                raise DataError(f"node {v}: needs at least two observed timesteps")
+        for bad, what in (
+            (self.mask & ~np.isfinite(self.values).all(axis=-1), "observed values must be finite"),
+            (~self.mask[..., 0] | ~self.mask[..., -1], "first and last timestep must be observed"),
+            (self.mask.sum(axis=-1) < 2, "needs at least two observed timesteps"),
+        ):
+            if bad.any():
+                cell = np.argwhere(bad)[0]
+                where = f"node {cell[self.values.ndim - 3]}"
+                if self.values.ndim == 4:
+                    where = f"window {cell[0]}, {where}"
+                raise DataError(f"{where}: {what}")
 
     @property
-    def num_nodes(self) -> int:
-        return self.values.shape[0]
+    def cell_shape(self) -> tuple[int, ...]:
+        return self.mask.shape[:-1]
 
     @property
     def num_channels(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[-1]
 
 
 @dataclass
 class SplinePath:
-    """Natural cubic interpolant per node/channel plus an exact time channel.
+    """Natural cubic interpolant per cell and channel plus an exact time channel.
 
-    For node v the spline knots are that node's observed timesteps.  On
-    interval i the channel value is ``a + b*dt + c*dt^2 + d*dt^3`` with
-    ``dt = t - knot_i``.  ``coeffs[v]`` has shape (intervals, channels, 4)
-    storing (a, b, c, d); ``knots[v]`` the observed times.  ``grid`` is
-    the full shared time grid (including unobserved points), used for
-    window placement downstream.
+    A cell's knots are its observed timesteps, padded to the batch's
+    largest knot count N: ``knots`` (*cells, N) holds them in increasing
+    order, and ``counts`` (*cells,) how many are real.  Padding knots lie
+    beyond ``t_end``, so no evaluation lands in them.  On interval i the
+    channel value is ``a + b*dt + c*dt^2 + d*dt^3`` with
+    ``dt = t - knots[..., i]``; ``coeffs`` (*cells, N-1, channels, 4)
+    stores (a, b, c, d), real for the first ``counts - 1`` intervals.
+    ``grid`` is the full shared time grid (including unobserved points),
+    used for window placement downstream.
     """
 
-    knots: list[np.ndarray]
-    coeffs: list[np.ndarray]
+    knots: np.ndarray
+    coeffs: np.ndarray
+    counts: np.ndarray
     grid: np.ndarray
     t_start: float
     t_end: float
     data_channels: int
 
     @property
-    def num_nodes(self) -> int:
-        return len(self.knots)
+    def cell_shape(self) -> tuple[int, ...]:
+        return self.counts.shape
 
     @property
     def num_channels(self) -> int:
@@ -91,87 +113,120 @@ class SplinePath:
         return self.data_channels + 1
 
 
-def _natural_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Natural cubic coefficients for knots x (n,) and values y (n, C).
+def _natural_coefficients(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Natural cubic coefficients for padded knots x (B, N) and values y (B, N, C).
 
-    Returns (n-1, C, 4) arrays of (a, b, c, d).  The tridiagonal system
-    for the quadratic coefficients is solved with the Thomas algorithm,
-    shared across channels.
+    Returns (B, N-1, C, 4) arrays of (a, b, c, d).  The tridiagonal
+    systems for the quadratic coefficients, one per cell with
+    ``counts - 2`` real rows, are solved by one Thomas sweep over the
+    rows, vectorised over cells and shared across channels.  Padding rows
+    are inert (unit diagonal, zero off-diagonals and right-hand side) and
+    the last real row is cut off from them, so every real row is solved
+    with the same float operations as an unpadded system.
     """
-    n = len(x)
-    h = np.diff(x)  # (n-1,)
-    c = np.zeros((n, y.shape[1]))
-    if n > 2:
-        slopes = np.diff(y, axis=0) / h[:, None]
-        rhs = 3.0 * (slopes[1:] - slopes[:-1])  # (n-2, C)
-        lower = h[:-1].copy()  # sub-diagonal
-        diag = 2.0 * (h[:-1] + h[1:])
-        upper = h[1:].copy()
-        m = n - 2
+    cells, n, channels = y.shape
+    h = np.diff(x, axis=-1)  # (B, n-1)
+    c = np.zeros(y.shape)
+    m = n - 2
+    if m > 0:
+        row = np.arange(m)
+        real = row < counts[:, None] - 2
+        slopes = np.diff(y, axis=1) / h[..., None]
+        rhs = np.where(real[..., None], 3.0 * (slopes[:, 1:] - slopes[:, :-1]), 0.0)
+        lower = np.where(real, h[:, :-1], 0.0)  # sub-diagonal
+        diag = np.where(real, 2.0 * (h[:, :-1] + h[:, 1:]), 1.0)
+        upper = np.where(row < counts[:, None] - 3, h[:, 1:], 0.0)
         # Thomas forward sweep
-        cp = np.zeros(m)
-        dp = np.zeros((m, y.shape[1]))
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
+        cp = np.empty((cells, m))
+        dp = np.empty((cells, m, channels))
+        cp[:, 0] = upper[:, 0] / diag[:, 0]
+        dp[:, 0] = rhs[:, 0] / diag[:, 0, None]
         for i in range(1, m):
-            denom = diag[i] - lower[i] * cp[i - 1]
-            cp[i] = upper[i] / denom
-            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-        sol = np.zeros((m, y.shape[1]))
-        sol[m - 1] = dp[m - 1]
+            denom = diag[:, i] - lower[:, i] * cp[:, i - 1]
+            cp[:, i] = upper[:, i] / denom
+            dp[:, i] = (rhs[:, i] - lower[:, i, None] * dp[:, i - 1]) / denom[:, None]
+        sol = np.empty((cells, m, channels))
+        sol[:, m - 1] = dp[:, m - 1]
         for i in range(m - 2, -1, -1):
-            sol[i] = dp[i] - cp[i] * sol[i + 1]
-        c[1:-1] = sol
-    a = y[:-1]
-    b = np.diff(y, axis=0) / h[:, None] - h[:, None] * (2.0 * c[:-1] + c[1:]) / 3.0
-    d = (c[1:] - c[:-1]) / (3.0 * h[:, None])
-    return np.stack([a, b, c[:-1], d], axis=-1)
+            sol[:, i] = dp[:, i] - cp[:, i, None] * sol[:, i + 1]
+        c[:, 1:-1] = sol
+    a = y[:, :-1]
+    b = np.diff(y, axis=1) / h[..., None] - h[..., None] * (2.0 * c[:, :-1] + c[:, 1:]) / 3.0
+    d = (c[:, 1:] - c[:, :-1]) / (3.0 * h[..., None])
+    return np.stack([a, b, c[:, :-1], d], axis=-1)
 
 
-def fit_spline(series: RawSeries) -> SplinePath:
-    """Interpolate every node's observed samples with natural cubic splines."""
-    knots: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
-    for v in range(series.num_nodes):
-        obs = series.mask[v]
-        x = series.times[obs]
-        y = series.values[v][obs]  # (n_obs, C)
-        knots.append(x)
-        coeffs.append(_natural_coefficients(x, y))
+def fit_spline(series: RawSeries, cells: slice | None = None) -> SplinePath:
+    """Interpolate every cell's observed samples with natural cubic splines.
+
+    ``cells`` restricts the fit to a range of the flattened cell axes,
+    so a long batch can be fitted chunk by chunk in bounded memory; the
+    path's cells are then that one flat range.
+    """
+    steps = len(series.times)
+    mask = series.mask.reshape(-1, steps)
+    values = series.values.reshape(-1, steps, series.num_channels)
+    if cells is not None:
+        mask, values = mask[cells], values[cells]
+    counts = mask.sum(axis=-1)
+    n = int(counts.max())
+    t_start, t_end = float(series.times[0]), float(series.times[-1])
+    # observed timesteps first, each group in time order
+    order = np.argsort(~mask, axis=-1, kind="stable")[:, :n]
+    pad = np.arange(n) - counts[:, None] + 1  # 1, 2, ... on padding knots
+    real = pad <= 0
+    x = np.where(real, series.times[order], t_end + pad * (t_end - t_start))
+    # padding repeats the last observation, which is the last timestep
+    y = np.where(real[..., None], np.take_along_axis(values, order[..., None], axis=1),
+                 values[:, -1:])
+    shape = series.cell_shape if cells is None else (len(counts),)
+    coeffs = _natural_coefficients(x, y, counts)
     return SplinePath(
-        knots=knots,
-        coeffs=coeffs,
+        knots=x.reshape(shape + x.shape[1:]),
+        coeffs=coeffs.reshape(shape + coeffs.shape[1:]),
+        counts=counts.reshape(shape),
         grid=series.times.copy(),
-        t_start=float(series.times[0]),
-        t_end=float(series.times[-1]),
+        t_start=t_start,
+        t_end=t_end,
         data_channels=series.num_channels,
     )
 
 
-def eval_path(path: SplinePath, node: int, t: float) -> np.ndarray:
-    """Path value at time t for one node: D spline channels plus time.
+def _evaluate(path: SplinePath, node: int | None, ts: np.ndarray) -> np.ndarray:
+    """Path values (*cells, len(ts), D + 1) at in-domain times ``ts``."""
+    knots, coeffs, counts = path.knots, path.coeffs, path.counts
+    if node is not None:
+        knots, coeffs, counts = knots[..., node, :], coeffs[..., node, :, :, :], counts[..., node]
+    # searchsorted(side="right") - 1 per cell, clipped to the cell's real intervals
+    i = np.clip((knots[..., None, :] <= ts[:, None]).sum(axis=-1) - 1, 0, counts[..., None] - 2)
+    dt = (ts - np.take_along_axis(knots, i, axis=-1))[..., None]
+    a, b, c, d = np.moveaxis(np.take_along_axis(coeffs, i[..., None, None], axis=-3), -1, 0)
+    value = a + dt * (b + dt * (c + dt * d))
+    time_channel = (ts - path.t_start) / (path.t_end - path.t_start)
+    time_channel = np.broadcast_to(time_channel[:, None], value.shape[:-1] + (1,))
+    return np.concatenate([value, time_channel], axis=-1)
 
-    No extrapolation: t outside [t_start, t_end] is a domain error.
+
+def eval_path(path: SplinePath, node: int | None, t: float) -> np.ndarray:
+    """Path value (*cells, D + 1) at time t: D spline channels plus time.
+
+    ``node`` picks one cell along the last cell axis; ``None`` keeps
+    every cell.  No extrapolation: t outside [t_start, t_end] is a
+    domain error.
     """
     if not (path.t_start <= t <= path.t_end):
-        raise DomainError(
-            f"t={t} outside path domain [{path.t_start}, {path.t_end}]"
-        )
-    x = path.knots[node]
-    i = int(np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2))
-    dt = t - x[i]
-    a, b, c, d = (path.coeffs[node][i, :, k] for k in range(4))
-    value = a + dt * (b + dt * (c + dt * d))
-    span = path.t_end - path.t_start
-    time_channel = (t - path.t_start) / span
-    return np.concatenate([value, [time_channel]])
+        raise DomainError(f"t={t} outside path domain [{path.t_start}, {path.t_end}]")
+    return _evaluate(path, node, np.array([t], dtype=np.float64))[..., 0, :]
 
 
-def sample_chords(path: SplinePath, node: int, window: tuple[float, float], substeps: int) -> np.ndarray:
+def sample_chords(
+    path: SplinePath, node: int | None, window: tuple[float, float], substeps: int
+) -> np.ndarray:
     """``substeps + 1`` evenly spaced path samples over a window.
 
-    Returns an array of shape (substeps + 1, D + 1) whose rows are the
-    vertices of the chord polyline approximating the path on the window.
+    Returns (*cells, substeps + 1, D + 1), with ``node`` selecting cells
+    as in :func:`eval_path`; the rows are the vertices of the chord
+    polyline approximating the path on the window.
     """
     lo, hi = window
     if substeps < 1:
@@ -180,5 +235,4 @@ def sample_chords(path: SplinePath, node: int, window: tuple[float, float], subs
         raise DomainError(
             f"window [{lo}, {hi}] outside path domain [{path.t_start}, {path.t_end}]"
         )
-    ts = np.linspace(lo, hi, substeps + 1)
-    return np.stack([eval_path(path, node, float(t)) for t in ts])
+    return _evaluate(path, node, np.linspace(lo, hi, substeps + 1))

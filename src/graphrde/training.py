@@ -24,6 +24,10 @@ from .solver import SolveSpec, integrate
 from .tensor import Tensor
 
 MAPE_EPS = 1e-3  # |target| below this is excluded from MAPE
+# (window, node) cells per front-end chunk in ``prepare_split``: enough to
+# spread numpy's per-call cost, few enough to keep the chunk's spline and
+# signature intermediates to a few MB at any dataset size.
+CHUNK_CELLS = 1024
 
 
 @dataclass
@@ -44,7 +48,11 @@ class TrainConfig:
 
 @dataclass
 class MetricReport:
-    """De-normalized forecast quality; MAPE is a fraction, not a percent."""
+    """De-normalized forecast quality; MAPE is a fraction, not a percent.
+
+    A MAPE with no target at or above ``MAPE_EPS`` is NaN, and ``to_dict``
+    writes any NaN as ``None`` (JSON ``null``).
+    """
 
     mae: float
     rmse: float
@@ -52,11 +60,14 @@ class MetricReport:
     per_horizon: dict[str, list[float]]
 
     def to_dict(self) -> dict:
+        def clean(x: float) -> float | None:
+            return None if math.isnan(x) else x
+
         return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "per_horizon": self.per_horizon,
+            "mae": clean(self.mae),
+            "rmse": clean(self.rmse),
+            "mape": clean(self.mape),
+            "per_horizon": {k: [clean(x) for x in v] for k, v in self.per_horizon.items()},
         }
 
 
@@ -64,7 +75,8 @@ def compute_metrics(pred: np.ndarray, target: np.ndarray) -> MetricReport:
     """MAE / RMSE / masked MAPE overall and per horizon step.
 
     Arrays are (..., horizon, channels) in raw units.  Targets smaller
-    than ``MAPE_EPS`` in magnitude are excluded from MAPE.
+    than ``MAPE_EPS`` in magnitude are excluded from MAPE; with none
+    left, MAPE is NaN (undefined), not 0.
     """
     if pred.shape != target.shape:
         raise ContractError(f"prediction shape {pred.shape} != target shape {target.shape}")
@@ -73,7 +85,7 @@ def compute_metrics(pred: np.ndarray, target: np.ndarray) -> MetricReport:
     def mask_mape(e: np.ndarray, y: np.ndarray) -> float:
         valid = np.abs(y) >= MAPE_EPS
         if not valid.any():
-            return 0.0
+            return math.nan
         return float(np.mean(np.abs(e[valid]) / np.abs(y[valid])))
 
     horizon = pred.shape[-2]
@@ -164,30 +176,37 @@ def prepare_split(
     substeps: int = 1,
     basis: LyndonBasis | None = None,
 ) -> PreparedSplit:
-    """Normalize inputs, interpolate, and extract per-window log-signatures."""
+    """Normalize inputs, interpolate, and extract per-window log-signatures.
+
+    Every (window, node) cell is checked once, then the front end runs
+    over chunks of ``CHUNK_CELLS`` cells, which bounds its working memory.
+    """
     if len(windows) == 0:
         raise ContractError("cannot prepare an empty window set")
     if basis is None:
         basis = LyndonBasis(config.path_channels, config.sig_depth)
-    times = np.arange(windows.input_len, dtype=np.float64)
-    coords_all = []
-    boundaries = None
-    for i in range(len(windows)):
-        series = RawSeries(
-            values=normalizer.apply(windows.inputs[i]),
-            mask=windows.masks[i],
-            times=times,
-        )
+    series = RawSeries(
+        values=normalizer.apply(windows.inputs),
+        mask=windows.masks,
+        times=np.arange(windows.input_len, dtype=np.float64),
+    )
+    count, nodes = series.cell_shape
+    coords = None
+    for lo in range(0, count * nodes, CHUNK_CELLS):
+        hi = min(lo + CHUNK_CELLS, count * nodes)
         seq = window_logsig(
-            fit_spline(series), config.subpath_len, config.sig_depth, substeps, basis=basis
+            fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, substeps,
+            basis=basis,
         )
-        coords_all.append(seq.coords)
-        boundaries = seq.boundaries
+        if coords is None:
+            coords = np.empty((count, seq.num_windows, nodes, len(basis)))
+        window_of, node_of = np.divmod(np.arange(lo, hi), nodes)
+        coords[window_of, :, node_of] = seq.coords.transpose(1, 0, 2)
     targets_norm = normalizer.apply(windows.targets, channels=config.out_channels)
     return PreparedSplit(
         f0=normalizer.apply(windows.inputs[:, :, 0, :]),
-        coords=np.stack(coords_all),
-        boundaries=boundaries,
+        coords=coords,
+        boundaries=seq.boundaries,
         targets_norm=targets_norm,
         targets_raw=windows.targets.copy(),
         offsets=windows.offsets.copy(),

@@ -2,14 +2,22 @@
 
 Everything here is deliberately written by a different route than the
 library code: plain finite differences, dense linear solves, numerical
-quadrature and exhaustive enumeration.
+quadrature and exhaustive enumeration.  Two exceptions: the inverse maps
+``tensor_exp`` and ``lyndon_expand``, which only tests need, and the
+per-cell log-signature front end at the end of this file, which keeps
+the one-cell-at-a-time float operation order the batched library code
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from graphrde.errors import ContractError
+from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
 
 
 def finite_difference_grad(fn, arrays, eps: float = 1e-5):
@@ -143,3 +151,164 @@ def enumerate_lyndon_words(alphabet: int, max_len: int) -> list[tuple[int, ...]]
             if is_lyndon(cand):
                 words.append(cand)
     return sorted(words, key=lambda w: (len(w), w))
+
+
+# ---------------------------------------------------------------------------
+# Inverse maps of the tensor log and the Lyndon projection
+# ---------------------------------------------------------------------------
+
+
+def tensor_exp(l: TruncatedTensor) -> TruncatedTensor:
+    """Tensor exponential of an element with zero level-0 scalar."""
+    if abs(l.scalar) > 1e-12:
+        raise ContractError(f"tensor_exp needs level-0 scalar 0, got {l.scalar}")
+    out = identity_tensor(l.dim, l.depth)
+    power = l.copy()
+    for n in range(1, l.depth + 1):
+        c = 1.0 / math.factorial(n)
+        out.scalar += c * power.scalar
+        for a, b in zip(out.levels, power.levels):
+            a += c * b
+        if n < l.depth:
+            power = chen_mul(power, l)
+    return out
+
+
+def lyndon_expand(coords: np.ndarray, basis: LyndonBasis) -> TruncatedTensor:
+    """Rebuild the Lie element from Lyndon coordinates (inverse of project)."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (len(basis),):
+        raise ContractError(f"expected {len(basis)} coordinates, got shape {coords.shape}")
+    out = zero_tensor(basis.dim, basis.depth)
+    for c, word, expansion in zip(coords, basis.words, basis.expansions):
+        out.levels[len(word) - 1] += c * expansion
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Per-cell log-signature front end
+# ---------------------------------------------------------------------------
+# One (window, node) cell at a time, with plain Python loops: the natural
+# cubic spline of the cell's observed samples, chord samples evaluated
+# one point at a time, chord signatures multiplied one Chen product at a
+# time, the tensor log and the triangular Lyndon sweep.  A signature is a
+# (scalar, levels) pair with level k of shape (d,) * k.
+
+
+def cell_spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Natural cubic (a, b, c, d) per interval, (n-1, C, 4), by a Thomas solve."""
+    n = len(x)
+    h = np.diff(x)
+    c = np.zeros((n, y.shape[1]))
+    if n > 2:
+        slopes = np.diff(y, axis=0) / h[:, None]
+        rhs = 3.0 * (slopes[1:] - slopes[:-1])
+        lower = h[:-1].copy()
+        diag = 2.0 * (h[:-1] + h[1:])
+        upper = h[1:].copy()
+        m = n - 2
+        cp = np.zeros(m)
+        dp = np.zeros((m, y.shape[1]))
+        cp[0] = upper[0] / diag[0]
+        dp[0] = rhs[0] / diag[0]
+        for i in range(1, m):
+            denom = diag[i] - lower[i] * cp[i - 1]
+            cp[i] = upper[i] / denom
+            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+        sol = np.zeros((m, y.shape[1]))
+        sol[m - 1] = dp[m - 1]
+        for i in range(m - 2, -1, -1):
+            sol[i] = dp[i] - cp[i] * sol[i + 1]
+        c[1:-1] = sol
+    a = y[:-1]
+    b = np.diff(y, axis=0) / h[:, None] - h[:, None] * (2.0 * c[:-1] + c[1:]) / 3.0
+    d = (c[1:] - c[:-1]) / (3.0 * h[:, None])
+    return np.stack([a, b, c[:-1], d], axis=-1)
+
+
+def cell_eval(x, coeffs, t: float, t_start: float, t_end: float) -> np.ndarray:
+    """Spline channels plus the rescaled time channel at one time t."""
+    i = int(np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2))
+    dt = t - x[i]
+    a, b, c, d = (coeffs[i, :, k] for k in range(4))
+    value = a + dt * (b + dt * (c + dt * d))
+    return np.concatenate([value, [(t - t_start) / (t_end - t_start)]])
+
+
+def cell_sig_linear(v: np.ndarray, depth: int):
+    levels = [v.copy()]
+    for k in range(2, depth + 1):
+        levels.append(np.multiply.outer(levels[-1], v) / k)
+    return 1.0, levels
+
+
+def cell_chen_mul(a, b):
+    (sa, la), (sb, lb) = a, b
+    levels = []
+    for n in range(1, len(la) + 1):
+        acc = sa * lb[n - 1] + sb * la[n - 1]
+        for i in range(1, n):
+            acc = acc + np.multiply.outer(la[i - 1], lb[n - i - 1])
+        levels.append(acc)
+    return sa * sb, levels
+
+
+def cell_tensor_log(sig):
+    _, levels = sig
+    u = (0.0, levels)
+    out = [np.zeros(l.shape) for l in levels]
+    power = u
+    sign = 1.0
+    for n in range(1, len(levels) + 1):
+        for acc, p in zip(out, power[1]):
+            acc += (sign / n) * p
+        if n < len(levels):
+            power = cell_chen_mul(power, u)
+            sign = -sign
+    return out
+
+
+def cell_lyndon_project(levels, basis: LyndonBasis) -> np.ndarray:
+    residual = [l.copy() for l in levels]
+    coords = np.zeros(len(basis))
+    for i, word in enumerate(basis.words):
+        lvl = residual[len(word) - 1]
+        c = lvl[word]
+        coords[i] = c
+        if c != 0.0:
+            lvl -= c * basis.expansions[i]
+    return coords
+
+
+def cell_window_logsig(
+    values: np.ndarray,
+    mask: np.ndarray,
+    times: np.ndarray,
+    subpath_len: int,
+    depth: int,
+    substeps: int = 1,
+) -> np.ndarray:
+    """Windowed Lyndon log-signatures (windows, nodes, L) of one series.
+
+    ``values`` is (nodes, timesteps, channels) and ``mask`` (nodes,
+    timesteps); each node is fitted, sampled and projected on its own.
+    """
+    nodes, steps, channels = values.shape
+    basis = LyndonBasis(channels + 1, depth)
+    n_intervals = steps - 1
+    n_windows = -(-n_intervals // subpath_len)
+    edges = [min(i * subpath_len, n_intervals) for i in range(n_windows + 1)]
+    t_start, t_end = float(times[0]), float(times[-1])
+    coords = np.zeros((n_windows, nodes, len(basis)))
+    for v in range(nodes):
+        x = times[mask[v]]
+        coeffs = cell_spline_coefficients(x, values[v][mask[v]])
+        for w in range(n_windows):
+            i0, i1 = edges[w], edges[w + 1]
+            ts = np.linspace(float(times[i0]), float(times[i1]), (i1 - i0) * substeps + 1)
+            pts = np.stack([cell_eval(x, coeffs, float(t), t_start, t_end) for t in ts])
+            sig = cell_sig_linear(pts[1] - pts[0], depth)
+            for i in range(1, len(pts) - 1):
+                sig = cell_chen_mul(sig, cell_sig_linear(pts[i + 1] - pts[i], depth))
+            coords[w, v] = cell_lyndon_project(cell_tensor_log(sig), basis)
+    return coords

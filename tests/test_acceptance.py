@@ -27,6 +27,8 @@ from graphrde.solver import convergence_order
 from graphrde.verification import suite_grad
 from oracles import enumerate_lyndon_words, quadrature_signature_entry
 
+pytestmark = pytest.mark.slow
+
 
 def _report(criterion: int, label: str, passed: bool, detail: str) -> None:
     verdict = "PASS" if passed else "FAIL"

@@ -1,6 +1,8 @@
 """Command line interface: config files, subcommands, artifacts, exit codes."""
 
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -173,6 +175,42 @@ def test_predict_row_count_and_format(workdir, tmp_path):
     assert len(cells) == 4 and np.isfinite(float(cells[3]))
 
 
+def test_split_all_applies_each_stored_drop(workdir, tmp_path):
+    root = workdir["root"]
+    out = root / "drop"
+    assert cli.main(["train", "--config", str(workdir["cfg_path"]),
+                     "--drop-rate", "0.3", "--out", str(out)]) == 0
+    data = str(root / "data" / "values.csv")
+    forecasts = {}
+    for split in ("all", "test"):
+        path = tmp_path / f"{split}.csv"
+        assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--data", data,
+                         "--split", split, "--out", str(path)]) == 0
+        forecasts[split] = path.read_text().strip().split("\n")[1:]
+    first_test = forecasts["test"][0].split(",")[0]
+    rows = forecasts["all"]
+    start = next(i for i, row in enumerate(rows) if row.split(",")[0] == first_test)
+    assert rows[start:start + len(forecasts["test"])] == forecasts["test"]
+
+
+def test_undefined_mape_is_null_in_json_and_skipped_in_fold_stats():
+    from graphrde import training as TR
+
+    target = np.zeros((1, 1, 2, 1))
+    report = TR.compute_metrics(target + 1.0, target)
+    assert math.isnan(report.mape)
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["mape"] is None and doc["per_horizon"]["mape"] == [None, None]
+    assert doc["mae"] == 1.0
+    folds = [{"test": {"mae": m, "rmse": m, "mape": p}} for m, p in ((1.0, None), (3.0, 0.5))]
+    summary = cli.summarize_folds(folds)
+    assert summary["mean"] == {"mae": 2.0, "rmse": 2.0, "mape": 0.5}
+    assert summary["std"]["mape"] == 0.0
+    none = cli.summarize_folds([{"test": {"mae": 1.0, "rmse": 1.0, "mape": None}}] * 2)
+    assert none["mean"]["mape"] is None and none["std"]["mape"] is None
+    json.dumps(none, allow_nan=False)
+
+
 def test_variant_flag_maps_to_config(workdir):
     root = workdir["root"]
     out = root / "spatial"
@@ -212,6 +250,26 @@ def test_logsig_dump_column_count(workdir, tmp_path):
     assert cli.main(["logsig", "--data", data, "--depth", "1", "--subpath", "2",
                      "--out", str(out)]) == 0
     assert out.read_text().strip().split("\n")[0] == "window,node,coord_0,coord_1"
+
+
+def test_logsig_dump_is_byte_stable(tmp_path):
+    # digests of the dump written by the original per-cell front end
+    cases = [
+        (3, 14, 1, [], "cfe1e54c9157960eb4872103fc16cb228390cc9e705f8c9256a04b711e9c7f6b"),
+        (2, 16, 2, ["--depth", "3", "--subpath", "3", "--input-len", "15"],
+         "4e9580a2b4305df21bb90fbf03149d2f0effb7a4314b4e4ae2c299216716aeb9"),
+    ]
+    for nodes, steps, channels, flags, digest in cases:
+        data, out = tmp_path / "v.csv", tmp_path / "o.csv"
+        rows = [
+            ",".join(repr(round(math.sin(0.7 * t + 1.3 * col) * (1 + col) + 0.1 * t, 6))
+                     for col in range(nodes * channels))
+            for t in range(steps)
+        ]
+        data.write_text("\n".join(rows) + "\n")
+        assert cli.main(["logsig", "--data", str(data), "--channels", str(channels),
+                         "--out", str(out)] + flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_logsig_constant_data_has_null_data_coordinates(tmp_path):

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphrde import data as D
 from graphrde import logsig as L
-from graphrde.errors import ContractError, DataError
+from graphrde import training as TR
+from graphrde.errors import ContractError, DataError, NonFiniteError
+from graphrde.model import ModelConfig
 from graphrde.paths import RawSeries, fit_spline
 from oracles import (
+    cell_window_logsig,
     densify_polyline,
     enumerate_lyndon_words,
+    lyndon_expand,
     quadrature_signature_entry,
     quadrature_signature_level,
+    tensor_exp,
 )
 
 RNG = np.random.default_rng(424242)
@@ -122,7 +128,7 @@ def test_exp_log_round_trip_on_group_like_elements():
     rng = np.random.default_rng(17)
     for depth in (2, 3, 4):
         sig = L.sig_polyline(random_polyline(rng, 5, 2), depth)
-        back = L.tensor_exp(L.tensor_log(sig))
+        back = tensor_exp(L.tensor_log(sig))
         assert abs(back.scalar - 1.0) < 1e-12
         for a, b in zip(sig.levels, back.levels):
             assert np.allclose(a, b, atol=1e-12)
@@ -136,7 +142,7 @@ def test_log_requires_unit_scalar_and_exp_zero_scalar():
     lie = L.zero_tensor(2, 2)
     lie.scalar = 1.0
     with pytest.raises(ContractError):
-        L.tensor_exp(lie)
+        tensor_exp(lie)
 
 
 def test_chen_mul_rejects_mismatched_operands():
@@ -184,7 +190,7 @@ def test_project_then_expand_is_lossless():
         sig = L.sig_polyline(random_polyline(rng, 6, dim), depth)
         lie = L.tensor_log(sig)
         coords = L.lyndon_project(lie, L.LyndonBasis(dim, depth))
-        back = L.lyndon_expand(coords, L.LyndonBasis(dim, depth))
+        back = lyndon_expand(coords, L.LyndonBasis(dim, depth))
         for a, b in zip(lie.levels, back.levels):
             assert np.allclose(a, b, atol=1e-10)
 
@@ -195,7 +201,7 @@ def test_expand_then_project_recovers_coordinates(seed):
     rng = np.random.default_rng(seed)
     basis = L.LyndonBasis(2, 3)
     coords = rng.normal(size=len(basis))
-    back = L.lyndon_project(L.lyndon_expand(coords, basis), basis)
+    back = L.lyndon_project(lyndon_expand(coords, basis), basis)
     assert np.allclose(back, coords, atol=1e-10)
 
 
@@ -325,3 +331,88 @@ def test_logsig_sequence_validation():
         L.LogSigSequence(np.zeros((2, 1, 3)), np.array([0.0, 1.0]), depth=2, dim=2)
     with pytest.raises(ContractError):
         L.LogSigSequence(np.zeros((2, 1, 3)), np.array([0.0, 1.0, 1.0]), depth=2, dim=2)
+
+
+# ---------------------------------------------------------------------------
+# Batched front end against the per-cell reference
+# ---------------------------------------------------------------------------
+
+
+def random_batch(rng, windows, nodes, steps, channels, density):
+    """Values and masks for a batch of windows; first and last steps observed,
+    unobserved values NaN so that reading one would show."""
+    values = rng.normal(size=(windows, nodes, steps, channels)) * 3.0
+    mask = rng.random(size=(windows, nodes, steps)) < density
+    mask[..., 0] = mask[..., -1] = True
+    values[~mask] = np.nan
+    return values, mask
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    steps=st.integers(min_value=5, max_value=13),
+    channels=st.integers(min_value=1, max_value=2),
+    depth=st.integers(min_value=1, max_value=3),
+    subpath_len=st.integers(min_value=1, max_value=4),
+    substeps=st.integers(min_value=1, max_value=3),
+    density=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_front_end_matches_per_cell_oracle_bit_for_bit(
+    seed, steps, channels, depth, subpath_len, substeps, density
+):
+    rng = np.random.default_rng(seed)
+    values, mask = random_batch(rng, 3, 4, steps, channels, density)
+    times = np.cumsum(rng.uniform(0.3, 2.0, size=steps))
+    seq = L.window_logsig(fit_spline(RawSeries(values, mask, times)), subpath_len, depth, substeps)
+    for w in range(3):
+        want = cell_window_logsig(values[w], mask[w], times, subpath_len, depth, substeps)
+        assert seq.coords[:, w].tobytes() == want.tobytes()
+
+
+def irregular_windows(nodes=3):
+    values = np.random.default_rng(8).normal(size=(nodes, 40, 1))
+    windows = D.make_windows(values, 12, 12, 1)
+    return D.drop_observations(windows, 0.4, seed=3)
+
+
+def test_prepare_split_is_chunk_invariant(monkeypatch):
+    windows = irregular_windows(nodes=3)
+    norm = D.Normalizer(mean=np.zeros(1), std=np.ones(1))
+    cfg = ModelConfig(num_nodes=3, input_len=12, horizon=12, dim_h=4, dim_z=4, sig_depth=3,
+                      subpath_len=3)
+    whole = TR.prepare_split(windows, norm, cfg, substeps=2).coords
+    for w in range(len(windows)):
+        want = cell_window_logsig(windows.inputs[w], windows.masks[w], np.arange(12.0), 3, 3, 2)
+        assert whole[w].tobytes() == want.tobytes()
+    for chunk in (1, 7):  # one cell, and a size that splits windows' node sets
+        monkeypatch.setattr(TR, "CHUNK_CELLS", chunk)
+        assert TR.prepare_split(windows, norm, cfg, substeps=2).coords.tobytes() == whole.tobytes()
+
+
+def test_non_finite_observation_names_window_and_node():
+    windows = irregular_windows()
+    windows.masks[2, 1, 5] = True
+    windows.inputs[2, 1, 5, 0] = np.inf
+    norm = D.Normalizer(mean=np.zeros(1), std=np.ones(1))
+    cfg = ModelConfig(num_nodes=3, input_len=12, horizon=12, dim_h=4, dim_z=4)
+    with pytest.raises(DataError, match="window 2, node 1: observed values must be finite"):
+        TR.prepare_split(windows, norm, cfg)
+    windows.inputs[2, 1, 5, 0] = 0.0
+    windows.masks[1, 2, -1] = False
+    with pytest.raises(DataError, match="window 1, node 2: first and last"):
+        TR.prepare_split(windows, norm, cfg)
+
+
+def test_batched_projection_rejects_non_lie_cell():
+    basis = L.LyndonBasis(2, 2)
+    lies = L.tensor_log(L.sig_polyline(RNG.normal(size=(4, 3, 2)), 2))
+    assert L.lyndon_project(lies, basis).shape == (4, 3)
+    lies.levels[1][2, 0, 0] += 1.0  # one cell gains symmetric, non-Lie content
+    with pytest.raises(ContractError, match="not a Lie element"):
+        L.lyndon_project(lies, basis)
+    lies.levels[1][2, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError):
+        L.lyndon_project(lies, basis)
+    with pytest.raises(NonFiniteError):
+        L.sig_polyline(np.array([[0.0, 1.0], [np.nan, 2.0]]), 2)

@@ -53,7 +53,7 @@ def test_mape_masks_near_zero_targets():
     rep = TR.compute_metrics(pred, target)
     assert rep.mape == pytest.approx(0.5)  # only the 2.0 entry counts
     all_zero = TR.compute_metrics(pred * 0, target * 0)
-    assert all_zero.mape == 0.0  # no valid entries at all
+    assert np.isnan(all_zero.mape)  # no valid entries at all: undefined, not perfect
 
 
 @given(st.integers(0, 10_000))
