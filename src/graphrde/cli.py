@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import data as D
 from . import tensor as T
 from . import training as TR
 from .config import RunConfig, load_config, save_config
-from .data import FMT, _atomic_write
+from .data import FMT, atomic_write
 from .errors import (
     ConfigError,
     ContractError,
@@ -34,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .logsig import LyndonBasis, window_logsig
-from .model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
+from .model import ModelConfig, ParamStore, load_checkpoint, normalized_adjacency, save_checkpoint
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec
 from .verification import format_results, run_suites
@@ -115,7 +116,7 @@ def _fold_seeds(base_seed: int, fold: int) -> dict[str, int]:
 def run_fold(
     run: RunConfig,
     config: ModelConfig,
-    adjacency,
+    propagation: np.ndarray | None,
     values: np.ndarray,
     parts: tuple[D.WindowSet, D.WindowSet, D.WindowSet],
     out_dir: str,
@@ -136,7 +137,7 @@ def run_fold(
     prep_val = TR.prepare_split(val_w, normalizer, config, basis=basis)
     prep_test = TR.prepare_split(test_w, normalizer, config, basis=basis)
 
-    params = ParamStore(config, seed=run.seed, adjacency=adjacency)
+    params = ParamStore(config, seed=run.seed, propagation=propagation)
     solve = run.solve_spec()
     history_path = os.path.join(out_dir, f"history{suffix}.csv")
     try:
@@ -161,7 +162,7 @@ def run_fold(
 
     extra = {
         "normalizer": {"mean": normalizer.mean.tolist(), "std": normalizer.std.tolist()},
-        "solve": {"method": solve.method, "steps_per_window": solve.steps_per_window},
+        "solve": asdict(solve),
         "split_offsets": {"train": span(train_w), "val": span(val_w), "test": span(test_w)},
         "drop": {"rate": run.drop_rate, "seeds": seeds},
         "fold": fold,
@@ -197,12 +198,15 @@ def summarize_folds(fold_docs: list[dict]) -> dict:
 
 def run_training(run: RunConfig, out_dir: str) -> dict:
     """Execute a resolved run config; returns the metrics document."""
-    spec = run.dataset_spec()
-    values = D.load_values(spec.values_path, spec.channels)
+    if not run.values_path:
+        raise ConfigError("values_path is not set (pass --data or set it in the config)")
+    values = D.load_values(run.values_path, run.channels)
     config = run.model_config(values.shape[0])
-    adjacency = None
-    if spec.adjacency_path:
-        adjacency = D.load_adjacency(spec.adjacency_path, values.shape[0])
+    propagation = None
+    if run.adjacency_path:
+        adjacency = D.load_adjacency(run.adjacency_path, values.shape[0])
+        if config.needs_adjacency:
+            propagation = normalized_adjacency(adjacency, config.gnn_kind)
     windows = D.make_windows(values, run.input_len, run.horizon, run.out_channels)
     folds = D.split(windows, run.split_plan())
 
@@ -213,10 +217,10 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
     fold_docs = []
     for k, parts in enumerate(folds):
         suffix = f"_fold{k}" if len(folds) > 1 else ""
-        fold_docs.append(run_fold(run, config, adjacency, values, parts, out_dir, k, suffix))
+        fold_docs.append(run_fold(run, config, propagation, values, parts, out_dir, k, suffix))
 
     metrics = fold_docs[0] if len(fold_docs) == 1 else summarize_folds(fold_docs)
-    _atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
+    atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
     return metrics
 
 
@@ -256,7 +260,7 @@ def cmd_logsig(args) -> int:
         for v in range(nodes):
             cells = [str(wi), str(v)] + [FMT % x for x in seq.coords[wi, v]]
             lines.append(",".join(cells))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {w} windows x {nodes} nodes x {dim} coordinates")
     return 0
 
@@ -299,7 +303,7 @@ def cmd_predict(args) -> int:
         for v in range(preds.shape[1]):
             for s in range(preds.shape[2]):
                 lines.append(f"{offset},{v},{s},{FMT % preds[i, v, s, 0]}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {len(lines) - 1} forecasts")
     return 0
 

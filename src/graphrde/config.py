@@ -6,106 +6,47 @@ file of ``key = value`` lines with ``#`` comments; unknown keys are
 rejected so typos fail loudly.  Every run writes its fully resolved
 configuration next to its outputs, and that file alone reproduces the
 run bit-for-bit.
+
+Only the dataset and split keys are declared here.  Every other key is
+a field of ``ModelConfig``, ``TrainConfig`` or ``SolveSpec`` with that
+field's name, type and default, and the section's ``__post_init__`` is
+the one place its rules are checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 
-from .data import DatasetSpec, SplitPlan
+from .data import SplitPlan, atomic_write
 from .errors import ConfigError
-from .model import GNN_KINDS, VARIANTS, ModelConfig
-from .solver import METHODS, SolveSpec
+from .model import ModelConfig
+from .solver import SolveSpec
 from .training import TrainConfig
 
 
-@dataclass
-class RunConfig:
-    """Union of every knob a run needs, in one flat namespace.
+def _section_keys(cls, skip: tuple[str, ...] = ()) -> list:
+    return [(f.name, f.type, field(default=f.default)) for f in fields(cls) if f.name not in skip]
 
-    ``channels`` feeds both the reader and the model's input width;
-    ``num_nodes`` may stay 0 to be inferred from the data.
-    """
 
-    # dataset
-    values_path: str = ""
-    adjacency_path: str = ""
-    channels: int = 1
-    interval_minutes: float = 5.0
-    name: str = ""
-    # model
-    num_nodes: int = 0
-    input_len: int = 12
-    horizon: int = 12
-    out_channels: int = 1
-    dim_h: int = 32
-    dim_z: int = 32
-    num_layers: int = 1
-    embed_dim: int = 2
-    sig_depth: int = 2
-    subpath_len: int = 2
-    variant: str = "full"
-    gnn_kind: str = "adaptive"
-    # training
-    epochs: int = 200
-    batch_size: int = 64
-    lr: float = 1e-3
-    weight_decay: float = 1e-3
-    patience: int = 15
-    seed: int = 0
-    # solver
-    method: str = "rk4"
-    steps_per_window: int = 2
-    # split plan and input irregularity
-    split: str = "chronological"
-    ratios: str = "6:2:2"
-    folds: int = 4
-    drop_rate: float = 0.0
+class _Sections:
+    """Builders from the flat keys to each section's dataclass."""
 
-    def dataset_spec(self) -> DatasetSpec:
-        if not self.values_path:
-            raise ConfigError("values_path is not set (pass --data or set it in the config)")
-        return DatasetSpec(
-            values_path=self.values_path,
-            adjacency_path=self.adjacency_path or None,
-            channels=self.channels,
-            interval_minutes=self.interval_minutes,
-            name=self.name,
-        )
+    def _section(self, cls, **given):
+        names = (f.name for f in fields(cls) if f.name not in given)
+        return cls(**{name: getattr(self, name) for name in names}, **given)
 
     def model_config(self, num_nodes: int) -> ModelConfig:
         if self.num_nodes and self.num_nodes != num_nodes:
             raise ConfigError(
                 f"config says num_nodes = {self.num_nodes} but the data has {num_nodes} nodes"
             )
-        return ModelConfig(
-            num_nodes=num_nodes,
-            in_channels=self.channels,
-            input_len=self.input_len,
-            horizon=self.horizon,
-            out_channels=self.out_channels,
-            dim_h=self.dim_h,
-            dim_z=self.dim_z,
-            num_layers=self.num_layers,
-            embed_dim=self.embed_dim,
-            sig_depth=self.sig_depth,
-            subpath_len=self.subpath_len,
-            variant=self.variant,
-            gnn_kind=self.gnn_kind,
-        )
+        return self._section(ModelConfig, num_nodes=num_nodes, in_channels=self.channels)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            patience=self.patience,
-            seed=self.seed,
-        )
+        return self._section(TrainConfig)
 
     def solve_spec(self) -> SolveSpec:
-        return SolveSpec(method=self.method, steps_per_window=self.steps_per_window)
+        return self._section(SolveSpec)
 
     def split_plan(self) -> SplitPlan:
         parts = self.ratios.split(":")
@@ -118,19 +59,35 @@ class RunConfig:
         return SplitPlan(kind=self.split, ratios=ratios, folds=self.folds)
 
     def validate(self) -> None:
-        """Cheap cross-field checks that don't need the data."""
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.gnn_kind not in GNN_KINDS:
-            raise ConfigError(f"gnn_kind must be one of {GNN_KINDS}, got {self.gnn_kind!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        """Cheap checks that don't need the data: build every section."""
         if not (0.0 <= self.drop_rate < 1.0):
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        self.model_config(self.num_nodes or 1)
         self.train_config()
         self.solve_spec()
         self.split_plan()
 
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        # dataset
+        ("values_path", "str", field(default="")),
+        ("adjacency_path", "str", field(default="")),
+        ("channels", "int", field(default=1)),  # reader width and ModelConfig.in_channels
+        ("num_nodes", "int", field(default=0)),  # 0: inferred from the data
+        *_section_keys(ModelConfig, skip=("num_nodes", "in_channels")),
+        *_section_keys(TrainConfig),
+        *_section_keys(SolveSpec),
+        # split plan and input irregularity
+        ("split", "str", field(default="chronological")),
+        ("ratios", "str", field(default="6:2:2")),
+        ("folds", "int", field(default=4)),
+        ("drop_rate", "float", field(default=0.0)),
+    ],
+    bases=(_Sections,),
+    namespace={"__doc__": "Every knob a run needs, in one flat namespace.", "__module__": __name__},
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -195,6 +152,4 @@ def render_config(config: RunConfig) -> str:
 
 
 def save_config(path: str, config: RunConfig) -> None:
-    from .data import _atomic_write
-
-    _atomic_write(path, render_config(config))
+    atomic_write(path, render_config(config))

@@ -32,7 +32,6 @@ class DatasetSpec:
     values_path: str
     adjacency_path: str | None = None
     channels: int = 1
-    interval_minutes: float = 5.0
     name: str = ""
 
 
@@ -111,10 +110,14 @@ class Normalizer:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, content: str | bytes) -> None:
+    """Write ``content`` to a sibling temp file, then rename it over
+    ``path``, so a crash mid-write never leaves a truncated file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    with open(tmp, "wb") as fh:
+        fh.write(content)
     os.replace(tmp, path)
 
 
@@ -178,7 +181,7 @@ def save_values(path: str, values: np.ndarray) -> None:
     nodes, steps, channels = values.shape
     flat = values.transpose(1, 2, 0).reshape(steps, channels * nodes)
     lines = [",".join(FMT % x for x in row) for row in flat]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_adjacency(path: str, num_nodes: int | None = None) -> np.ndarray:
@@ -205,7 +208,7 @@ def load_adjacency(path: str, num_nodes: int | None = None) -> np.ndarray:
 
 def save_adjacency(path: str, edges: list[tuple[int, int, float]]) -> None:
     lines = ["src,dst,weight"] + [f"{s},{d},{FMT % w}" for s, d, w in edges]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

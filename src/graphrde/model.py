@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 
 from . import tensor as T
+from .data import atomic_write
 from .errors import ConfigError, ContractError, DataError
 from .logsig import lyndon_dimension
 from .tensor import Tensor
@@ -102,6 +104,11 @@ class ModelConfig:
     @property
     def readout_dim(self) -> int:
         return self.dim_h if self.variant == "temporal_only" else self.dim_z
+
+    @property
+    def needs_adjacency(self) -> bool:
+        """Whether the graph mixer runs on an externally supplied adjacency."""
+        return self.variant != "temporal_only" and self.gnn_kind in ("chebyshev", "plain_gcn")
 
 
 @dataclass
@@ -190,20 +197,18 @@ class ParamStore:
 
     Weights and biases are initialized uniform(-1/sqrt(fan_in),
     +1/sqrt(fan_in)) with a seeded generator, in a fixed name order, so
-    a seed fully determines the initial parameters.
+    a seed fully determines the initial parameters.  ``propagation`` is
+    the constant graph operator of the external-adjacency mixers (see
+    ``normalized_adjacency``); other mixers ignore it.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, adjacency: np.ndarray | None = None):
+    def __init__(self, config: ModelConfig, seed: int = 0, propagation: np.ndarray | None = None):
         self.config = config
-        needs_adjacency = config.variant != "temporal_only" and config.gnn_kind in (
-            "chebyshev",
-            "plain_gcn",
-        )
-        if needs_adjacency and adjacency is None:
-            raise ConfigError(f"gnn_kind {config.gnn_kind!r} requires an external adjacency")
         self.constants: dict[str, Tensor] = {}
-        if needs_adjacency:
-            prop = normalized_adjacency(adjacency, config.gnn_kind)
+        if config.needs_adjacency:
+            if propagation is None:
+                raise ConfigError(f"gnn_kind {config.gnn_kind!r} requires an external adjacency")
+            prop = np.asarray(propagation, dtype=np.float64)
             if prop.shape != (config.num_nodes, config.num_nodes):
                 raise DataError(
                     f"adjacency is {prop.shape}, model has {config.num_nodes} nodes"
@@ -269,15 +274,13 @@ def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tens
         prop = T.eye(v) + adaptive_adjacency(params)
     elif kind in ("chebyshev", "plain_gcn"):
         prop = params.constants["propagation"]
-    elif kind == "attention":
+    else:  # attention
         s_self = b0 @ params["attn_self"]    # (.., v, 1)
         s_neigh = b0 @ params["attn_neigh"]  # (.., v, 1)
         ones_row = T.constant(np.ones((1, v)))
         ones_col = T.constant(np.ones((v, 1)))
         scores = s_self @ ones_row + ones_col @ T.transpose_last2(s_neigh)
         prop = T.softmax_rows(scores)
-    else:  # pragma: no cover - guarded by ModelConfig validation
-        raise ConfigError(f"unknown gnn_kind {kind!r}")
     return (prop @ b0) @ params["w_spatial"]
 
 
@@ -382,15 +385,53 @@ def save_checkpoint(
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob.getvalue())
+    atomic_write(
+        path,
+        CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob.getvalue(),
+    )
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _read_tensors(manifest, data: bytes, path: str) -> dict[str, np.ndarray]:
+    """The manifest's arrays, after checking every entry: a string name,
+    a shape of non-negative ints, a non-negative int offset, and byte
+    ranges that lie inside ``data`` and do not overlap."""
+    if not isinstance(manifest, list):
+        raise DataError(f"{path} has no tensor manifest")
+    arrays: dict[str, np.ndarray] = {}
+    spans = []
+    for entry in manifest:
+        got = entry if isinstance(entry, dict) else {}
+        name, shape, start = got.get("name"), got.get("shape"), got.get("offset")
+        ok = isinstance(name, str) and isinstance(shape, list)
+        if not (ok and all(map(_is_count, [start, *shape]))):
+            raise DataError(f"{path} has a malformed tensor entry {entry!r}")
+        if name in arrays:
+            raise DataError(f"{path} lists tensor {name!r} twice")
+        end = start + 8 * math.prod(shape)
+        if end > len(data):
+            raise DataError(f"{path} is truncated (tensor {name!r})")
+        spans.append((start, end, name))
+        try:
+            arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape)
+        except ValueError as exc:  # numpy's limits on rank and dimension size
+            raise DataError(f"{path}: tensor {name!r} has an unusable shape: {exc}") from exc
+        arrays[name] = arr.astype(np.float64)
+    spans.sort()
+    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+        if start < end:
+            raise DataError(f"{path}: tensors {a!r} and {b!r} share bytes")
+    return arrays
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, ParamStore, dict]:
-    """Read a checkpoint back into a fresh ParamStore."""
+    """Read a checkpoint back into a fresh ParamStore.
+
+    Any fault in the file, its header included, raises ``DataError``.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -403,42 +444,37 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParamStore, dict]:
         raise DataError(f"{path} is truncated (header)")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or absurd nesting
         raise DataError(f"{path} has a corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path} has a corrupt header: not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
-    known = {f.name for f in dc_fields(ModelConfig)}
-    cfg_dict = header.get("config", {})
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise DataError(f"checkpoint config has unknown keys: {sorted(unknown)}")
-    config = ModelConfig(**cfg_dict)
-    data_section = raw[16 + header_len :]
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
-        if end > len(data_section):
-            raise DataError(f"{path} is truncated (tensor {entry['name']!r})")
-        arrays[entry["name"]] = np.frombuffer(
-            data_section[start:end], dtype="<f8"
-        ).reshape(shape).astype(np.float64)
-    const_arrays = {k[len("const/") :]: v for k, v in arrays.items() if k.startswith("const/")}
-    param_arrays = {k: v for k, v in arrays.items() if not k.startswith("const/")}
-    needs_adjacency = config.variant != "temporal_only" and config.gnn_kind in (
-        "chebyshev",
-        "plain_gcn",
-    )
-    adjacency = None
-    if needs_adjacency:
-        if "propagation" not in const_arrays:
-            raise DataError("checkpoint is missing the propagation constant")
-        # rebuild the store with a placeholder, then overwrite the constant
-        adjacency = np.zeros((config.num_nodes, config.num_nodes))
-    store = ParamStore(config, seed=0, adjacency=adjacency)
-    for cname, arr in const_arrays.items():
-        store.constants[cname] = T.constant(arr)
-    store.load_arrays(param_arrays)
-    return config, store, header.get("extra", {})
+    cfg_dict, extra = header.get("config"), header.get("extra", {})
+    if not isinstance(cfg_dict, dict) or not isinstance(extra, dict):
+        raise DataError(f"{path} has a corrupt header: config and extra must be JSON objects")
+    types = {f.name: f.type for f in dc_fields(ModelConfig)}
+    bad = sorted(k for k in types | cfg_dict if type(cfg_dict.get(k)).__name__ != types.get(k))
+    if bad:
+        raise DataError(f"checkpoint config has missing, unknown or mistyped keys: {bad}")
+    arrays = _read_tensors(header.get("tensors"), raw[16 + header_len :], path)
+    floats = sum(arr.size for arr in arrays.values())
+    try:
+        config = ModelConfig(**cfg_dict)
+        # A forged config must neither stall the spec below nor size the
+        # store's allocation beyond the file: each temporal trunk layer has
+        # its own tensors, init_h_w has in_channels rows, and a head has at
+        # least logsig_dim >= sig_depth (sig_depth - 1) / 2 entries (the
+        # words 0^a 1^b are Lyndon).
+        if (
+            (config.variant != "spatial_only" and config.num_layers >= len(arrays))
+            or config.in_channels > floats
+            or config.sig_depth * (config.sig_depth - 1) > 2 * floats
+            or sum(math.prod(shape) for _, shape, _ in _param_spec(config)) > floats
+        ):
+            raise DataError(f"{path}: the model config does not fit the stored tensors")
+        store = ParamStore(config, seed=0, propagation=arrays.get("const/propagation"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    store.load_arrays(arrays)
+    return config, store, extra

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Normalizer, WindowSet
+from .data import Normalizer, WindowSet, atomic_write, make_windows
 from .errors import ConfigError, ContractError, NumericError, TrainingAbort
 from .logsig import LogSigSequence, LyndonBasis, window_logsig
 from .model import HiddenState, ModelConfig, ParamStore, init_state, readout
@@ -357,9 +357,7 @@ def write_history(path: str, history: list[tuple[int, float, float]]) -> None:
     lines = ["epoch,train_loss,val_mae"]
     for epoch, train_loss, val_mae in history:
         lines.append(f"{epoch},{train_loss:.17g},{val_mae:.17g}")
-    from .data import _atomic_write
-
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +393,8 @@ def gradcheck(
     rng = np.random.default_rng(seed)
     v, d = config.num_nodes, config.in_channels
     values = rng.normal(size=(v, config.input_len + config.horizon + batch - 1, d))
-    from .data import Normalizer as _N, make_windows
-
     windows = make_windows(values, config.input_len, config.horizon, config.out_channels)
-    normalizer = _N(mean=np.zeros(d), std=np.ones(d))
+    normalizer = Normalizer(mean=np.zeros(d), std=np.ones(d))
     prepared = prepare_split(windows, normalizer, config)
     params = ParamStore(config, seed=seed + 1)
     idx = np.arange(min(batch, len(prepared)))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_config_validation_catches_bad_enums(tmp_path):
         load_config(str(path))
 
 
-def test_config_split_plan_and_model_builders():
+def test_config_split_plan_and_model_builders(tmp_path):
     cfg = RunConfig(values_path="v.csv", split="blocked_cv", ratios="6:2:2", folds=3)
     plan = cfg.split_plan()
     assert plan.kind == "blocked_cv" and plan.ratios == (6, 2, 2) and plan.folds == 3
@@ -80,7 +81,69 @@ def test_config_split_plan_and_model_builders():
     with pytest.raises(ConfigError, match="num_nodes"):
         cfg.model_config(num_nodes=5)
     with pytest.raises(ConfigError, match="values_path"):
-        RunConfig().dataset_spec()
+        cli.run_training(RunConfig(), str(tmp_path / "run"))
+
+
+_OTHER_TEXT = {
+    "variant": "temporal_only",
+    "gnn_kind": "attention",
+    "method": "euler",
+    "split": "rolling_cv",
+    "ratios": "7:2:1",
+}
+
+
+def _sections(run: RunConfig) -> dict:
+    built = {
+        "ModelConfig": run.model_config(run.num_nodes or 3),
+        "TrainConfig": run.train_config(),
+        "SolveSpec": run.solve_spec(),
+        "SplitPlan": run.split_plan(),
+    }
+    return {(cls, k): v for cls, obj in built.items() for k, v in asdict(obj).items()}
+
+
+def test_every_section_field_has_exactly_one_config_key():
+    base = RunConfig(channels=2)
+    before = _sections(base)
+    reached: dict = {field: [] for field in before}
+    unused = []
+    for f in fields(RunConfig):
+        old = getattr(base, f.name)
+        if f.type == "int":
+            new = old + 1
+        elif f.type == "float":
+            new = 2 * old + 0.25
+        else:
+            new = _OTHER_TEXT.get(f.name, "x")
+        after = _sections(replace(base, **{f.name: new}))
+        changed = [field for field in before if after[field] != before[field]]
+        for field in changed:
+            reached[field].append(f.name)
+        if not changed:
+            unused.append(f.name)
+    assert {field: keys for field, keys in reached.items() if len(keys) != 1} == {}
+    assert unused == ["values_path", "adjacency_path", "drop_rate"]  # read by the run itself
+
+
+# A rendering change rewrites every run's config.resolved.cfg: update these
+# only on purpose, and say so in CHANGES.md.
+_PRESET_SHA256 = {
+    "pemsd3.cfg": "bef5ecf78ed0b72d7c29c381a58eff39dbe99d0062cc9f0b89de1bbd61377bcf",
+    "pemsd4.cfg": "3701441186ffccfc694a0d8991075c095ce4b8f0bd29d9a930f7ef1ee70072b4",
+    "pemsd7.cfg": "80759feb122aee4ba61b1efcfd47b586708585fbdc4a11fb8049dc253fbf3e88",
+    "pemsd7l.cfg": "aee1e3179ee1206ea08aa82b20cb223c3e87f00cebc90800b111726311d2e78b",
+    "pemsd7m.cfg": "8f8cdcc863f8b5143696560affb4b2983e7e0e320e66b7fa9213d6fdc7ebed88",
+    "pemsd8.cfg": "76bb8c0a24658f6970fef0b728ffa8b6780d394cf4601236b1d746c78ef766c2",
+    "synth.cfg": "f4c4804ecc3a01861b9c36e124397506885bc2f013d61957d70f724dbc60747a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_SHA256))
+def test_preset_rendering_is_frozen(name):
+    preset = os.path.join(os.path.dirname(cli.__file__), "presets", name)
+    text = render_config(load_config(preset))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _PRESET_SHA256[name], text
 
 
 # ---------------------------------------------------------------------------

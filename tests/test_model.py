@@ -1,10 +1,16 @@
 """Unit tests for the model fields, parameter store and checkpoints."""
 
+import json
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphrde import cli
 from graphrde import tensor as T
 from graphrde.errors import ConfigError, ContractError, DataError
 from graphrde.model import (
@@ -133,6 +139,8 @@ def test_normalized_adjacency_formulas():
 def test_external_adjacency_required_for_fixed_graph_kinds():
     with pytest.raises(ConfigError):
         ParamStore(tiny_config(gnn_kind="chebyshev"), seed=0)
+    with pytest.raises(DataError, match="model has 3 nodes"):
+        ParamStore(tiny_config(gnn_kind="plain_gcn"), seed=0, propagation=np.eye(2))
     # temporal-only ignores the graph entirely
     ParamStore(tiny_config(gnn_kind="chebyshev", variant="temporal_only"), seed=0)
 
@@ -229,7 +237,7 @@ def test_field_g_shapes_by_variant_and_kind():
     assert field_g(T.constant(RNG.normal(size=(3, 3))), ps, att).shape == (3, 3, 4)
     adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cheb = tiny_config(gnn_kind="chebyshev")
-    ps2 = ParamStore(cheb, seed=0, adjacency=adj)
+    ps2 = ParamStore(cheb, seed=0, propagation=normalized_adjacency(adj, "chebyshev"))
     assert field_g(T.constant(RNG.normal(size=(3, 3))), ps2, cheb).shape == (3, 3, 4)
 
 
@@ -376,7 +384,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_keeps_propagation_constant(tmp_path):
     adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cfg = tiny_config(gnn_kind="plain_gcn")
-    ps = ParamStore(cfg, seed=0, adjacency=adj)
+    ps = ParamStore(cfg, seed=0, propagation=normalized_adjacency(adj, "plain_gcn"))
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), ps)
     _, ps2, _ = load_checkpoint(str(path))
@@ -399,3 +407,117 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(str(trunc))
     with pytest.raises(DataError):
         load_checkpoint(str(tmp_path / "missing.ckpt"))
+
+
+def test_save_checkpoint_never_leaves_a_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), ParamStore(tiny_config(), seed=0))
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("crashed before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), ParamStore(tiny_config(), seed=1))
+    assert path.read_bytes() == before
+
+
+def _with_header(raw: bytes, mutate) -> bytes:
+    """The checkpoint ``raw`` with ``mutate`` applied to its JSON header."""
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + n])
+    mutate(header)
+    body = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(body)) + body + raw[16 + n :]
+
+
+def _entry(i: int, **fields):
+    return lambda h: h["tensors"][i].update(fields)
+
+
+def _config(**fields):
+    return lambda h: h["config"].update(fields)
+
+
+_CORRUPTIONS = {
+    "negative offset": _entry(0, offset=-8),
+    "negative shape": _entry(0, shape=[-3, -1]),
+    "no manifest": lambda h: h.pop("tensors"),
+    "zero width": _config(dim_h=0),
+    "overlapping tensors": lambda h: h["tensors"][1].update(offset=h["tensors"][0]["offset"] + 8),
+    "float offset": _entry(0, offset=8.0),
+    "bool in shape": _entry(0, shape=[True, 6]),
+    "name not a string": _entry(0, name=7),
+    "duplicate name": lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+    "manifest not a list": lambda h: h.update(tensors={"embed": 0}),
+    "entry not an object": lambda h: h["tensors"].append([1, 2]),
+    "rank beyond numpy": _entry(0, shape=[0] * 70),
+    "config not an object": lambda h: h.update(config=[1, 2]),
+    "mistyped config value": _config(dim_h="4"),
+    "missing num_nodes": lambda h: h["config"].pop("num_nodes"),
+    "huge width": _config(dim_h=10**12),
+    "huge depth": _config(sig_depth=10**9),
+    "huge trunk": _config(num_layers=10**9),
+    "huge channels": _config(in_channels=10**12),
+    "extra not an object": lambda h: h.update(extra=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_corrupted_checkpoint_header_is_a_data_error(tmp_path, capsys, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), ParamStore(tiny_config(), seed=0))
+    path.write_bytes(_with_header(path.read_bytes(), _CORRUPTIONS[case]))
+    with pytest.raises(DataError):
+        load_checkpoint(str(path))
+    assert cli.main(["eval", "--checkpoint", str(path), "--data", "unread.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_header_that_is_not_an_object_is_a_data_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    body = b"[1, 2]"
+    path.write_bytes(b"STGNRDE1" + struct.pack("<Q", len(body)) + body)
+    with pytest.raises(DataError, match="not a JSON object"):
+        load_checkpoint(str(path))
+
+
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    cfg = tiny_config(gnn_kind="chebyshev")
+    propagation = normalized_adjacency(adj, "chebyshev")
+    save_checkpoint(str(path), ParamStore(cfg, seed=0, propagation=propagation))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_header_field_corruption_only_raises_data_error(saved_checkpoint, data):
+    def corrupt(header):
+        slots = [(header, k) for k in header]
+        slots += [(header["config"], k) for k in header["config"]]
+        slots += [(entry, k) for entry in header["tensors"] for k in entry]
+        for target, key in data.draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3)):
+            value = data.draw(st.one_of(st.just(_DELETE), _JSON))
+            if value is _DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+
+    path = saved_checkpoint.with_name("corrupt.ckpt")
+    path.write_bytes(_with_header(saved_checkpoint.read_bytes(), corrupt))
+    try:
+        load_checkpoint(str(path))
+    except DataError:
+        pass
