@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -87,9 +89,64 @@ def _apply_stored_drop(windows: D.WindowSet, extra: dict, which: str) -> D.Windo
     return D.WindowSet(windows.inputs, masks, windows.targets, windows.offsets)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number (not a bool, and not an int too large for a float)."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_extra(extra: dict, channels: int) -> SolveSpec:
+    """Check what eval and predict read from a checkpoint's ``extra`` block
+    and return its solver spec; any fault is a ``DataError``."""
+    norm = extra.get("normalizer")
+    if not isinstance(norm, dict):
+        raise DataError("checkpoint does not store normalization statistics")
+    for key in ("mean", "std"):
+        vals = norm.get(key)
+        if not (isinstance(vals, list) and len(vals) == channels and all(map(_is_number, vals))):
+            raise DataError(f"checkpoint normalizer {key} must be {channels} finite numbers")
+    if min(norm["std"]) <= 0:
+        raise DataError("checkpoint normalizer std must be positive")
+    ranges = extra.get("split_offsets", {})
+    pairs = isinstance(ranges, dict) and all(
+        isinstance(r, list) and len(r) == 2 and all(map(_is_int, r)) for r in ranges.values()
+    )
+    if not pairs:
+        raise DataError("checkpoint split ranges must each be a pair of ints")
+    drop = extra.get("drop")
+    if drop:
+        rate = drop.get("rate", 0.0) if isinstance(drop, dict) else None
+        if not (_is_number(rate) and 0.0 <= rate < 1.0):
+            raise DataError("checkpoint drop rate must be a number in [0, 1)")
+        seeds = drop.get("seeds", {})
+        seeded = isinstance(seeds, dict) and all(_is_int(seeds.get(k)) for k in ranges)
+        if rate > 0.0 and not seeded:
+            raise DataError("checkpoint drop must give an int seed for every stored split")
+    solve = extra.get("solve", {})
+    if not isinstance(solve, dict):
+        raise DataError("checkpoint solver settings are not an object")
+    types = {f.name: f.type for f in dataclass_fields(SolveSpec)}
+    bad = sorted(k for k, v in solve.items() if type(v).__name__ != types.get(k))
+    if bad:
+        raise DataError(f"checkpoint solver settings have unknown or mistyped keys: {bad}")
+    try:
+        return SolveSpec(**solve)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint solver settings: {exc}") from exc
+
+
 def _load_eval_inputs(args, which: str):
     """Checkpoint + windows + normalizer for ``eval`` and ``predict``."""
     config, params, extra = load_checkpoint(args.checkpoint)
+    solve = _check_extra(extra, config.in_channels)
     values = D.load_values(args.data, config.in_channels)
     if values.shape[0] != config.num_nodes:
         raise DataError(
@@ -97,13 +154,10 @@ def _load_eval_inputs(args, which: str):
         )
     windows = D.make_windows(values, config.input_len, config.horizon, config.out_channels)
     windows = _apply_stored_drop(_select_split(windows, extra, which), extra, which)
-    if "normalizer" not in extra:
-        raise DataError("checkpoint does not store normalization statistics")
     normalizer = D.Normalizer(
         mean=np.asarray(extra["normalizer"]["mean"]),
         std=np.asarray(extra["normalizer"]["std"]),
     )
-    solve = SolveSpec(**extra.get("solve", {}))
     prepared = TR.prepare_split(windows, normalizer, config)
     return config, params, prepared, normalizer, solve
 

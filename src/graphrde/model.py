@@ -257,13 +257,16 @@ def adaptive_adjacency(params: ParamStore) -> Tensor:
     return T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
 
 
-def field_f(h: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Temporal vector field: (.., nodes, dim_h) -> (.., nodes, dim_h, L)."""
+def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
+    """Temporal vector field applied to a control.
+
+    (.., nodes, dim_h) with the control (.., nodes, L) -> (.., nodes, dim_h):
+    the (dim_h, L) head of each node contracted against its control.
+    """
     a = h
     for k in range(config.num_layers + 1):
         a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
-    out = T.tanh(a @ params["f_head_w"] + params["f_head_b"])
-    return T.reshape(out, out.shape[:-1] + (config.dim_h, config.logsig_dim))
+    return T.head_matvec(a, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
 
 
 def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
@@ -284,18 +287,17 @@ def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tens
     return (prop @ b0) @ params["w_spatial"]
 
 
-def field_g(z: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Spatial vector field: (.., nodes, dim_z) -> (.., nodes, dim_z, cols).
+def field_g(z: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
+    """Spatial vector field applied to a control.
 
-    ``cols`` is dim_h when the field is contracted against dH (full
-    variant) and L when contracted against the log-signature directly
-    (spatial-only variant).
+    (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
+    The control is dH, with ``cols`` = dim_h (full variant), or the
+    log-signature velocity, with ``cols`` = L (spatial-only variant).
     """
     b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
     b1 = _mixed_features(b0, params, config)
-    out = T.tanh(b1 @ params["g_head_w"] + params["g_head_b"])
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
-    return T.reshape(out, out.shape[:-1] + (config.dim_z, cols))
+    return T.head_matvec(b1, params["g_head_w"], params["g_head_b"], x, cols)
 
 
 def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> HiddenState:
@@ -332,13 +334,11 @@ def augmented_rhs(
     if divisor <= 0:
         raise ContractError(f"window divisor must be positive, got {divisor}")
     if config.variant == "temporal_only":
-        dh = T.matvec(field_f(state.h, params, config), ell) / divisor
-        return HiddenState(h=dh)
+        return HiddenState(h=field_f(state.h, ell, params, config) / divisor)
     if config.variant == "spatial_only":
-        dz = T.matvec(field_g(state.z, params, config), ell) / divisor
-        return HiddenState(z=dz)
-    dh = T.matvec(field_f(state.h, params, config), ell) / divisor
-    dz = T.matvec(field_g(state.z, params, config), dh)
+        return HiddenState(z=field_g(state.z, ell, params, config) / divisor)
+    dh = field_f(state.h, ell, params, config) / divisor
+    dz = field_g(state.z, dh, params, config)
     return HiddenState(h=dh, z=dz)
 
 

@@ -3,8 +3,9 @@
 A :class:`Tensor` wraps a numpy float64 buffer.  Operations on tracked
 tensors append an entry to an ambient tape; :func:`backward` replays the
 tape in reverse execution order (a reverse topological order, since the
-graph is built incrementally) and accumulates gradients into every
-tracked tensor's ``grad`` buffer.
+graph is built incrementally) and accumulates gradients into the
+``grad`` buffer of every tracked leaf tensor; an op output's gradient is
+released as soon as its own entry has run.
 
 Design rules enforced at every operation boundary:
 
@@ -36,7 +37,7 @@ __all__ = [
     "scale",
     "neg",
     "matmul",
-    "matvec",
+    "head_matvec",
     "relu",
     "tanh",
     "absolute",
@@ -170,11 +171,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tracked ancestor of ``loss``.
+    """Populate ``grad`` on every tracked leaf ancestor of ``loss``.
 
     ``loss`` must be a single-element tensor produced by taped
-    operations.  The tape is cleared afterwards, so each graph supports
-    exactly one backward pass.
+    operations.  An op output's ``grad`` is dropped once its entry has
+    run, since every consumer of it ran before; without that, the
+    gradients of all intermediates would be alive together at the end.
+    The tape is cleared afterwards, so each graph supports exactly one
+    backward pass.
     """
     _as_tensor(loss)
     if loss.data.size != 1:
@@ -188,6 +192,7 @@ def backward(loss: Tensor) -> None:
         for out, fn in reversed(_TAPE):
             if out.grad is not None:
                 fn(out.grad)
+                out.grad = None
     finally:
         _TAPE.clear()
 
@@ -322,24 +327,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn, "matmul")
 
 
-def matvec(f: Tensor, x: Tensor) -> Tensor:
-    """Per-slot matrix-vector product: ``(..,p,q)`` with ``(..,q)`` -> ``(..,p)``.
+def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor:
+    """A tanh field head applied to a control, as one tape entry.
 
-    Leading axes must match exactly; this is the contraction of a field
-    output against a control vector.
+    ``out[.., p] = sum_q tanh(a @ w + b)[.., p, q] * x[.., q]``, where the
+    head ``tanh(a @ w + b)`` of shape ``(.., rows * cols)`` is read as
+    ``(.., rows, cols)``.  Shapes: ``a`` ``(.., m, k)``, ``w`` ``(k, n)``,
+    ``b`` ``(n,)`` and ``x`` ``(.., m, cols)`` with ``n = rows * cols``;
+    the result is ``(.., m, rows)``.
+
+    The values and gradients are bit-identical to ``matmul``, ``add``,
+    ``tanh``, ``reshape`` and a per-slot matrix-vector product taped one
+    by one, but the closure keeps only the inputs and the tanh output:
+    neither the pre-activation nor a head-sized gradient outlives the
+    forward pass or this entry's backward.
     """
-    f, x = _as_tensor(f), _as_tensor(x)
-    if f.ndim < 2 or x.ndim < 1 or f.shape[:-2] != x.shape[:-1] or f.shape[-1] != x.shape[-1]:
-        raise DimensionError(f"matvec shapes incompatible: {f.shape} with {x.shape}")
-    data = np.einsum("...pq,...q->...p", f.data, x.data)
+    a, w, b, x = _as_tensor(a), _as_tensor(w), _as_tensor(b), _as_tensor(x)
+    if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"head_matvec: cannot apply {a.shape} @ {w.shape} + {b.shape}")
+    if cols < 1 or w.shape[1] % cols or x.shape != a.shape[:-1] + (cols,):
+        raise DimensionError(
+            f"head_matvec: head of width {w.shape[1]} cannot take {cols} columns "
+            f"against a control of shape {x.shape}"
+        )
+    rows = w.shape[1] // cols
+    pre = np.matmul(a.data, w.data)
+    _check_finite(pre, "head_matvec (a @ w)")
+    pre = pre + b.data
+    _check_finite(pre, "head_matvec (a @ w + b)")  # tanh would hide an overflow
+    t = np.tanh(pre)
+    head = t.reshape(t.shape[:-1] + (rows, cols))
+    data = np.einsum("...pq,...q->...p", head, x.data)
+    head_tracked = a.requires_grad or w.requires_grad or b.requires_grad
 
     def backward_fn(g: np.ndarray) -> None:
-        if f.requires_grad:
-            _accumulate(f, np.einsum("...p,...q->...pq", g, x.data))
         if x.requires_grad:
-            _accumulate(x, np.einsum("...pq,...p->...q", f.data, g))
+            _accumulate(x, np.einsum("...pq,...p->...q", head, g))
+        if not head_tracked:
+            return
+        g_pre = np.einsum("...p,...q->...pq", g, x.data).reshape(t.shape) * (1.0 - t * t)
+        _accumulate(b, _unbroadcast(g_pre, b.shape))
+        if a.requires_grad:
+            _accumulate(a, np.matmul(g_pre, w.data.T))
+        if w.requires_grad:
+            _accumulate(w, _reduce_leading(np.matmul(np.swapaxes(a.data, -1, -2), g_pre), w.shape))
 
-    return _make(data, (f, x), backward_fn, "matvec")
+    return _make(data, (a, w, b, x), backward_fn, "head_matvec")
 
 
 def transpose_last2(a: Tensor) -> Tensor:

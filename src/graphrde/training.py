@@ -18,7 +18,7 @@ from . import tensor as T
 from .data import Normalizer, WindowSet, atomic_write, make_windows
 from .errors import ConfigError, ContractError, NumericError, TrainingAbort
 from .logsig import LogSigSequence, LyndonBasis, window_logsig
-from .model import HiddenState, ModelConfig, ParamStore, init_state, readout
+from .model import HiddenState, ModelConfig, ParamStore, init_state, normalized_adjacency, readout
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec, integrate
 from .tensor import Tensor
@@ -388,15 +388,19 @@ def gradcheck(
     Builds a small random batch through the real spline/log-signature
     path, takes the L1 training loss, and checks each parameter entry:
     relative error |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-6) must stay below 1e-4 in float64.
+    1e-6) must stay below 1e-4 in float64.  A mixer that runs on an
+    external adjacency gets a random non-negative one from the same seed.
     """
     rng = np.random.default_rng(seed)
     v, d = config.num_nodes, config.in_channels
     values = rng.normal(size=(v, config.input_len + config.horizon + batch - 1, d))
+    propagation = None
+    if config.needs_adjacency:
+        propagation = normalized_adjacency(rng.uniform(size=(v, v)), config.gnn_kind)
     windows = make_windows(values, config.input_len, config.horizon, config.out_channels)
     normalizer = Normalizer(mean=np.zeros(d), std=np.ones(d))
     prepared = prepare_split(windows, normalizer, config)
-    params = ParamStore(config, seed=seed + 1)
+    params = ParamStore(config, seed=seed + 1, propagation=propagation)
     idx = np.arange(min(batch, len(prepared)))
     target = T.constant(prepared.targets_norm[idx])
 

@@ -21,8 +21,8 @@ from .logsig import (
     sig_polyline,
     tensor_log,
 )
-from .model import ModelConfig
-from .solver import SolveSpec, convergence_order
+from .model import GNN_KINDS, VARIANTS, ModelConfig
+from .solver import METHODS, SolveSpec, convergence_order
 from .training import gradcheck
 
 
@@ -135,9 +135,12 @@ def suite_logsig(chen_paths: int = 100, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_grad() -> list[CheckResult]:
+    """End-to-end gradient checks over every variant x gnn_kind x method;
+    ``temporal_only`` has no mixer, so it runs once per method."""
     results = []
-    for variant in ("full", "temporal_only", "spatial_only"):
-        for method in ("euler", "rk4"):
+    for variant in VARIANTS:
+        kinds = GNN_KINDS[:1] if variant == "temporal_only" else GNN_KINDS
+        for gnn_kind, method in ((k, m) for k in kinds for m in METHODS):
             cfg = ModelConfig(
                 num_nodes=4,
                 input_len=6,
@@ -149,11 +152,13 @@ def suite_grad() -> list[CheckResult]:
                 sig_depth=2,
                 subpath_len=2,
                 variant=variant,
+                gnn_kind=gnn_kind,
             )
             rep = gradcheck(cfg, SolveSpec(method=method, steps_per_window=2), seed=7)
+            mixer = "" if variant == "temporal_only" else f"/{gnn_kind}"
             results.append(
                 CheckResult(
-                    f"gradcheck {variant}/{method}",
+                    f"gradcheck {variant}{mixer}/{method}",
                     rep.passed,
                     f"max rel err {rep.max_rel_err:.2e} over {rep.entries_checked} entries "
                     f"(worst {rep.worst_param}, tol 1e-4)",

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written by a different route than the
 library code: plain finite differences, dense linear solves, numerical
-quadrature and exhaustive enumeration.  Two exceptions: the inverse maps
-``tensor_exp`` and ``lyndon_expand``, which only tests need, and the
-per-cell log-signature front end at the end of this file, which keeps
-the one-cell-at-a-time float operation order the batched library code
-must reproduce bit for bit.
+quadrature and exhaustive enumeration.  Three exceptions: the inverse
+maps ``tensor_exp`` and ``lyndon_expand``, which only tests need; the
+per-cell log-signature front end, which keeps the one-cell-at-a-time
+float operation order the batched library code must reproduce bit for
+bit; and the unfused field heads at the end of this file, which tape
+each head as separate ops, the order the fused ``head_matvec`` must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import math
 
 import numpy as np
 
-from graphrde.errors import ContractError
+from graphrde import tensor as T
+from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
+from graphrde.model import HiddenState, _mixed_features
+from graphrde.tensor import _accumulate, _as_tensor, _make
 
 
 def finite_difference_grad(fn, arrays, eps: float = 1e-5):
@@ -312,3 +317,64 @@ def cell_window_logsig(
                 sig = cell_chen_mul(sig, cell_sig_linear(pts[i + 1] - pts[i], depth))
             coords[w, v] = cell_lyndon_project(cell_tensor_log(sig), basis)
     return coords
+
+
+# ---------------------------------------------------------------------------
+# Unfused field heads: matmul, add, tanh, reshape and matvec taped one by one
+# ---------------------------------------------------------------------------
+
+
+def matvec(f, x):
+    """Per-slot matrix-vector product: ``(..,p,q)`` with ``(..,q)`` -> ``(..,p)``."""
+    f, x = _as_tensor(f), _as_tensor(x)
+    if f.ndim < 2 or x.ndim < 1 or f.shape[:-2] != x.shape[:-1] or f.shape[-1] != x.shape[-1]:
+        raise DimensionError(f"matvec shapes incompatible: {f.shape} with {x.shape}")
+    data = np.einsum("...pq,...q->...p", f.data, x.data)
+
+    def backward_fn(g):
+        if f.requires_grad:
+            _accumulate(f, np.einsum("...p,...q->...pq", g, x.data))
+        if x.requires_grad:
+            _accumulate(x, np.einsum("...pq,...p->...q", f.data, g))
+
+    return _make(data, (f, x), backward_fn, "matvec")
+
+
+def field_f(h, params, config):
+    """Temporal field head: (.., nodes, dim_h) -> (.., nodes, dim_h, L)."""
+    a = h
+    for k in range(config.num_layers + 1):
+        a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
+    out = T.tanh(a @ params["f_head_w"] + params["f_head_b"])
+    return T.reshape(out, out.shape[:-1] + (config.dim_h, config.logsig_dim))
+
+
+def field_g(z, params, config):
+    """Spatial field head: (.., nodes, dim_z) -> (.., nodes, dim_z, cols)."""
+    b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
+    b1 = _mixed_features(b0, params, config)
+    out = T.tanh(b1 @ params["g_head_w"] + params["g_head_b"])
+    cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
+    return T.reshape(out, out.shape[:-1] + (config.dim_z, cols))
+
+
+def augmented_rhs(state, ell, divisor, params, config):
+    """The model's right-hand side, built from the unfused heads."""
+    if config.variant == "temporal_only":
+        return HiddenState(h=matvec(field_f(state.h, params, config), ell) / divisor)
+    if config.variant == "spatial_only":
+        return HiddenState(z=matvec(field_g(state.z, params, config), ell) / divisor)
+    dh = matvec(field_f(state.h, params, config), ell) / divisor
+    return HiddenState(h=dh, z=matvec(field_g(state.z, params, config), dh))
+
+
+def unfused_rhs_factory(init, params, config):
+    """An ``integrate`` ``rhs_factory`` that runs ``augmented_rhs`` above."""
+
+    def factory(ell, divisor):
+        def rhs(tensors):
+            return augmented_rhs(init.like(tensors), ell, divisor, params, config).tensors()
+
+        return rhs
+
+    return factory

@@ -13,6 +13,7 @@ from graphrde import cli
 from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
 from graphrde.errors import ConfigError
+from test_model import _with_header
 
 # ---------------------------------------------------------------------------
 # Config file format
@@ -221,6 +222,45 @@ def test_eval_rejects_mismatched_data(workdir, tmp_path):
     code = cli.main(["eval", "--checkpoint", str(workdir["out"] / "model.ckpt"),
                      "--data", str(other / "values.csv")])
     assert code == 2
+
+
+def _set_extra(*keys, value):
+    def mutate(header):
+        target = header["extra"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+_FORGED_EXTRA = {
+    "normalizer mean not a list": _set_extra("normalizer", "mean", value="x"),
+    "normalizer mean too short": _set_extra("normalizer", "mean", value=[]),
+    "normalizer std not finite": _set_extra("normalizer", "std", value=[float("nan")]),
+    "normalizer std zero": _set_extra("normalizer", "std", value=[0.0]),
+    "normalizer missing": lambda h: h["extra"].pop("normalizer"),
+    "split range not a pair": _set_extra("split_offsets", "test", value=5),
+    "split range of floats": _set_extra("split_offsets", "test", value=[1.0, 9.0]),
+    "split ranges not an object": _set_extra("split_offsets", value=[0, 1]),
+    "drop rate of one": _set_extra("drop", "rate", value=1.0),
+    "drop rate a string": _set_extra("drop", "rate", value="0.1"),
+    "drop seed missing": lambda h: h["extra"]["drop"].update(rate=0.2, seeds={"train": 1}),
+    "solver method not a string": _set_extra("solve", "method", value=3),
+    "solver method unknown": _set_extra("solve", "method", value="midpoint"),
+    "solver key unknown": _set_extra("solve", "order", value=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORGED_EXTRA))
+def test_eval_rejects_a_forged_extra_block(workdir, tmp_path, capsys, case):
+    path = tmp_path / "forged.ckpt"
+    raw = (workdir["out"] / "model.ckpt").read_bytes()
+    path.write_bytes(_with_header(raw, _FORGED_EXTRA[case]))
+    code = cli.main(["eval", "--checkpoint", str(path),
+                     "--data", str(workdir["root"] / "data" / "values.csv"), "--split", "test"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint")
 
 
 def test_predict_row_count_and_format(workdir, tmp_path):

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from graphrde import cli
 from graphrde import tensor as T
-from graphrde.errors import ConfigError, ContractError, DataError
+from graphrde.errors import ConfigError, ContractError, DataError, DimensionError
+from graphrde.logsig import LogSigSequence
 from graphrde.model import (
+    GNN_KINDS,
+    VARIANTS,
     HiddenState,
     ModelConfig,
     ParamStore,
@@ -27,6 +30,10 @@ from graphrde.model import (
     readout,
     save_checkpoint,
 )
+from graphrde.solver import SolveSpec, integrate
+from oracles import field_f as unfused_field_f
+from oracles import field_g as unfused_field_g
+from oracles import unfused_rhs_factory
 
 RNG = np.random.default_rng(777)
 
@@ -166,34 +173,41 @@ def scalar_fc(mat, w, b):
     return out
 
 
+def scalar_head_matvec(head, rows, cols, x):
+    """out[v][p] = sum_q tanh(head[v][p * cols + q]) * x[v][q]."""
+    return [
+        [sum(math.tanh(head[v][p * cols + q]) * x[v][q] for q in range(cols)) for p in range(rows)]
+        for v in range(len(head))
+    ]
+
+
 def test_field_f_matches_scalar_reimplementation():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=9)
     h = RNG.normal(size=(3, 4))
-    got = field_f(T.constant(h), ps, cfg).data
+    x = RNG.normal(size=(3, cfg.logsig_dim))
+    got = field_f(T.constant(h), T.constant(x), ps, cfg).data
+    assert got.shape == (3, 4)
 
     a = [list(row) for row in h]
     for k in range(cfg.num_layers + 1):
         w = ps[f"f_w{k}"].data.tolist()
         b = ps[f"f_b{k}"].data.tolist()
-        a = [[scalar_relu(x) for x in row] for row in scalar_fc(a, w, b)]
+        a = [[scalar_relu(v) for v in row] for row in scalar_fc(a, w, b)]
     head = scalar_fc(a, ps["f_head_w"].data.tolist(), ps["f_head_b"].data.tolist())
-    lsig = cfg.logsig_dim
-    for v in range(3):
-        for p in range(4):
-            for l in range(lsig):
-                want = math.tanh(head[v][p * lsig + l])
-                assert abs(got[v, p, l] - want) < 1e-12
+    want = scalar_head_matvec(head, 4, cfg.logsig_dim, x.tolist())
+    assert np.abs(got - np.array(want)).max() < 1e-12
 
 
 def test_field_f_rows_are_independent():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=4)
     h = RNG.normal(size=(3, 4))
-    base = field_f(T.constant(h), ps, cfg).data
+    x = T.constant(RNG.normal(size=(3, cfg.logsig_dim)))
+    base = field_f(T.constant(h), x, ps, cfg).data
     h2 = h.copy()
     h2[0] += 1.0
-    bumped = field_f(T.constant(h2), ps, cfg).data
+    bumped = field_f(T.constant(h2), x, ps, cfg).data
     assert not np.allclose(base[0], bumped[0])
     assert np.array_equal(base[1:], bumped[1:])
 
@@ -202,57 +216,100 @@ def test_field_g_matches_scalar_reimplementation():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=2)
     z = RNG.normal(size=(3, 3))
-    got = field_g(T.constant(z), ps, cfg).data
+    x = RNG.normal(size=(3, 4))  # a dH-shaped control
+    got = field_g(T.constant(z), T.constant(x), ps, cfg).data
+    assert got.shape == (3, 3)
 
-    b0 = [[scalar_relu(x) for x in row] for row in
+    b0 = [[scalar_relu(v) for v in row] for row in
           scalar_fc(z.tolist(), ps["g_w0"].data.tolist(), ps["g_b0"].data.tolist())]
     e = ps["embed"].data
     scores = [[sum(e[u, i] * e[v, i] for i in range(e.shape[1])) for v in range(3)] for u in range(3)]
-    scores = [[scalar_relu(x) for x in row] for row in scores]
+    scores = [[scalar_relu(v) for v in row] for row in scores]
     adj = []
     for row in scores:
         mx = max(row)
-        exps = [math.exp(x - mx) for x in row]
+        exps = [math.exp(v - mx) for v in row]
         tot = sum(exps)
-        adj.append([x / tot for x in exps])
+        adj.append([v / tot for v in exps])
     prop = [[adj[u][v] + (1.0 if u == v else 0.0) for v in range(3)] for u in range(3)]
     mixed = [[sum(prop[u][v] * b0[v][j] for v in range(3)) for j in range(3)] for u in range(3)]
     b1 = scalar_fc(mixed, ps["w_spatial"].data.tolist(), [0.0] * 3)
     head = scalar_fc(b1, ps["g_head_w"].data.tolist(), ps["g_head_b"].data.tolist())
-    for v in range(3):
-        for q in range(3):
-            for p in range(4):
-                want = math.tanh(head[v][q * 4 + p])
-                assert abs(got[v, q, p] - want) < 1e-12
+    want = scalar_head_matvec(head, 3, 4, x.tolist())
+    assert np.abs(got - np.array(want)).max() < 1e-12
 
 
 def test_field_g_shapes_by_variant_and_kind():
+    z = T.constant(RNG.normal(size=(3, 3)))
+    dh = T.constant(RNG.normal(size=(3, 4)))
     full = tiny_config()
-    assert field_g(T.constant(RNG.normal(size=(3, 3))), ParamStore(full, seed=0), full).shape == (3, 3, 4)
+    assert field_g(z, dh, ParamStore(full, seed=0), full).shape == (3, 3)
     sp = tiny_config(variant="spatial_only")
-    assert field_g(T.constant(RNG.normal(size=(3, 3))), ParamStore(sp, seed=0), sp).shape == (3, 3, 3)
+    ell = T.constant(RNG.normal(size=(3, sp.logsig_dim)))
+    assert field_g(z, ell, ParamStore(sp, seed=0), sp).shape == (3, 3)
     att = tiny_config(gnn_kind="attention")
     ps = ParamStore(att, seed=0)
     assert "attn_self" in ps.params and "attn_neigh" in ps.params
-    assert field_g(T.constant(RNG.normal(size=(3, 3))), ps, att).shape == (3, 3, 4)
+    assert field_g(z, dh, ps, att).shape == (3, 3)
     adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cheb = tiny_config(gnn_kind="chebyshev")
     ps2 = ParamStore(cheb, seed=0, propagation=normalized_adjacency(adj, "chebyshev"))
-    assert field_g(T.constant(RNG.normal(size=(3, 3))), ps2, cheb).shape == (3, 3, 4)
+    assert field_g(z, dh, ps2, cheb).shape == (3, 3)
+    with pytest.raises(DimensionError):
+        field_g(z, ell, ps2, cheb)  # the full variant's control is dH, not the log-signature
 
 
 def test_batched_fields_match_per_sample():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=8)
     batch = RNG.normal(size=(4, 3, 4))
-    together = field_f(T.constant(batch), ps, cfg).data
+    ell = RNG.normal(size=(4, 3, cfg.logsig_dim))
+    together = field_f(T.constant(batch), T.constant(ell), ps, cfg).data
     for i in range(4):
-        single = field_f(T.constant(batch[i]), ps, cfg).data
+        single = field_f(T.constant(batch[i]), T.constant(ell[i]), ps, cfg).data
         assert np.allclose(together[i], single, atol=1e-14)
     zb = RNG.normal(size=(4, 3, 3))
-    together_g = field_g(T.constant(zb), ps, cfg).data
+    together_g = field_g(T.constant(zb), T.constant(batch), ps, cfg).data
     for i in range(4):
-        assert np.allclose(together_g[i], field_g(T.constant(zb[i]), ps, cfg).data, atol=1e-14)
+        single = field_g(T.constant(zb[i]), T.constant(batch[i]), ps, cfg).data
+        assert np.allclose(together_g[i], single, atol=1e-14)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method):
+    cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
+                      variant=variant, gnn_kind=gnn_kind)
+    rng = np.random.default_rng(31)
+    prop = None
+    if cfg.needs_adjacency:
+        prop = normalized_adjacency(rng.uniform(size=(4, 4)), gnn_kind)
+    ps = ParamStore(cfg, seed=5, propagation=prop)
+    logsigs = LogSigSequence(
+        coords=rng.normal(size=(3, 2, 4, cfg.logsig_dim)) * 0.5,  # windows, batch, nodes, L
+        boundaries=np.array([0, 2, 4, 5]),
+        depth=cfg.sig_depth,
+        dim=cfg.path_channels,
+    )
+    f0 = T.constant(rng.normal(size=(2, 4, 2)))
+    target = T.constant(rng.normal(size=(2, 4, cfg.horizon, 2)))
+    spec = SolveSpec(method=method, steps_per_window=2)
+
+    def run(rhs_factory):
+        ps.zero_grad()
+        init = init_state(f0, ps, cfg)
+        factory = rhs_factory(init, ps, cfg) if rhs_factory else None
+        pred = readout(integrate(init, logsigs, spec, ps, cfg, rhs_factory=factory), ps, cfg)
+        T.backward(T.mean_all(T.absolute(pred - target)))
+        return pred.data, {name: p.grad.copy() for name, p in ps.tracked()}
+
+    pred_ref, grads_ref = run(unfused_rhs_factory)
+    pred, grads = run(None)
+    assert np.array_equal(pred, pred_ref)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], grads_ref[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +339,10 @@ def test_augmented_rhs_full_couples_z_to_dh():
     st = HiddenState(h=T.constant(RNG.normal(size=(3, 4))), z=T.constant(RNG.normal(size=(3, 3))))
     ell = T.constant(RNG.normal(size=(3, cfg.logsig_dim)))
     d = augmented_rhs(st, ell, 2.0, ps, cfg)
-    f_out = field_f(st.h, ps, cfg).data
+    f_out = unfused_field_f(st.h, ps, cfg).data
     want_dh = np.einsum("vpl,vl->vp", f_out, ell.data) / 2.0
     assert np.allclose(d.h.data, want_dh, atol=1e-13)
-    g_out = field_g(st.z, ps, cfg).data
+    g_out = unfused_field_g(st.z, ps, cfg).data
     want_dz = np.einsum("vqp,vp->vq", g_out, want_dh)
     assert np.allclose(d.z.data, want_dz, atol=1e-13)
     with pytest.raises(ContractError):

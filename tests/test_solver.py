@@ -103,6 +103,23 @@ def test_integrate_detects_blowup_with_location():
     assert err.value.step == 0
 
 
+def test_field_head_overflow_is_a_blowup():
+    # a @ f_head_w overflows, which tanh alone would hide as a finite 1
+    cfg = ModelConfig(num_nodes=2, input_len=5, horizon=1, dim_h=3, num_layers=0,
+                      sig_depth=2, subpath_len=2, variant="temporal_only")
+    ps = ParamStore(cfg, seed=0)
+    ps["f_w0"].data[:] = 0.0
+    ps["f_b0"].data[:] = 1.0  # trunk output is all ones
+    ps["f_head_w"].data[:] = 1e308
+    logsigs = LogSigSequence(coords=np.ones((2, 2, cfg.logsig_dim)), boundaries=np.array([0, 2, 4]),
+                             depth=cfg.sig_depth, dim=cfg.path_channels)
+    init = init_state(T.constant(np.zeros((2, 1))), ps, cfg)
+    with np.errstate(over="ignore"), pytest.raises(BlowupError, match=r"a @ w\)") as err:
+        integrate(init, logsigs, SolveSpec("rk4", 2), ps, cfg)
+    assert (err.value.window, err.value.step) == (0, 0)
+    T.clear_tape()
+
+
 def full_forward(cfg, ps, spec, f0, coords, boundaries):
     logsigs = LogSigSequence(coords=coords, boundaries=boundaries, depth=cfg.sig_depth,
                              dim=cfg.path_channels)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError, NonFiniteError
-from oracles import finite_difference_grad, max_grad_mismatch
+from oracles import finite_difference_grad, matvec, max_grad_mismatch
 
 RNG = np.random.default_rng(20240811)
+CONTROL = T.constant(RNG.normal(size=(2, 4, 3)))  # an untracked head_matvec control
 
 
 def check_grads(build, arrays, tol=1e-6):
@@ -61,7 +62,7 @@ def test_simple_polynomial_gradient():
         ("matmul", lambda a, b: T.sum_all(T.tanh(a @ b)), [(3, 4), (4, 2)]),
         ("matmul_stacked_left", lambda a, b: T.sum_all(T.tanh(a @ b)), [(2, 3, 4), (4, 2)]),
         ("matmul_stacked_right", lambda a, b: T.sum_all(T.tanh(a @ b)), [(3, 4), (2, 4, 2)]),
-        ("matvec", lambda a, b: T.sum_all(T.tanh(T.matvec(a, b))), [(2, 3, 4), (2, 4)]),
+        ("matvec", lambda a, b: T.sum_all(T.tanh(matvec(a, b))), [(2, 3, 4), (2, 4)]),
         ("softmax", lambda a, b: T.sum_all(T.softmax_rows(a) * b), [(3, 5), (3, 5)]),
         ("relu", lambda a, b: T.sum_all(T.relu(a) * b), [(4, 4), (4, 4)]),
         ("tanh", lambda a, b: T.sum_all(T.tanh(a) * b), [(4, 3), (4, 3)]),
@@ -71,6 +72,16 @@ def test_simple_polynomial_gradient():
         ("reshape", lambda a, b: T.sum_all(T.reshape(a, (2, 6)) @ b), [(3, 4), (6, 2)]),
         ("transpose", lambda a, b: T.sum_all(T.transpose_last2(a) @ b), [(4, 3), (4, 2)]),
         ("neg", lambda a, b: T.sum_all(T.tanh(-a) * b), [(3, 3), (3, 3)]),
+        (
+            "head_matvec",
+            lambda a, w, b, x: T.sum_all(T.tanh(T.head_matvec(a, w, b, x, 3))),
+            [(2, 4, 5), (5, 6), (6,), (2, 4, 3)],
+        ),
+        (
+            "head_matvec_untracked_control",
+            lambda a, w, b: T.sum_all(T.tanh(T.head_matvec(a, w, b, CONTROL, 3))),
+            [(2, 4, 5), (5, 6), (6,)],
+        ),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, shapes):
@@ -129,8 +140,13 @@ def test_shape_mismatch_raises():
         T.add(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
     with pytest.raises(DimensionError):
         T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+    a, w, b = T.constant(np.ones((2, 3, 4))), T.constant(np.ones((4, 6))), T.constant(np.ones(6))
     with pytest.raises(DimensionError):
-        T.matvec(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((3, 4))))
+        T.head_matvec(a, w, b, T.constant(np.ones((3, 3))), 3)  # leading axes differ
+    with pytest.raises(DimensionError):
+        T.head_matvec(a, w, b, T.constant(np.ones((2, 3, 4))), 4)  # 4 does not divide 6
+    with pytest.raises(DimensionError):
+        T.head_matvec(a, w, T.constant(np.ones(3)), T.constant(np.ones((2, 3, 3))), 3)
 
 
 def test_non_finite_construction_rejected():
@@ -144,6 +160,47 @@ def test_non_finite_op_output_rejected():
     big = T.constant(np.full((2,), 1e308))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         T.mul(big, big)
+
+
+def test_head_matvec_checks_the_pre_activation():
+    # tanh maps an overflow to a finite +-1, so the op must check a @ w and a @ w + b
+    a = T.constant(np.full((1, 2), 1e200))
+    x = T.constant(np.ones((1, 1)))
+    w = T.Tensor(np.full((2, 2), 1e200), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w\)"):
+        T.head_matvec(a, w, T.constant(np.zeros(2)), x, 1)
+    big = T.constant(np.full(2, 1.7e308))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w \+ b"):
+        T.head_matvec(T.constant(np.ones((1, 2))), T.constant(np.full((2, 2), 1e307)), big, x, 1)
+    assert T.tape_size() == 0
+
+
+def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
+    arrays = [RNG.normal(size=(2, 4, 5)), RNG.normal(size=(5, 6)), RNG.normal(size=6),
+              RNG.normal(size=(2, 4, 3))]
+
+    def run(fused):
+        a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+        if fused:
+            out = T.head_matvec(a, w, b, x, 3)
+            assert T.tape_size() == 1
+        else:
+            head = T.tanh(a @ w + b)
+            out = matvec(T.reshape(head, head.shape[:-1] + (2, 3)), x)
+        T.backward(T.sum_all(T.tanh(out)))
+        return [out.data] + [t.grad for t in (a, w, b, x)]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
+    p = T.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    mid = T.tanh(p)
+    loss = T.sum_all(mid * mid)
+    T.backward(loss)
+    assert mid.grad is None and loss.grad is None
+    assert np.allclose(p.grad, 2.0 * mid.data * (1.0 - mid.data**2))
 
 
 def test_backward_requires_scalar_tracked_loss():
