@@ -306,13 +306,13 @@ def cmd_logsig(args) -> int:
         mask=np.ones(first.shape[:2], dtype=bool),
         times=np.arange(args.input_len, dtype=np.float64),
     )
-    seq = window_logsig(fit_spline(series), args.subpath, args.depth)
-    w, nodes, dim = seq.coords.shape
+    coords, _ = window_logsig(fit_spline(series), args.subpath, args.depth)
+    w, nodes, dim = coords.shape
     header = ["window", "node"] + [f"coord_{i}" for i in range(dim)]
     lines = [",".join(header)]
     for wi in range(w):
         for v in range(nodes):
-            cells = [str(wi), str(v)] + [FMT % x for x in seq.coords[wi, v]]
+            cells = [str(wi), str(v)] + [FMT % x for x in coords[wi, v]]
             lines.append(",".join(cells))
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {w} windows x {nodes} nodes x {dim} coordinates")
@@ -350,6 +350,11 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     config, params, prepared, normalizer, solve = _load_eval_inputs(args, args.split)
+    if config.out_channels != 1:
+        raise ConfigError(
+            f"predict writes one value per forecast row, but the checkpoint has "
+            f"out_channels = {config.out_channels}; use eval for multi-channel models"
+        )
     preds = TR.predict_denormalized(params, config, solve, prepared, normalizer)
     lines = ["window,node,horizon,value"]
     for i in range(preds.shape[0]):

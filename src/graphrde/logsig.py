@@ -15,7 +15,7 @@ step as one numpy call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .paths import SplinePath, sample_chords
 __all__ = [
     "TruncatedTensor",
     "LyndonBasis",
-    "LogSigSequence",
     "identity_tensor",
     "zero_tensor",
     "sig_linear",
@@ -294,58 +293,25 @@ def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis, tol: float = 1e-8) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LogSigSequence:
-    """Per-window, per-node log-signature coordinates of a path.
-
-    ``coords`` has shape (windows, ..., nodes, L) — optional batch axes
-    may sit between windows and nodes.  ``boundaries`` are the window
-    edges in knot-index units; their differences are the divisors used
-    when a window's log-signature is turned into an average velocity.
-    """
-
-    coords: np.ndarray
-    boundaries: np.ndarray
-    depth: int
-    dim: int
-
-    num_windows: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.boundaries = np.asarray(self.boundaries, dtype=np.float64)
-        if self.coords.ndim < 3:
-            raise ContractError(f"coords must be (windows, ..., nodes, L), got {self.coords.shape}")
-        if self.boundaries.shape != (self.coords.shape[0] + 1,):
-            raise ContractError(
-                f"boundaries shape {self.boundaries.shape} does not match {self.coords.shape[0]} windows"
-            )
-        if not np.all(np.diff(self.boundaries) > 0):
-            raise ContractError("window boundaries must be strictly increasing")
-        self.num_windows = self.coords.shape[0]
-
-    @property
-    def divisors(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
-
 def window_logsig(
     path: SplinePath,
     subpath_len: int,
     depth: int,
     substeps: int = 1,
     basis: LyndonBasis | None = None,
-) -> LogSigSequence:
+) -> tuple[np.ndarray, np.ndarray]:
     """Depth-``depth`` log-signature of each cell over each sub-path window.
 
-    Returns coordinates of shape (windows, *cells, L), one vectorised
-    pass over every cell per sub-path window.  The knot grid 0..N is cut
-    into ceil(N / subpath_len) windows
-    [i*P, min((i+1)*P, N)]; the final window may be shorter and its true
-    length is recorded in the boundaries.  Each window is approximated
-    by ``substeps`` chords per knot interval (samples evenly spaced in
-    time), and the chord polyline's signature logarithm is projected
-    onto the Lyndon basis.
+    Returns ``(coords, edges)``: coordinates of shape (windows, *cells, L),
+    one vectorised pass over every cell per sub-path window, and the
+    (windows + 1,) window edges in knot-index units, whose differences
+    are the window lengths.  The knot grid 0..N is cut into
+    ceil(N / subpath_len) windows [i*P, min((i+1)*P, N)]; the final
+    window may be shorter, and every window is non-empty, so the edges
+    increase strictly.  Each window is approximated by ``substeps``
+    chords per knot interval (samples evenly spaced in time), and the
+    chord polyline's signature logarithm is projected onto the Lyndon
+    basis.
     """
     if subpath_len < 1:
         raise ContractError(f"sub-path length must be >= 1, got {subpath_len}")
@@ -369,9 +335,4 @@ def window_logsig(
         span = (float(grid[i0]), float(grid[i1]))
         pts = sample_chords(path, None, span, (i1 - i0) * substeps)
         coords[w] = lyndon_project(tensor_log(sig_polyline(pts, depth)), basis)
-    return LogSigSequence(
-        coords=coords,
-        boundaries=np.asarray(edges, dtype=np.float64),
-        depth=depth,
-        dim=path.num_channels,
-    )
+    return coords, np.asarray(edges, dtype=np.float64)

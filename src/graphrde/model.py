@@ -111,24 +111,6 @@ class ModelConfig:
         return self.variant != "temporal_only" and self.gnn_kind in ("chebyshev", "plain_gcn")
 
 
-@dataclass
-class HiddenState:
-    """Augmented state: temporal component ``h`` and/or spatial component ``z``."""
-
-    h: Tensor | None = None
-    z: Tensor | None = None
-
-    def tensors(self) -> list[Tensor]:
-        return [t for t in (self.h, self.z) if t is not None]
-
-    def like(self, tensors: list[Tensor]) -> "HiddenState":
-        it = iter(tensors)
-        return HiddenState(
-            h=next(it) if self.h is not None else None,
-            z=next(it) if self.z is not None else None,
-        )
-
-
 def _param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Ordered (name, shape, fan_in) triples for every trainable tensor."""
     v, c = config.num_nodes, config.embed_dim
@@ -193,18 +175,18 @@ def normalized_adjacency(adj: np.ndarray, kind: str) -> np.ndarray:
 
 
 class ParamStore:
-    """Named trainable tensors plus untracked constants for one model.
+    """Named trainable tensors plus an untracked graph operator for one model.
 
     Weights and biases are initialized uniform(-1/sqrt(fan_in),
     +1/sqrt(fan_in)) with a seeded generator, in a fixed name order, so
     a seed fully determines the initial parameters.  ``propagation`` is
     the constant graph operator of the external-adjacency mixers (see
-    ``normalized_adjacency``); other mixers ignore it.
+    ``normalized_adjacency``), and None for the other mixers.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, propagation: np.ndarray | None = None):
         self.config = config
-        self.constants: dict[str, Tensor] = {}
+        self.propagation: Tensor | None = None
         if config.needs_adjacency:
             if propagation is None:
                 raise ConfigError(f"gnn_kind {config.gnn_kind!r} requires an external adjacency")
@@ -213,7 +195,7 @@ class ParamStore:
                 raise DataError(
                     f"adjacency is {prop.shape}, model has {config.num_nodes} nodes"
                 )
-            self.constants["propagation"] = T.constant(prop)
+            self.propagation = T.constant(prop)
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape, fan_in in _param_spec(config):
@@ -276,7 +258,7 @@ def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tens
     if kind == "adaptive":
         prop = T.eye(v) + adaptive_adjacency(params)
     elif kind in ("chebyshev", "plain_gcn"):
-        prop = params.constants["propagation"]
+        prop = params.propagation
     else:  # attention
         s_self = b0 @ params["attn_self"]    # (.., v, 1)
         s_neigh = b0 @ params["attn_neigh"]  # (.., v, 1)
@@ -300,10 +282,12 @@ def field_g(z: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
     return T.head_matvec(b1, params["g_head_w"], params["g_head_b"], x, cols)
 
 
-def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> HiddenState:
+def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> list[Tensor]:
     """Initial augmented state from the first observed frame.
 
     H(0) is an affine map of the raw frame; Z(0) an affine map of H(0).
+    The state is ``[H]``, ``[Z]`` or ``[H, Z]`` by variant, so its last
+    component is always the one the readout reads.
     """
     if f0.shape[-1] != config.in_channels or f0.shape[-2] != config.num_nodes:
         raise ContractError(
@@ -311,20 +295,20 @@ def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> HiddenSta
         )
     h0 = f0 @ params["init_h_w"] + params["init_h_b"]
     if config.variant == "temporal_only":
-        return HiddenState(h=h0)
+        return [h0]
     z0 = h0 @ params["init_z_w"] + params["init_z_b"]
     if config.variant == "spatial_only":
-        return HiddenState(z=z0)
-    return HiddenState(h=h0, z=z0)
+        return [z0]
+    return [h0, z0]
 
 
 def augmented_rhs(
-    state: HiddenState,
+    state: list[Tensor],
     ell: Tensor,
     divisor: float,
     params: ParamStore,
     config: ModelConfig,
-) -> HiddenState:
+) -> list[Tensor]:
     """Time derivative of the augmented state on one log-signature window.
 
     ``ell`` holds the window's log-signature coordinates (.., nodes, L)
@@ -334,20 +318,18 @@ def augmented_rhs(
     if divisor <= 0:
         raise ContractError(f"window divisor must be positive, got {divisor}")
     if config.variant == "temporal_only":
-        return HiddenState(h=field_f(state.h, ell, params, config) / divisor)
+        return [field_f(state[0], ell, params, config) / divisor]
     if config.variant == "spatial_only":
-        return HiddenState(z=field_g(state.z, ell, params, config) / divisor)
-    dh = field_f(state.h, ell, params, config) / divisor
-    dz = field_g(state.z, dh, params, config)
-    return HiddenState(h=dh, z=dz)
+        return [field_g(state[0], ell, params, config) / divisor]
+    h, z = state
+    dh = field_f(h, ell, params, config) / divisor
+    return [dh, field_g(z, dh, params, config)]
 
 
-def readout(state: HiddenState, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Linear map from the final state to (.., nodes, horizon, out_channels)."""
-    final = state.h if config.variant == "temporal_only" else state.z
-    if final is None:
-        raise ContractError(f"state is missing the readout component for {config.variant}")
-    y = final @ params["out_w"] + params["out_b"]
+def readout(state: list[Tensor], params: ParamStore, config: ModelConfig) -> Tensor:
+    """Linear map from the final state's last component to
+    (.., nodes, horizon, out_channels)."""
+    y = state[-1] @ params["out_w"] + params["out_b"]
     return T.reshape(y, y.shape[:-1] + (config.horizon, config.out_channels))
 
 
@@ -370,8 +352,8 @@ def save_checkpoint(
     manifest offsets (relative to the end of the header).
     """
     named = arrays if arrays is not None else params.state_arrays()
-    for cname, ct in params.constants.items():
-        named = {**named, f"const/{cname}": ct.data}
+    if params.propagation is not None:
+        named = {**named, "const/propagation": params.propagation.data}
     manifest = []
     blob = io.BytesIO()
     for name, arr in named.items():

@@ -18,8 +18,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import BlowupError, ConfigError, NonFiniteError
-from .logsig import LogSigSequence
-from .model import HiddenState, ModelConfig, ParamStore, augmented_rhs
 from .tensor import Tensor
 
 METHODS = ("euler", "rk4")
@@ -59,37 +57,30 @@ def step(method: str, rhs: RhsFn, state: list[Tensor], h: float) -> list[Tensor]
 
 
 def integrate(
-    init: HiddenState,
-    logsigs: LogSigSequence,
+    state: list[Tensor],
+    coords: np.ndarray,
+    divisors: np.ndarray,
     spec: SolveSpec,
-    params: ParamStore,
-    config: ModelConfig,
-    rhs_factory: Callable[[Tensor, float], RhsFn] | None = None,
-) -> HiddenState:
-    """March the augmented state across every log-signature window.
+    rhs: Callable[[list[Tensor], Tensor, float], list[Tensor]],
+) -> list[Tensor]:
+    """March a list-of-tensors state across every log-signature window.
 
-    ``logsigs.coords[w]`` must broadcast-match the state's leading axes:
-    shape (.., nodes, L).  ``rhs_factory`` exists for tests; by default
-    each window's right-hand side is the model's augmented field with
-    that window's control.
+    Window ``w`` has log-signature ``coords[w]``, which must
+    broadcast-match the state's leading axes, shape (.., nodes, L), and
+    length ``divisors[w]``; ``rhs(state, ell, divisor)`` is the state's
+    time derivative on the window.
     """
-    state = init
-    divisors = logsigs.divisors
-    for w in range(logsigs.num_windows):
-        ell = T.constant(logsigs.coords[w])
+    for w in range(len(coords)):
+        ell = T.constant(coords[w])
         divisor = float(divisors[w])
-        if rhs_factory is not None:
-            rhs = rhs_factory(ell, divisor)
-        else:
 
-            def rhs(tensors: list[Tensor], _ell=ell, _div=divisor) -> list[Tensor]:
-                d = augmented_rhs(init.like(tensors), _ell, _div, params, config)
-                return d.tensors()
+        def window_rhs(tensors: list[Tensor]) -> list[Tensor]:
+            return rhs(tensors, ell, divisor)
 
         h = divisor / spec.steps_per_window
         for k in range(spec.steps_per_window):
             try:
-                state = init.like(step(spec.method, rhs, state.tensors(), h))
+                state = step(spec.method, window_rhs, state, h)
             except NonFiniteError as exc:
                 raise BlowupError(
                     f"state diverged during window {w}, step {k}: {exc}", window=w, step=k

@@ -229,13 +229,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _reduce_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Elementwise binary ops
 # ---------------------------------------------------------------------------
@@ -319,10 +312,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _reduce_leading(ga, a.shape))
+            _accumulate(a, _unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _reduce_leading(gb, b.shape))
+            _accumulate(b, _unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward_fn, "matmul")
 
@@ -370,7 +363,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
         if a.requires_grad:
             _accumulate(a, np.matmul(g_pre, w.data.T))
         if w.requires_grad:
-            _accumulate(w, _reduce_leading(np.matmul(np.swapaxes(a.data, -1, -2), g_pre), w.shape))
+            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g_pre), w.shape))
 
     return _make(data, (a, w, b, x), backward_fn, "head_matvec")
 

@@ -17,8 +17,10 @@ import numpy as np
 from . import tensor as T
 from .data import Normalizer, WindowSet, atomic_write, make_windows
 from .errors import ConfigError, ContractError, NumericError, TrainingAbort
-from .logsig import LogSigSequence, LyndonBasis, window_logsig
-from .model import HiddenState, ModelConfig, ParamStore, init_state, normalized_adjacency, readout
+from .logsig import LyndonBasis, window_logsig
+from .model import (
+    ModelConfig, ParamStore, augmented_rhs, init_state, normalized_adjacency, readout,
+)
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec, integrate
 from .tensor import Tensor
@@ -173,7 +175,6 @@ def prepare_split(
     windows: WindowSet,
     normalizer: Normalizer,
     config: ModelConfig,
-    substeps: int = 1,
     basis: LyndonBasis | None = None,
 ) -> PreparedSplit:
     """Normalize inputs, interpolate, and extract per-window log-signatures.
@@ -194,19 +195,18 @@ def prepare_split(
     coords = None
     for lo in range(0, count * nodes, CHUNK_CELLS):
         hi = min(lo + CHUNK_CELLS, count * nodes)
-        seq = window_logsig(
-            fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, substeps,
-            basis=basis,
+        chunk, edges = window_logsig(
+            fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, basis=basis
         )
         if coords is None:
-            coords = np.empty((count, seq.num_windows, nodes, len(basis)))
+            coords = np.empty((count, len(chunk), nodes, len(basis)))
         window_of, node_of = np.divmod(np.arange(lo, hi), nodes)
-        coords[window_of, :, node_of] = seq.coords.transpose(1, 0, 2)
+        coords[window_of, :, node_of] = chunk.transpose(1, 0, 2)
     targets_norm = normalizer.apply(windows.targets, channels=config.out_channels)
     return PreparedSplit(
         f0=normalizer.apply(windows.inputs[:, :, 0, :]),
         coords=coords,
-        boundaries=seq.boundaries,
+        boundaries=edges,
         targets_norm=targets_norm,
         targets_raw=windows.targets.copy(),
         offsets=windows.offsets.copy(),
@@ -221,15 +221,16 @@ def forward_prepared(
     idx: np.ndarray,
 ) -> Tensor:
     """Predictions (batch, nodes, horizon, out_channels) in normalized space."""
-    f0 = T.constant(prepared.f0[idx])
-    logsigs = LogSigSequence(
-        coords=prepared.coords[idx].transpose(1, 0, 2, 3),
-        boundaries=prepared.boundaries,
-        depth=config.sig_depth,
-        dim=config.path_channels,
+    state = init_state(T.constant(prepared.f0[idx]), params, config)
+    final = integrate(
+        state,
+        prepared.coords[idx].transpose(1, 0, 2, 3),
+        np.diff(prepared.boundaries),
+        solve,
+        # looks ``augmented_rhs`` up by name at each call, so a wrapper
+        # rebound over the module attribute sees every evaluation
+        lambda s, ell, divisor: augmented_rhs(s, ell, divisor, params, config),
     )
-    state = init_state(f0, params, config)
-    final = integrate(state, logsigs, solve, params, config)
     return readout(final, params, config)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
-from graphrde.model import HiddenState, _mixed_features
+from graphrde.model import _mixed_features
 from graphrde.tensor import _accumulate, _as_tensor, _make
 
 
@@ -361,20 +361,9 @@ def field_g(z, params, config):
 def augmented_rhs(state, ell, divisor, params, config):
     """The model's right-hand side, built from the unfused heads."""
     if config.variant == "temporal_only":
-        return HiddenState(h=matvec(field_f(state.h, params, config), ell) / divisor)
+        return [matvec(field_f(state[0], params, config), ell) / divisor]
     if config.variant == "spatial_only":
-        return HiddenState(z=matvec(field_g(state.z, params, config), ell) / divisor)
-    dh = matvec(field_f(state.h, params, config), ell) / divisor
-    return HiddenState(h=dh, z=matvec(field_g(state.z, params, config), dh))
-
-
-def unfused_rhs_factory(init, params, config):
-    """An ``integrate`` ``rhs_factory`` that runs ``augmented_rhs`` above."""
-
-    def factory(ell, divisor):
-        def rhs(tensors):
-            return augmented_rhs(init.like(tensors), ell, divisor, params, config).tensors()
-
-        return rhs
-
-    return factory
+        return [matvec(field_g(state[0], params, config), ell) / divisor]
+    h, z = state
+    dh = matvec(field_f(h, params, config), ell) / divisor
+    return [dh, matvec(field_g(z, params, config), dh)]

@@ -13,6 +13,7 @@ from graphrde import cli
 from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
 from graphrde.errors import ConfigError
+from graphrde.model import ModelConfig, ParamStore, save_checkpoint
 from test_model import _with_header
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,23 @@ def test_predict_row_count_and_format(workdir, tmp_path):
     assert len(lines) - 1 == len(test) * 5 * 12  # windows x nodes x horizon
     cells = lines[1].split(",")
     assert len(cells) == 4 and np.isfinite(float(cells[3]))
+
+
+def test_predict_rejects_a_multi_channel_checkpoint(tmp_path, capsys):
+    # the forecast CSV has one value column, which would drop channel 1
+    config = ModelConfig(num_nodes=3, in_channels=2, out_channels=2, input_len=5, horizon=2,
+                         dim_h=2, dim_z=2)
+    extra = {"normalizer": {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
+             "solve": {"method": "euler", "steps_per_window": 1}}
+    ckpt, data, out_csv = tmp_path / "m.ckpt", tmp_path / "values.csv", tmp_path / "preds.csv"
+    save_checkpoint(str(ckpt), ParamStore(config, seed=0), extra=extra)
+    D.save_values(str(data), np.random.default_rng(0).normal(size=(3, 10, 2)))
+    code = cli.main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out_csv)])
+    assert code == 1
+    assert "out_channels = 2" in capsys.readouterr().err
+    assert not out_csv.exists()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
 
 
 def test_split_all_applies_each_stored_drop(workdir, tmp_path):

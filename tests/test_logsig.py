@@ -248,48 +248,47 @@ def make_path(values, times=None, mask=None):
 
 def test_window_grid_and_short_final_window():
     path = make_path(RNG.normal(size=(2, 12)))
-    seq = L.window_logsig(path, subpath_len=2, depth=2)
-    assert seq.num_windows == 6
-    assert np.array_equal(seq.boundaries, [0, 2, 4, 6, 8, 10, 11])
-    assert np.array_equal(seq.divisors, [2, 2, 2, 2, 2, 1])
-    assert seq.coords.shape == (6, 2, 3)
+    coords, edges = L.window_logsig(path, subpath_len=2, depth=2)
+    assert np.array_equal(edges, [0, 2, 4, 6, 8, 10, 11])
+    assert np.array_equal(np.diff(edges), [2, 2, 2, 2, 2, 1])
+    assert coords.shape == (6, 2, 3)
 
 
 def test_window_count_formula():
     for steps, p, want in [(13, 2, 6), (13, 3, 4), (13, 4, 3), (7, 2, 3), (5, 4, 1)]:
         path = make_path(RNG.normal(size=(1, steps)))
-        seq = L.window_logsig(path, subpath_len=p, depth=1)
-        assert seq.num_windows == want
-        assert seq.boundaries[-1] == steps - 1
+        coords, edges = L.window_logsig(path, subpath_len=p, depth=1)
+        assert len(coords) == len(edges) - 1 == want
+        assert edges[-1] == steps - 1
 
 
 def test_depth_one_logsig_is_the_window_increment():
     vals = RNG.normal(size=(2, 9))
     path = make_path(vals)
-    seq = L.window_logsig(path, subpath_len=4, depth=1)
+    coords, _ = L.window_logsig(path, subpath_len=4, depth=1)
     # coords per window are (data increment, time increment)
-    assert seq.coords.shape == (2, 2, 2)
+    assert coords.shape == (2, 2, 2)
     span = 8.0
     for w, (i0, i1) in enumerate([(0, 4), (4, 8)]):
         for v in range(2):
-            assert abs(seq.coords[w, v, 0] - (vals[v, i1] - vals[v, i0])) < 1e-9
-            assert abs(seq.coords[w, v, 1] - (i1 - i0) / span) < 1e-12
+            assert abs(coords[w, v, 0] - (vals[v, i1] - vals[v, i0])) < 1e-9
+            assert abs(coords[w, v, 1] - (i1 - i0) / span) < 1e-12
 
 
 def test_constant_series_leaves_only_the_time_coordinate():
     path = make_path(np.full((3, 12), 7.5))
-    seq = L.window_logsig(path, subpath_len=2, depth=2)
+    coords, _ = L.window_logsig(path, subpath_len=2, depth=2)
     # word order for d=2, D=2: (0,), (1,), (0,1); channel 1 is time
-    assert np.max(np.abs(seq.coords[..., 0])) < 1e-12
-    assert np.max(np.abs(seq.coords[..., 2])) < 1e-12
-    assert np.allclose(seq.coords[:5, :, 1], 2.0 / 11.0, atol=1e-12)
-    assert np.allclose(seq.coords[5, :, 1], 1.0 / 11.0, atol=1e-12)
+    assert np.max(np.abs(coords[..., 0])) < 1e-12
+    assert np.max(np.abs(coords[..., 2])) < 1e-12
+    assert np.allclose(coords[:5, :, 1], 2.0 / 11.0, atol=1e-12)
+    assert np.allclose(coords[5, :, 1], 1.0 / 11.0, atol=1e-12)
 
 
 def test_window_coords_match_quadrature_oracle():
     vals = RNG.normal(size=(2, 7))
     path = make_path(vals)
-    seq = L.window_logsig(path, subpath_len=3, depth=2, substeps=2)
+    coords, _ = L.window_logsig(path, subpath_len=3, depth=2, substeps=2)
     from graphrde.paths import sample_chords
 
     for w, (i0, i1) in enumerate([(0, 3), (3, 6)]):
@@ -301,19 +300,19 @@ def test_window_coords_match_quadrature_oracle():
             s12 = quadrature_signature_entry(dense, (0, 1))
             s21 = quadrature_signature_entry(dense, (1, 0))
             want = [s1, s2, 0.5 * (s12 - s21)]
-            assert np.allclose(seq.coords[w, v], want, atol=1e-6)
+            assert np.allclose(coords[w, v], want, atol=1e-6)
 
 
 def test_masked_nodes_use_their_own_knots():
     vals = np.array([[0.0, 5.0, 1.0, 2.0, 1.0], [0.0, 99.0, 1.0, 2.0, 1.0]])
     mask = np.array([[True] * 5, [True, False, True, True, True]])
     path = make_path(vals, mask=mask)
-    seq = L.window_logsig(path, subpath_len=2, depth=2)
+    coords, _ = L.window_logsig(path, subpath_len=2, depth=2)
     # node 1 interpolates across the hidden outlier, so its first-window
     # increment still ends at the same observed value
-    assert abs(seq.coords[0, 1, 0] - 1.0) < 1e-9
-    assert abs(seq.coords[0, 0, 0] - 1.0) < 1e-9
-    assert not np.allclose(seq.coords[0, 0], seq.coords[0, 1], atol=1e-9)
+    assert abs(coords[0, 1, 0] - 1.0) < 1e-9
+    assert abs(coords[0, 0, 0] - 1.0) < 1e-9
+    assert not np.allclose(coords[0, 0], coords[0, 1], atol=1e-9)
 
 
 def test_window_logsig_errors():
@@ -324,13 +323,6 @@ def test_window_logsig_errors():
         L.window_logsig(path, subpath_len=0, depth=2)
     with pytest.raises(ContractError):
         L.window_logsig(path, subpath_len=2, depth=0)
-
-
-def test_logsig_sequence_validation():
-    with pytest.raises(ContractError):
-        L.LogSigSequence(np.zeros((2, 1, 3)), np.array([0.0, 1.0]), depth=2, dim=2)
-    with pytest.raises(ContractError):
-        L.LogSigSequence(np.zeros((2, 1, 3)), np.array([0.0, 1.0, 1.0]), depth=2, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +356,11 @@ def test_batched_front_end_matches_per_cell_oracle_bit_for_bit(
     rng = np.random.default_rng(seed)
     values, mask = random_batch(rng, 3, 4, steps, channels, density)
     times = np.cumsum(rng.uniform(0.3, 2.0, size=steps))
-    seq = L.window_logsig(fit_spline(RawSeries(values, mask, times)), subpath_len, depth, substeps)
+    path = fit_spline(RawSeries(values, mask, times))
+    coords, _ = L.window_logsig(path, subpath_len, depth, substeps)
     for w in range(3):
         want = cell_window_logsig(values[w], mask[w], times, subpath_len, depth, substeps)
-        assert seq.coords[:, w].tobytes() == want.tobytes()
+        assert coords[:, w].tobytes() == want.tobytes()
 
 
 def irregular_windows(nodes=3):
@@ -381,13 +374,13 @@ def test_prepare_split_is_chunk_invariant(monkeypatch):
     norm = D.Normalizer(mean=np.zeros(1), std=np.ones(1))
     cfg = ModelConfig(num_nodes=3, input_len=12, horizon=12, dim_h=4, dim_z=4, sig_depth=3,
                       subpath_len=3)
-    whole = TR.prepare_split(windows, norm, cfg, substeps=2).coords
+    whole = TR.prepare_split(windows, norm, cfg).coords
     for w in range(len(windows)):
-        want = cell_window_logsig(windows.inputs[w], windows.masks[w], np.arange(12.0), 3, 3, 2)
+        want = cell_window_logsig(windows.inputs[w], windows.masks[w], np.arange(12.0), 3, 3)
         assert whole[w].tobytes() == want.tobytes()
     for chunk in (1, 7):  # one cell, and a size that splits windows' node sets
         monkeypatch.setattr(TR, "CHUNK_CELLS", chunk)
-        assert TR.prepare_split(windows, norm, cfg, substeps=2).coords.tobytes() == whole.tobytes()
+        assert TR.prepare_split(windows, norm, cfg).coords.tobytes() == whole.tobytes()
 
 
 def test_non_finite_observation_names_window_and_node():

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from graphrde import cli
 from graphrde import tensor as T
 from graphrde.errors import ConfigError, ContractError, DataError, DimensionError
-from graphrde.logsig import LogSigSequence
 from graphrde.model import (
     GNN_KINDS,
     VARIANTS,
-    HiddenState,
     ModelConfig,
     ParamStore,
     adaptive_adjacency,
@@ -33,7 +31,7 @@ from graphrde.model import (
 from graphrde.solver import SolveSpec, integrate
 from oracles import field_f as unfused_field_f
 from oracles import field_g as unfused_field_g
-from oracles import unfused_rhs_factory
+from oracles import augmented_rhs as unfused_augmented_rhs
 
 RNG = np.random.default_rng(777)
 
@@ -286,26 +284,24 @@ def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method)
     if cfg.needs_adjacency:
         prop = normalized_adjacency(rng.uniform(size=(4, 4)), gnn_kind)
     ps = ParamStore(cfg, seed=5, propagation=prop)
-    logsigs = LogSigSequence(
-        coords=rng.normal(size=(3, 2, 4, cfg.logsig_dim)) * 0.5,  # windows, batch, nodes, L
-        boundaries=np.array([0, 2, 4, 5]),
-        depth=cfg.sig_depth,
-        dim=cfg.path_channels,
-    )
+    coords = rng.normal(size=(3, 2, 4, cfg.logsig_dim)) * 0.5  # windows, batch, nodes, L
+    divisors = np.array([2.0, 2.0, 1.0])
     f0 = T.constant(rng.normal(size=(2, 4, 2)))
     target = T.constant(rng.normal(size=(2, 4, cfg.horizon, 2)))
     spec = SolveSpec(method=method, steps_per_window=2)
 
-    def run(rhs_factory):
+    def run(field):
         ps.zero_grad()
-        init = init_state(f0, ps, cfg)
-        factory = rhs_factory(init, ps, cfg) if rhs_factory else None
-        pred = readout(integrate(init, logsigs, spec, ps, cfg, rhs_factory=factory), ps, cfg)
+
+        def rhs(state, ell, divisor):
+            return field(state, ell, divisor, ps, cfg)
+
+        pred = readout(integrate(init_state(f0, ps, cfg), coords, divisors, spec, rhs), ps, cfg)
         T.backward(T.mean_all(T.absolute(pred - target)))
         return pred.data, {name: p.grad.copy() for name, p in ps.tracked()}
 
-    pred_ref, grads_ref = run(unfused_rhs_factory)
-    pred, grads = run(None)
+    pred_ref, grads_ref = run(unfused_augmented_rhs)
+    pred, grads = run(augmented_rhs)
     assert np.array_equal(pred, pred_ref)
     assert grads.keys() == grads_ref.keys()
     for name in grads:
@@ -321,14 +317,14 @@ def test_init_state_affine_maps():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=1)
     f0 = RNG.normal(size=(3, 1))
-    st = init_state(T.constant(f0), ps, cfg)
+    h, z = init_state(T.constant(f0), ps, cfg)
     want_h = f0 @ ps["init_h_w"].data + ps["init_h_b"].data
-    assert np.allclose(st.h.data, want_h, atol=1e-14)
+    assert np.allclose(h.data, want_h, atol=1e-14)
     want_z = want_h @ ps["init_z_w"].data + ps["init_z_b"].data
-    assert np.allclose(st.z.data, want_z, atol=1e-14)
+    assert np.allclose(z.data, want_z, atol=1e-14)
     t_only = init_state(T.constant(f0), ParamStore(tiny_config(variant="temporal_only"), 1),
                         tiny_config(variant="temporal_only"))
-    assert t_only.z is None and t_only.h is not None
+    assert [t.shape for t in t_only] == [h.shape]
     with pytest.raises(ContractError):
         init_state(T.constant(np.zeros((4, 1))), ps, cfg)
 
@@ -336,15 +332,15 @@ def test_init_state_affine_maps():
 def test_augmented_rhs_full_couples_z_to_dh():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=6)
-    st = HiddenState(h=T.constant(RNG.normal(size=(3, 4))), z=T.constant(RNG.normal(size=(3, 3))))
+    st = [T.constant(RNG.normal(size=(3, 4))), T.constant(RNG.normal(size=(3, 3)))]
     ell = T.constant(RNG.normal(size=(3, cfg.logsig_dim)))
-    d = augmented_rhs(st, ell, 2.0, ps, cfg)
-    f_out = unfused_field_f(st.h, ps, cfg).data
+    dh, dz = augmented_rhs(st, ell, 2.0, ps, cfg)
+    f_out = unfused_field_f(st[0], ps, cfg).data
     want_dh = np.einsum("vpl,vl->vp", f_out, ell.data) / 2.0
-    assert np.allclose(d.h.data, want_dh, atol=1e-13)
-    g_out = unfused_field_g(st.z, ps, cfg).data
+    assert np.allclose(dh.data, want_dh, atol=1e-13)
+    g_out = unfused_field_g(st[1], ps, cfg).data
     want_dz = np.einsum("vqp,vp->vq", g_out, want_dh)
-    assert np.allclose(d.z.data, want_dz, atol=1e-13)
+    assert np.allclose(dz.data, want_dz, atol=1e-13)
     with pytest.raises(ContractError):
         augmented_rhs(st, ell, 0.0, ps, cfg)
 
@@ -352,20 +348,20 @@ def test_augmented_rhs_full_couples_z_to_dh():
 def test_variant_rhs_states():
     t_cfg = tiny_config(variant="temporal_only")
     t_ps = ParamStore(t_cfg, seed=0)
-    d = augmented_rhs(HiddenState(h=T.constant(RNG.normal(size=(3, 4)))),
+    d = augmented_rhs([T.constant(RNG.normal(size=(3, 4)))],
                       T.constant(RNG.normal(size=(3, 3))), 1.0, t_ps, t_cfg)
-    assert d.z is None and d.h.shape == (3, 4)
+    assert [t.shape for t in d] == [(3, 4)]
     s_cfg = tiny_config(variant="spatial_only")
     s_ps = ParamStore(s_cfg, seed=0)
-    d = augmented_rhs(HiddenState(z=T.constant(RNG.normal(size=(3, 3)))),
+    d = augmented_rhs([T.constant(RNG.normal(size=(3, 3)))],
                       T.constant(RNG.normal(size=(3, 3))), 1.0, s_ps, s_cfg)
-    assert d.h is None and d.z.shape == (3, 3)
+    assert [t.shape for t in d] == [(3, 3)]
 
 
 def test_readout_shape_and_zero_weights_give_bias():
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=0)
-    state = HiddenState(h=T.constant(np.zeros((3, 4))), z=T.constant(RNG.normal(size=(3, 3))))
+    state = [T.constant(np.zeros((3, 4))), T.constant(RNG.normal(size=(3, 3)))]
     y = readout(state, ps, cfg)
     assert y.shape == (3, 2, 1)
     ps["out_w"].data[:] = 0.0
@@ -381,20 +377,18 @@ def test_node_permutation_equivariance():
     h = RNG.normal(size=(3, 4))
     z = RNG.normal(size=(3, 3))
     ell = RNG.normal(size=(3, cfg.logsig_dim))
-    d = augmented_rhs(
-        HiddenState(h=T.constant(h), z=T.constant(z)), T.constant(ell), 2.0, ps, cfg
-    )
+    d = augmented_rhs([T.constant(h), T.constant(z)], T.constant(ell), 2.0, ps, cfg)
     ps_perm = ParamStore(cfg, seed=12)
     ps_perm["embed"].data = ps["embed"].data[perm]
     d_perm = augmented_rhs(
-        HiddenState(h=T.constant(h[perm]), z=T.constant(z[perm])),
+        [T.constant(h[perm]), T.constant(z[perm])],
         T.constant(ell[perm]),
         2.0,
         ps_perm,
         cfg,
     )
-    assert np.allclose(d_perm.h.data, d.h.data[perm], atol=1e-12)
-    assert np.allclose(d_perm.z.data, d.z.data[perm], atol=1e-12)
+    for got, want in zip(d_perm, d):
+        assert np.allclose(got.data, want.data[perm], atol=1e-12)
 
 
 def test_local_lipschitz_ratio_is_bounded():
@@ -406,13 +400,9 @@ def test_local_lipschitz_ratio_is_bounded():
     for _ in range(1000):
         h1, z1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
         dh, dz = rng.normal(size=(3, 4)) * 0.1, rng.normal(size=(3, 3)) * 0.1
-        d1 = augmented_rhs(HiddenState(h=T.constant(h1), z=T.constant(z1)), ell, 2.0, ps, cfg)
-        d2 = augmented_rhs(
-            HiddenState(h=T.constant(h1 + dh), z=T.constant(z1 + dz)), ell, 2.0, ps, cfg
-        )
-        num = np.sqrt(
-            np.sum((d1.h.data - d2.h.data) ** 2) + np.sum((d1.z.data - d2.z.data) ** 2)
-        )
+        d1 = augmented_rhs([T.constant(h1), T.constant(z1)], ell, 2.0, ps, cfg)
+        d2 = augmented_rhs([T.constant(h1 + dh), T.constant(z1 + dz)], ell, 2.0, ps, cfg)
+        num = np.sqrt(sum(np.sum((a.data - b.data) ** 2) for a, b in zip(d1, d2)))
         den = np.sqrt(np.sum(dh**2) + np.sum(dz**2))
         ratios.append(num / den)
     assert max(ratios) < 100.0
@@ -445,7 +435,9 @@ def test_checkpoint_keeps_propagation_constant(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), ps)
     _, ps2, _ = load_checkpoint(str(path))
-    assert np.array_equal(ps.constants["propagation"].data, ps2.constants["propagation"].data)
+    assert np.array_equal(ps.propagation.data, ps2.propagation.data)
+    assert b'"name": "const/propagation"' in path.read_bytes()
+    assert ParamStore(tiny_config(), seed=0).propagation is None
 
 
 def test_checkpoint_corruption_errors(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 
 from graphrde import tensor as T
 from graphrde.errors import BlowupError, ConfigError
-from graphrde.logsig import LogSigSequence
-from graphrde.model import HiddenState, ModelConfig, ParamStore, init_state, readout
+from graphrde.model import ModelConfig, ParamStore, augmented_rhs, init_state, readout
 from graphrde.solver import SolveSpec, convergence_order, integrate, step
 from oracles import finite_difference_grad
 
@@ -49,58 +48,65 @@ def test_measured_convergence_orders():
     assert abs(convergence_order("rk4") - 4.0) < 0.5
 
 
-def make_logsigs(n_windows, nodes, lsig, boundaries=None, coords=None):
-    if coords is None:
-        coords = np.zeros((n_windows, nodes, lsig))
-    if boundaries is None:
-        boundaries = np.arange(n_windows + 1, dtype=float) * 2.0
-    return LogSigSequence(coords=coords, boundaries=np.asarray(boundaries, float), depth=1, dim=2)
-
-
 def test_integrate_covers_every_window_exactly():
     # constant unit derivative: the final state equals init plus the total
     # window span, which checks step x h lands exactly on each boundary
-    logsigs = make_logsigs(3, 1, 2, boundaries=[0.0, 2.0, 4.0, 5.0])
-    init = HiddenState(h=T.constant(np.zeros((1, 2))))
+    coords, divisors = np.zeros((3, 1, 2)), np.array([2.0, 2.0, 1.0])
+    init = [T.constant(np.zeros((1, 2)))]
 
-    def factory(ell, divisor):
-        return lambda ts: [T.constant(np.ones((1, 2)))]
+    def rhs(state, ell, divisor):
+        return [T.constant(np.ones((1, 2)))]
 
     for method in ("euler", "rk4"):
         for steps in (1, 2, 3):
-            out = integrate(init, logsigs, SolveSpec(method, steps), None, None, rhs_factory=factory)
-            assert np.allclose(out.h.data, 5.0, atol=1e-12)
+            out = integrate(init, coords, divisors, SolveSpec(method, steps), rhs)
+            assert np.allclose(out[0].data, 5.0, atol=1e-12)
+
+
+def test_integrate_passes_each_window_its_control_and_length():
+    coords, divisors = RNG.normal(size=(3, 1, 2)), np.array([2.0, 2.0, 1.0])
+    seen = []
+
+    def rhs(state, ell, divisor):
+        seen.append((ell.data, divisor))
+        return [0.0 * state[0]]
+
+    integrate([T.constant(np.zeros((1, 2)))], coords, divisors, SolveSpec("rk4", 2), rhs)
+    assert len(seen) == 3 * 2 * 4  # windows x steps x stages
+    for i, (ell, divisor) in enumerate(seen):
+        assert np.array_equal(ell, coords[i // 8]) and divisor == divisors[i // 8]
 
 
 def test_integrate_linear_ode_against_closed_form():
     lam = -0.7
-    logsigs = make_logsigs(2, 1, 2, boundaries=[0.0, 1.0, 2.0])
-    init = HiddenState(h=T.constant(np.full((1, 2), 3.0)))
+    coords, divisors = np.zeros((2, 1, 2)), np.array([1.0, 1.0])
+    init = [T.constant(np.full((1, 2), 3.0))]
 
-    def factory(ell, divisor):
-        return lambda ts: [lam * ts[0]]
+    def rhs(state, ell, divisor):
+        return [lam * state[0]]
 
-    out = integrate(init, logsigs, SolveSpec("rk4", 8), None, None, rhs_factory=factory)
-    assert np.allclose(out.h.data, 3.0 * np.exp(lam * 2.0), atol=1e-7)
-    out_e = integrate(init, logsigs, SolveSpec("euler", 512), None, None, rhs_factory=factory)
-    assert np.allclose(out_e.h.data, 3.0 * np.exp(lam * 2.0), atol=2e-3)
+    out = integrate(init, coords, divisors, SolveSpec("rk4", 8), rhs)
+    assert np.allclose(out[0].data, 3.0 * np.exp(lam * 2.0), atol=1e-7)
+    out_e = integrate(init, coords, divisors, SolveSpec("euler", 512), rhs)
+    assert np.allclose(out_e[0].data, 3.0 * np.exp(lam * 2.0), atol=2e-3)
 
 
 def test_integrate_detects_blowup_with_location():
-    logsigs = make_logsigs(2, 1, 2)
-    init = HiddenState(h=T.constant(np.full((1, 2), 10.0)))
+    coords, divisors = np.zeros((2, 1, 2)), np.array([2.0, 2.0])
+    init = [T.constant(np.full((1, 2), 10.0))]
 
-    def factory(ell, divisor):
-        def rhs(ts):
-            with np.errstate(over="ignore"):
-                return [1e308 * ts[0]]
-
-        return rhs
+    def rhs(state, ell, divisor):
+        with np.errstate(over="ignore"):
+            return [1e308 * state[0]]
 
     with pytest.raises(BlowupError) as err:
-        integrate(init, logsigs, SolveSpec("euler", 1), None, None, rhs_factory=factory)
+        integrate(init, coords, divisors, SolveSpec("euler", 1), rhs)
     assert err.value.window == 0
     assert err.value.step == 0
+
+
+def model_rhs(ps, cfg):
+    return lambda state, ell, divisor: augmented_rhs(state, ell, divisor, ps, cfg)
 
 
 def test_field_head_overflow_is_a_blowup():
@@ -111,20 +117,17 @@ def test_field_head_overflow_is_a_blowup():
     ps["f_w0"].data[:] = 0.0
     ps["f_b0"].data[:] = 1.0  # trunk output is all ones
     ps["f_head_w"].data[:] = 1e308
-    logsigs = LogSigSequence(coords=np.ones((2, 2, cfg.logsig_dim)), boundaries=np.array([0, 2, 4]),
-                             depth=cfg.sig_depth, dim=cfg.path_channels)
     init = init_state(T.constant(np.zeros((2, 1))), ps, cfg)
+    coords, divisors = np.ones((2, 2, cfg.logsig_dim)), np.array([2.0, 2.0])
     with np.errstate(over="ignore"), pytest.raises(BlowupError, match=r"a @ w\)") as err:
-        integrate(init, logsigs, SolveSpec("rk4", 2), ps, cfg)
+        integrate(init, coords, divisors, SolveSpec("rk4", 2), model_rhs(ps, cfg))
     assert (err.value.window, err.value.step) == (0, 0)
     T.clear_tape()
 
 
 def full_forward(cfg, ps, spec, f0, coords, boundaries):
-    logsigs = LogSigSequence(coords=coords, boundaries=boundaries, depth=cfg.sig_depth,
-                             dim=cfg.path_channels)
     state = init_state(T.constant(f0), ps, cfg)
-    final = integrate(state, logsigs, spec, ps, cfg)
+    final = integrate(state, coords, np.diff(boundaries), spec, model_rhs(ps, cfg))
     return readout(final, ps, cfg)
 
 
