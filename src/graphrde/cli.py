@@ -355,15 +355,16 @@ def cmd_predict(args) -> int:
             f"predict writes one value per forecast row, but the checkpoint has "
             f"out_channels = {config.out_channels}; use eval for multi-channel models"
         )
-    preds = TR.predict_denormalized(params, config, solve, prepared, normalizer)
-    lines = ["window,node,horizon,value"]
-    for i in range(preds.shape[0]):
-        offset = int(prepared.offsets[i])
-        for v in range(preds.shape[1]):
-            for s in range(preds.shape[2]):
-                lines.append(f"{offset},{v},{s},{FMT % preds[i, v, s, 0]}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out}: {len(lines) - 1} forecasts")
+    preds = TR.predict_denormalized(params, config, solve, prepared, normalizer)[..., 0]
+    # one (window, node, horizon, value) row per forecast, formatted in one call
+    rows = np.empty(preds.shape + (4,), dtype=object)
+    rows[..., 0] = prepared.offsets[:, None, None]
+    rows[..., 1] = np.arange(preds.shape[1])[:, None]
+    rows[..., 2] = np.arange(preds.shape[2])
+    rows[..., 3] = preds
+    body = ("%d,%d,%d," + FMT + "\n") * preds.size % tuple(rows.ravel())
+    atomic_write(args.out, "window,node,horizon,value\n" + body)
+    print(f"wrote {args.out}: {preds.size} forecasts")
     return 0
 
 

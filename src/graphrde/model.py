@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_write
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, NonFiniteError
 from .logsig import lyndon_dimension
 from .tensor import Tensor
 
@@ -174,17 +174,35 @@ def normalized_adjacency(adj: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"no external propagation matrix for gnn_kind {kind!r}")
 
 
+def _stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``arrays[name]`` as float64, checked to exist with the given shape."""
+    if name not in arrays:
+        raise DataError(f"checkpoint is missing tensor {name!r}")
+    arr = np.asarray(arrays[name], dtype=np.float64)
+    if arr.shape != shape:
+        raise DataError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 class ParamStore:
     """Named trainable tensors plus an untracked graph operator for one model.
 
     Weights and biases are initialized uniform(-1/sqrt(fan_in),
     +1/sqrt(fan_in)) with a seeded generator, in a fixed name order, so
-    a seed fully determines the initial parameters.  ``propagation`` is
-    the constant graph operator of the external-adjacency mixers (see
-    ``normalized_adjacency``), and None for the other mixers.
+    a seed fully determines the initial parameters.  Given ``arrays``, the
+    store holds those arrays instead, without copying them or drawing.
+    ``propagation`` is the constant graph operator of the
+    external-adjacency mixers (see ``normalized_adjacency``), and None for
+    the other mixers.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0, propagation: np.ndarray | None = None):
+    def __init__(
+        self,
+        config: ModelConfig,
+        seed: int = 0,
+        propagation: np.ndarray | None = None,
+        arrays: dict[str, np.ndarray] | None = None,
+    ):
         self.config = config
         self.propagation: Tensor | None = None
         if config.needs_adjacency:
@@ -199,8 +217,12 @@ class ParamStore:
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape, fan_in in _param_spec(config):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            if arrays is None:
+                bound = 1.0 / np.sqrt(fan_in)
+                data = rng.uniform(-bound, bound, size=shape)
+            else:
+                data = _stored(arrays, name, shape)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -217,14 +239,7 @@ class ParamStore:
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, t in self.params.items():
-            if name not in arrays:
-                raise DataError(f"checkpoint is missing tensor {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise DataError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.shape}"
-                )
-            t.data = arr.copy()
+            t.data = _stored(arrays, name, t.shape).copy()
             t.grad = None
 
 
@@ -251,15 +266,31 @@ def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
     return T.head_matvec(a, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
 
 
-def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Graph mixing step: (.., nodes, dim_z) -> (.., nodes, dim_z)."""
-    v = config.num_nodes
-    kind = config.gnn_kind
-    if kind == "adaptive":
-        prop = T.eye(v) + adaptive_adjacency(params)
-    elif kind in ("chebyshev", "plain_gcn"):
-        prop = params.propagation
-    else:  # attention
+def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
+    """The graph operator the spatial field mixes with, built once per forward.
+
+    ``I + adaptive_adjacency`` for ``adaptive`` (a function of the node
+    embeddings alone), the stored propagation matrix for ``chebyshev`` and
+    ``plain_gcn``; None for ``attention``, whose scores depend on the
+    state, and for the ``temporal_only`` variant, which has no graph.
+    """
+    if config.variant == "temporal_only" or config.gnn_kind == "attention":
+        return None
+    if config.gnn_kind == "adaptive":
+        return T.eye(config.num_nodes) + adaptive_adjacency(params)
+    return params.propagation
+
+
+def _mixed_features(
+    b0: Tensor, prop: Tensor | None, params: ParamStore, config: ModelConfig
+) -> Tensor:
+    """Graph mixing step: (.., nodes, dim_z) -> (.., nodes, dim_z).
+
+    ``prop`` is ``graph_operator(params, config)``; the attention mixer
+    scores its edges from ``b0`` instead.
+    """
+    if config.gnn_kind == "attention":
+        v = config.num_nodes
         s_self = b0 @ params["attn_self"]    # (.., v, 1)
         s_neigh = b0 @ params["attn_neigh"]  # (.., v, 1)
         ones_row = T.constant(np.ones((1, v)))
@@ -269,15 +300,18 @@ def _mixed_features(b0: Tensor, params: ParamStore, config: ModelConfig) -> Tens
     return (prop @ b0) @ params["w_spatial"]
 
 
-def field_g(z: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
+def field_g(
+    z: Tensor, x: Tensor, prop: Tensor | None, params: ParamStore, config: ModelConfig
+) -> Tensor:
     """Spatial vector field applied to a control.
 
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
     The control is dH, with ``cols`` = dim_h (full variant), or the
     log-signature velocity, with ``cols`` = L (spatial-only variant).
+    ``prop`` is the forward's ``graph_operator``.
     """
     b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
-    b1 = _mixed_features(b0, params, config)
+    b1 = _mixed_features(b0, prop, params, config)
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
     return T.head_matvec(b1, params["g_head_w"], params["g_head_b"], x, cols)
 
@@ -306,6 +340,7 @@ def augmented_rhs(
     state: list[Tensor],
     ell: Tensor,
     divisor: float,
+    prop: Tensor | None,
     params: ParamStore,
     config: ModelConfig,
 ) -> list[Tensor]:
@@ -313,17 +348,18 @@ def augmented_rhs(
 
     ``ell`` holds the window's log-signature coordinates (.., nodes, L)
     and ``divisor`` the window length, so ``ell / divisor`` is the
-    constant control velocity on the window.
+    constant control velocity on the window.  ``prop`` is
+    ``graph_operator(params, config)``, built once per forward pass.
     """
     if divisor <= 0:
         raise ContractError(f"window divisor must be positive, got {divisor}")
     if config.variant == "temporal_only":
         return [field_f(state[0], ell, params, config) / divisor]
     if config.variant == "spatial_only":
-        return [field_g(state[0], ell, params, config) / divisor]
+        return [field_g(state[0], ell, prop, params, config) / divisor]
     h, z = state
     dh = field_f(h, ell, params, config) / divisor
-    return [dh, field_g(z, dh, params, config)]
+    return [dh, field_g(z, dh, prop, params, config)]
 
 
 def readout(state: list[Tensor], params: ParamStore, config: ModelConfig) -> Tensor:
@@ -455,8 +491,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParamStore, dict]:
             or sum(math.prod(shape) for _, shape, _ in _param_spec(config)) > floats
         ):
             raise DataError(f"{path}: the model config does not fit the stored tensors")
-        store = ParamStore(config, seed=0, propagation=arrays.get("const/propagation"))
-    except ConfigError as exc:
+        store = ParamStore(config, propagation=arrays.get("const/propagation"), arrays=arrays)
+    except (ConfigError, NonFiniteError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    store.load_arrays(arrays)
     return config, store, extra

@@ -329,11 +329,16 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     ``b`` ``(n,)`` and ``x`` ``(.., m, cols)`` with ``n = rows * cols``;
     the result is ``(.., m, rows)``.
 
-    The values and gradients are bit-identical to ``matmul``, ``add``,
-    ``tanh``, ``reshape`` and a per-slot matrix-vector product taped one
-    by one, but the closure keeps only the inputs and the tanh output:
-    neither the pre-activation nor a head-sized gradient outlives the
-    forward pass or this entry's backward.
+    The values and the gradients of ``a``, ``b`` and ``x`` are
+    bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape`` and a
+    per-slot matrix-vector product taped one by one, but the closure keeps
+    only the inputs and the tanh output: neither the pre-activation nor a
+    head-sized gradient outlives the forward pass or this entry's backward.
+    ``w``'s gradient is one gemm over every leading axis and row at once,
+    ``a.reshape(-1, k).T @ g_pre.reshape(-1, n)``, rather than one gemm per
+    leading index summed afterwards; with leading axes it therefore sums in
+    another order and agrees with the taped chain to rounding, not bit for
+    bit.
     """
     a, w, b, x = _as_tensor(a), _as_tensor(w), _as_tensor(b), _as_tensor(x)
     if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -358,12 +363,16 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
             _accumulate(x, np.einsum("...pq,...p->...q", head, g))
         if not head_tracked:
             return
-        g_pre = np.einsum("...p,...q->...pq", g, x.data).reshape(t.shape) * (1.0 - t * t)
+        g_pre = np.einsum("...p,...q->...pq", g, x.data).reshape(t.shape)
+        tt = t * t
+        np.subtract(1.0, tt, out=tt)
+        g_pre *= tt
         _accumulate(b, _unbroadcast(g_pre, b.shape))
         if a.requires_grad:
             _accumulate(a, np.matmul(g_pre, w.data.T))
         if w.requires_grad:
-            _accumulate(w, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g_pre), w.shape))
+            k, n = w.shape
+            _accumulate(w, a.data.reshape(-1, k).T @ g_pre.reshape(-1, n))
 
     return _make(data, (a, w, b, x), backward_fn, "head_matvec")
 

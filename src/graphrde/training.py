@@ -19,7 +19,8 @@ from .data import Normalizer, WindowSet, atomic_write, make_windows
 from .errors import ConfigError, ContractError, NumericError, TrainingAbort
 from .logsig import LyndonBasis, window_logsig
 from .model import (
-    ModelConfig, ParamStore, augmented_rhs, init_state, normalized_adjacency, readout,
+    ModelConfig, ParamStore, augmented_rhs, graph_operator, init_state, normalized_adjacency,
+    readout,
 )
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec, integrate
@@ -222,6 +223,7 @@ def forward_prepared(
 ) -> Tensor:
     """Predictions (batch, nodes, horizon, out_channels) in normalized space."""
     state = init_state(T.constant(prepared.f0[idx]), params, config)
+    prop = graph_operator(params, config)
     final = integrate(
         state,
         prepared.coords[idx].transpose(1, 0, 2, 3),
@@ -229,7 +231,7 @@ def forward_prepared(
         solve,
         # looks ``augmented_rhs`` up by name at each call, so a wrapper
         # rebound over the module attribute sees every evaluation
-        lambda s, ell, divisor: augmented_rhs(s, ell, divisor, params, config),
+        lambda s, ell, divisor: augmented_rhs(s, ell, divisor, prop, params, config),
     )
     return readout(final, params, config)
 

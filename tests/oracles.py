@@ -7,8 +7,10 @@ maps ``tensor_exp`` and ``lyndon_expand``, which only tests need; the
 per-cell log-signature front end, which keeps the one-cell-at-a-time
 float operation order the batched library code must reproduce bit for
 bit; and the unfused field heads at the end of this file, which tape
-each head as separate ops, the order the fused ``head_matvec`` must
-reproduce bit for bit.
+each head as separate ops and rebuild the graph operator in every
+right-hand-side evaluation, the reference the fused heads and the
+once-per-forward operator must reproduce: predictions bit for bit,
+gradients bit for bit or, where the sum order differs, to rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
-from graphrde.model import _mixed_features
 from graphrde.tensor import _accumulate, _as_tensor, _make
 
 
@@ -349,10 +350,27 @@ def field_f(h, params, config):
     return T.reshape(out, out.shape[:-1] + (config.dim_h, config.logsig_dim))
 
 
+def mixed_features(b0, params, config):
+    """Graph mixing with the operator built afresh on every call."""
+    v = config.num_nodes
+    if config.gnn_kind == "adaptive":
+        e = params["embed"]
+        prop = T.eye(v) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
+    elif config.gnn_kind in ("chebyshev", "plain_gcn"):
+        prop = params.propagation
+    else:  # attention
+        s_self = b0 @ params["attn_self"]
+        s_neigh = b0 @ params["attn_neigh"]
+        scores = (s_self @ T.constant(np.ones((1, v)))
+                  + T.constant(np.ones((v, 1))) @ T.transpose_last2(s_neigh))
+        prop = T.softmax_rows(scores)
+    return (prop @ b0) @ params["w_spatial"]
+
+
 def field_g(z, params, config):
     """Spatial field head: (.., nodes, dim_z) -> (.., nodes, dim_z, cols)."""
     b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
-    b1 = _mixed_features(b0, params, config)
+    b1 = mixed_features(b0, params, config)
     out = T.tanh(b1 @ params["g_head_w"] + params["g_head_b"])
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
     return T.reshape(out, out.shape[:-1] + (config.dim_z, cols))

@@ -13,7 +13,7 @@ from graphrde import cli
 from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
 from graphrde.errors import ConfigError
-from graphrde.model import ModelConfig, ParamStore, save_checkpoint
+from graphrde.model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
 from test_model import _with_header
 
 # ---------------------------------------------------------------------------
@@ -277,6 +277,27 @@ def test_predict_row_count_and_format(workdir, tmp_path):
     assert len(lines) - 1 == len(test) * 5 * 12  # windows x nodes x horizon
     cells = lines[1].split(",")
     assert len(cells) == 4 and np.isfinite(float(cells[3]))
+
+
+def test_predict_csv_is_byte_stable(workdir, tmp_path):
+    # digests of the CSVs the row-by-row formatter wrote; the model is
+    # untrained, so the values depend on the forward pass alone
+    _, _, extra = load_checkpoint(str(workdir["out"] / "model.ckpt"))
+    extra = {**extra, "drop": {"rate": 0.3, "seeds": {"train": 1, "val": 2, "test": 3}}}
+    ckpt = tmp_path / "m.ckpt"
+    config = ModelConfig(num_nodes=5, input_len=12, horizon=12, dim_h=4, dim_z=4)
+    save_checkpoint(str(ckpt), ParamStore(config, seed=3), extra=extra)
+    digests = {
+        "test": "9b14dde1172b2c9064ce5aa78a3e010d968dee20b50384bdf4228d5a59dcd613",
+        "val": "d2b6bce659199877cd8138fc598fa55c3af968aaba4aa6020cf58c10c22965fe",
+        "all": "ba4c81668c253e4e5939e2101acc94fffd1219f0798863ac6615629e57076f54",
+    }
+    for split, digest in digests.items():
+        out = tmp_path / f"{split}.csv"
+        assert cli.main(["predict", "--checkpoint", str(ckpt),
+                         "--data", str(workdir["root"] / "data" / "values.csv"),
+                         "--split", split, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, split
 
 
 def test_predict_rejects_a_multi_channel_checkpoint(tmp_path, capsys):

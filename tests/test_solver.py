@@ -5,7 +5,9 @@ import pytest
 
 from graphrde import tensor as T
 from graphrde.errors import BlowupError, ConfigError
-from graphrde.model import ModelConfig, ParamStore, augmented_rhs, init_state, readout
+from graphrde.model import (
+    ModelConfig, ParamStore, augmented_rhs, graph_operator, init_state, readout,
+)
 from graphrde.solver import SolveSpec, convergence_order, integrate, step
 from oracles import finite_difference_grad
 
@@ -106,7 +108,8 @@ def test_integrate_detects_blowup_with_location():
 
 
 def model_rhs(ps, cfg):
-    return lambda state, ell, divisor: augmented_rhs(state, ell, divisor, ps, cfg)
+    prop = graph_operator(ps, cfg)
+    return lambda state, ell, divisor: augmented_rhs(state, ell, divisor, prop, ps, cfg)
 
 
 def test_field_head_overflow_is_a_blowup():

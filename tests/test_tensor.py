@@ -190,8 +190,11 @@ def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
         T.backward(T.sum_all(T.tanh(out)))
         return [out.data] + [t.grad for t in (a, w, b, x)]
 
-    for got, want in zip(run(True), run(False)):
-        assert np.array_equal(got, want)
+    for name, got, want in zip(["out", "a", "w", "b", "x"], run(True), run(False)):
+        if name == "w":  # one flat gemm over the leading axis sums in another order
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert np.array_equal(got, want), name
 
 
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():

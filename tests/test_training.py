@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrde import data as D
+from graphrde import model as M
 from graphrde import tensor as T
 from graphrde import training as TR
 from graphrde.errors import ConfigError, ContractError, TrainingAbort
@@ -175,6 +176,26 @@ def _tiny_problem(seed=0):
     train_prep = TR.prepare_split(train.take(slice(0, 16)), norm, cfg)
     val_prep = TR.prepare_split(val.take(slice(0, 8)), norm, cfg)
     return cfg, train_prep, val_prep, norm
+
+
+@pytest.mark.parametrize("method,steps,stages", [("euler", 1, 1), ("rk4", 2, 4)])
+def test_forward_builds_one_graph_operator(monkeypatch, method, steps, stages):
+    cfg, train_prep, _, _ = _tiny_problem()
+    params = ParamStore(cfg, seed=1)
+    calls = {"adjacency": 0, "rhs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(M, "adaptive_adjacency", counted("adjacency", M.adaptive_adjacency))
+    monkeypatch.setattr(TR, "augmented_rhs", counted("rhs", TR.augmented_rhs))
+    for forwards in (1, 2):
+        TR.forward_prepared(params, cfg, SolveSpec(method, steps), train_prep, np.arange(4))
+        assert calls == {"adjacency": forwards, "rhs": forwards * 3 * steps * stages}
+    T.clear_tape()
 
 
 def test_fit_reduces_training_loss_and_is_deterministic():
