@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 
@@ -44,6 +45,8 @@ from .verification import format_results, run_suites
 
 _VARIANT_FLAG = {"full": "full", "temporal": "temporal_only", "spatial": "spatial_only"}
 _CV_FLAG = {"rolling": "rolling_cv", "blocked": "blocked_cv"}
+# forecast CSV rows ``predict`` formats per write: whole windows, about this many
+FORECAST_CHUNK_ROWS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,17 +298,15 @@ def cmd_logsig(args) -> int:
         raise UsageError(f"--depth must be >= 1, got {args.depth}")
     if args.subpath < 1:
         raise UsageError(f"--subpath must be >= 1, got {args.subpath}")
+    if args.input_len < 2:
+        raise UsageError(f"--input-len must be >= 2, got {args.input_len}")
     values = D.load_values(args.data, args.channels)
     if values.shape[1] < args.input_len:
         raise DataError(
             f"dataset has {values.shape[1]} timesteps; the first window needs {args.input_len}"
         )
     first = values[:, : args.input_len, :]
-    series = RawSeries(
-        values=first,
-        mask=np.ones(first.shape[:2], dtype=bool),
-        times=np.arange(args.input_len, dtype=np.float64),
-    )
+    series = RawSeries(values=first, mask=np.ones(first.shape[:2], dtype=bool))
     coords, _ = window_logsig(fit_spline(series), args.subpath, args.depth)
     w, nodes, dim = coords.shape
     header = ["window", "node"] + [f"coord_{i}" for i in range(dim)]
@@ -356,16 +357,26 @@ def cmd_predict(args) -> int:
             f"out_channels = {config.out_channels}; use eval for multi-channel models"
         )
     preds = TR.predict_denormalized(params, config, solve, prepared, normalizer)[..., 0]
-    # one (window, node, horizon, value) row per forecast, formatted in one call
-    rows = np.empty(preds.shape + (4,), dtype=object)
-    rows[..., 0] = prepared.offsets[:, None, None]
-    rows[..., 1] = np.arange(preds.shape[1])[:, None]
-    rows[..., 2] = np.arange(preds.shape[2])
-    rows[..., 3] = preds
-    body = ("%d,%d,%d," + FMT + "\n") * preds.size % tuple(rows.ravel())
-    atomic_write(args.out, "window,node,horizon,value\n" + body)
+    atomic_write(args.out, _forecast_csv(prepared.offsets, preds))
     print(f"wrote {args.out}: {preds.size} forecasts")
     return 0
+
+
+def _forecast_csv(offsets: np.ndarray, preds: np.ndarray) -> Iterator[str]:
+    """The forecast CSV in chunks of whole windows, about
+    ``FORECAST_CHUNK_ROWS`` rows each, so the text is never held whole."""
+    yield "window,node,horizon,value\n"
+    _, nodes, horizon = preds.shape
+    step = max(1, FORECAST_CHUNK_ROWS // (nodes * horizon))
+    for lo in range(0, len(preds), step):
+        block = preds[lo : lo + step]
+        # one (window, node, horizon, value) row per forecast, formatted in one call
+        rows = np.empty(block.shape + (4,), dtype=object)
+        rows[..., 0] = offsets[lo : lo + step, None, None]
+        rows[..., 1] = np.arange(nodes)[:, None]
+        rows[..., 2] = np.arange(horizon)
+        rows[..., 3] = block
+        yield ("%d,%d,%d," + FMT + "\n") * block.size % tuple(rows.ravel())
 
 
 def cmd_verify(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,14 +111,16 @@ class Normalizer:
 # ---------------------------------------------------------------------------
 
 
-def atomic_write(path: str, content: str | bytes) -> None:
-    """Write ``content`` to a sibling temp file, then rename it over
-    ``path``, so a crash mid-write never leaves a truncated file."""
+def atomic_write(path: str, content: str | bytes | Iterable[str | bytes]) -> None:
+    """Write ``content``, one string or an iterable of chunks, to a sibling
+    temp file, then rename it over ``path``, so a crash mid-write never
+    leaves a truncated file."""
     tmp = f"{path}.tmp"
-    if isinstance(content, str):
-        content = content.encode("utf-8")
+    if isinstance(content, (str, bytes)):
+        content = [content]
     with open(tmp, "wb") as fh:
-        fh.write(content)
+        for chunk in content:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     os.replace(tmp, path)
 
 
@@ -193,10 +196,14 @@ def load_adjacency(path: str, num_nodes: int | None = None) -> np.ndarray:
         if len(cells) != 3:
             raise DataError(f"{path}: row {row_no} has {len(cells)} cells, expected 3")
         try:
-            src, dst, w = int(float(cells[0])), int(float(cells[1])), float(cells[2])
+            src, dst, w = float(cells[0]), float(cells[1]), float(cells[2])
         except ValueError as exc:
             raise DataError(f"{path}: row {row_no} is not src,dst,weight: {exc}") from exc
-        edges.append((src, dst, w))
+        if not all(math.isfinite(x) and x.is_integer() for x in (src, dst)):
+            raise DataError(f"{path}: row {row_no} has a node id that is not an integer")
+        if not math.isfinite(w):
+            raise DataError(f"{path}: row {row_no} contains a non-finite value")
+        edges.append((int(src), int(dst), w))
     n = num_nodes if num_nodes is not None else max(max(s, d) for s, d, _ in edges) + 1
     adj = np.zeros((n, n))
     for src, dst, w in edges:

@@ -297,31 +297,26 @@ def window_logsig(
     path: SplinePath,
     subpath_len: int,
     depth: int,
-    substeps: int = 1,
     basis: LyndonBasis | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-``depth`` log-signature of each cell over each sub-path window.
 
-    Returns ``(coords, edges)``: coordinates of shape (windows, *cells, L),
-    one vectorised pass over every cell per sub-path window, and the
-    (windows + 1,) window edges in knot-index units, whose differences
-    are the window lengths.  The knot grid 0..N is cut into
+    Returns ``(coords, edges)``: coordinates of shape (windows, *cells, L)
+    and the (windows + 1,) window edges in timesteps, whose differences
+    are the window lengths.  The timesteps 0..N are cut into
     ceil(N / subpath_len) windows [i*P, min((i+1)*P, N)]; the final
     window may be shorter, and every window is non-empty, so the edges
-    increase strictly.  Each window is approximated by ``substeps``
-    chords per knot interval (samples evenly spaced in time), and the
-    chord polyline's signature logarithm is projected onto the Lyndon
-    basis.
+    increase strictly.  The path is sampled once at every timestep; each
+    window's chord polyline is a slice of those samples, and its
+    signature logarithm is projected onto the Lyndon basis in one
+    vectorised pass over every cell.
     """
     if subpath_len < 1:
         raise ContractError(f"sub-path length must be >= 1, got {subpath_len}")
-    if substeps < 1:
-        raise ContractError(f"substeps must be >= 1, got {substeps}")
-    grid = path.grid
-    n_intervals = len(grid) - 1
+    n_intervals = path.steps - 1
     if n_intervals < subpath_len:
         raise DataError(
-            f"series with {n_intervals + 1} samples is too short for sub-path length {subpath_len}"
+            f"series with {path.steps} samples is too short for sub-path length {subpath_len}"
         )
     if basis is None:
         basis = LyndonBasis(path.num_channels, depth)
@@ -329,10 +324,9 @@ def window_logsig(
         raise ContractError("supplied basis does not match path channels / depth")
     n_windows = -(-n_intervals // subpath_len)
     edges = [min(i * subpath_len, n_intervals) for i in range(n_windows + 1)]
+    pts = sample_chords(path)
     coords = np.empty((n_windows,) + path.cell_shape + (len(basis),))
     for w in range(n_windows):
-        i0, i1 = edges[w], edges[w + 1]
-        span = (float(grid[i0]), float(grid[i1]))
-        pts = sample_chords(path, None, span, (i1 - i0) * substeps)
-        coords[w] = lyndon_project(tensor_log(sig_polyline(pts, depth)), basis)
+        window = pts[..., edges[w] : edges[w + 1] + 1, :]
+        coords[w] = lyndon_project(tensor_log(sig_polyline(window, depth)), basis)
     return coords, np.asarray(edges, dtype=np.float64)

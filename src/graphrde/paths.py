@@ -1,11 +1,12 @@
 """Continuous paths from discrete, possibly partially observed series.
 
-Each node's observed samples are interpolated with a natural cubic
-spline (zero second derivative at both ends), one spline per channel.
-A normalized time channel is appended as the last path channel, so a
-series with D data channels yields a (D+1)-channel path.  The time
-channel is the identity map rescaled to [0, 1] over the window and is
-evaluated exactly rather than splined.
+Timestep i of a series sits at time i; a timestep that was not observed
+is masked out.  Each node's observed samples are interpolated with a
+natural cubic spline (zero second derivative at both ends), one spline
+per channel.  A normalized time channel is appended as the last path
+channel, so a series with D data channels yields a (D+1)-channel path.
+The time channel is the identity map rescaled to [0, 1] over the window
+and is evaluated exactly rather than splined.
 
 Everything here is batched over cells: a cell is one node's series,
 of one window when a batch of windows is handled at once.  Cells with
@@ -25,12 +26,12 @@ from .errors import DataError, DomainError
 
 @dataclass
 class RawSeries:
-    """Discrete multichannel series on a shared time grid.
+    """Discrete multichannel series on the unit time grid: timestep i is
+    at time i.  Irregular observation is expressed by the mask alone.
 
     ``values``: (nodes, timesteps, channels) float64, or (windows, nodes,
     timesteps, channels) for a batch of windows.
     ``mask``: ``values.shape[:-1]`` bool; True where observed.
-    ``times``: (timesteps,) strictly increasing float64.
 
     Construction checks every cell once; a ``DataError`` names the
     offending node (and window, for a batch).
@@ -38,27 +39,20 @@ class RawSeries:
 
     values: np.ndarray
     mask: np.ndarray
-    times: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
-        self.times = np.asarray(self.times, dtype=np.float64)
         if self.values.ndim not in (3, 4):
             raise DataError(
                 f"values must be ([windows,] nodes, timesteps, channels), got {self.values.shape}"
             )
-        steps = self.values.shape[-2]
         if self.mask.shape != self.values.shape[:-1]:
             raise DataError(
                 f"mask shape {self.mask.shape} does not match values {self.values.shape}"
             )
-        if self.times.shape != (steps,):
-            raise DataError(f"times shape {self.times.shape} does not match {steps} timesteps")
-        if steps < 2:
+        if self.values.shape[-2] < 2:
             raise DataError("a series needs at least two timesteps")
-        if not np.all(np.diff(self.times) > 0):
-            raise DataError("times must be strictly increasing")
         for bad, what in (
             (self.mask & ~np.isfinite(self.values).all(axis=-1), "observed values must be finite"),
             (~self.mask[..., 0] | ~self.mask[..., -1], "first and last timestep must be observed"),
@@ -84,23 +78,20 @@ class RawSeries:
 class SplinePath:
     """Natural cubic interpolant per cell and channel plus an exact time channel.
 
-    A cell's knots are its observed timesteps, padded to the batch's
-    largest knot count N: ``knots`` (*cells, N) holds them in increasing
-    order, and ``counts`` (*cells,) how many are real.  Padding knots lie
-    beyond ``t_end``, so no evaluation lands in them.  On interval i the
+    The path runs over [0, steps - 1], timestep i at time i.  A cell's
+    knots are its observed timesteps, padded to the batch's largest knot
+    count N: ``knots`` (*cells, N) holds them in increasing order, and
+    ``counts`` (*cells,) how many are real.  Padding knots lie beyond
+    ``steps - 1``, so no evaluation lands in them.  On interval i the
     channel value is ``a + b*dt + c*dt^2 + d*dt^3`` with
     ``dt = t - knots[..., i]``; ``coeffs`` (*cells, N-1, channels, 4)
     stores (a, b, c, d), real for the first ``counts - 1`` intervals.
-    ``grid`` is the full shared time grid (including unobserved points),
-    used for window placement downstream.
     """
 
     knots: np.ndarray
     coeffs: np.ndarray
     counts: np.ndarray
-    grid: np.ndarray
-    t_start: float
-    t_end: float
+    steps: int
     data_channels: int
 
     @property
@@ -163,19 +154,19 @@ def fit_spline(series: RawSeries, cells: slice | None = None) -> SplinePath:
     so a long batch can be fitted chunk by chunk in bounded memory; the
     path's cells are then that one flat range.
     """
-    steps = len(series.times)
+    steps = series.mask.shape[-1]
     mask = series.mask.reshape(-1, steps)
     values = series.values.reshape(-1, steps, series.num_channels)
     if cells is not None:
         mask, values = mask[cells], values[cells]
     counts = mask.sum(axis=-1)
     n = int(counts.max())
-    t_start, t_end = float(series.times[0]), float(series.times[-1])
+    t_end = steps - 1.0
     # observed timesteps first, each group in time order
     order = np.argsort(~mask, axis=-1, kind="stable")[:, :n]
     pad = np.arange(n) - counts[:, None] + 1  # 1, 2, ... on padding knots
     real = pad <= 0
-    x = np.where(real, series.times[order], t_end + pad * (t_end - t_start))
+    x = np.where(real, order, t_end + pad * t_end)
     # padding repeats the last observation, which is the last timestep
     y = np.where(real[..., None], np.take_along_axis(values, order[..., None], axis=1),
                  values[:, -1:])
@@ -185,54 +176,38 @@ def fit_spline(series: RawSeries, cells: slice | None = None) -> SplinePath:
         knots=x.reshape(shape + x.shape[1:]),
         coeffs=coeffs.reshape(shape + coeffs.shape[1:]),
         counts=counts.reshape(shape),
-        grid=series.times.copy(),
-        t_start=t_start,
-        t_end=t_end,
+        steps=steps,
         data_channels=series.num_channels,
     )
 
 
-def _evaluate(path: SplinePath, node: int | None, ts: np.ndarray) -> np.ndarray:
+def _evaluate(path: SplinePath, ts: np.ndarray) -> np.ndarray:
     """Path values (*cells, len(ts), D + 1) at in-domain times ``ts``."""
     knots, coeffs, counts = path.knots, path.coeffs, path.counts
-    if node is not None:
-        knots, coeffs, counts = knots[..., node, :], coeffs[..., node, :, :, :], counts[..., node]
     # searchsorted(side="right") - 1 per cell, clipped to the cell's real intervals
     i = np.clip((knots[..., None, :] <= ts[:, None]).sum(axis=-1) - 1, 0, counts[..., None] - 2)
     dt = (ts - np.take_along_axis(knots, i, axis=-1))[..., None]
     a, b, c, d = np.moveaxis(np.take_along_axis(coeffs, i[..., None, None], axis=-3), -1, 0)
     value = a + dt * (b + dt * (c + dt * d))
-    time_channel = (ts - path.t_start) / (path.t_end - path.t_start)
-    time_channel = np.broadcast_to(time_channel[:, None], value.shape[:-1] + (1,))
+    time_channel = np.broadcast_to((ts / (path.steps - 1))[:, None], value.shape[:-1] + (1,))
     return np.concatenate([value, time_channel], axis=-1)
 
 
-def eval_path(path: SplinePath, node: int | None, t: float) -> np.ndarray:
+def eval_path(path: SplinePath, t: float) -> np.ndarray:
     """Path value (*cells, D + 1) at time t: D spline channels plus time.
 
-    ``node`` picks one cell along the last cell axis; ``None`` keeps
-    every cell.  No extrapolation: t outside [t_start, t_end] is a
-    domain error.
+    No extrapolation: t outside [0, steps - 1] is a domain error.
     """
-    if not (path.t_start <= t <= path.t_end):
-        raise DomainError(f"t={t} outside path domain [{path.t_start}, {path.t_end}]")
-    return _evaluate(path, node, np.array([t], dtype=np.float64))[..., 0, :]
+    if not (0 <= t <= path.steps - 1):
+        raise DomainError(f"t={t} outside path domain [0, {path.steps - 1}]")
+    return _evaluate(path, np.array([t], dtype=np.float64))[..., 0, :]
 
 
-def sample_chords(
-    path: SplinePath, node: int | None, window: tuple[float, float], substeps: int
-) -> np.ndarray:
-    """``substeps + 1`` evenly spaced path samples over a window.
+def sample_chords(path: SplinePath) -> np.ndarray:
+    """Path values (*cells, steps, D + 1) at every timestep.
 
-    Returns (*cells, substeps + 1, D + 1), with ``node`` selecting cells
-    as in :func:`eval_path`; the rows are the vertices of the chord
-    polyline approximating the path on the window.
+    The rows are the vertices of the chord polyline, one chord per
+    timestep, that approximates the path; a window's polyline is a slice
+    of them.
     """
-    lo, hi = window
-    if substeps < 1:
-        raise DomainError(f"substeps must be >= 1, got {substeps}")
-    if not (path.t_start <= lo < hi <= path.t_end):
-        raise DomainError(
-            f"window [{lo}, {hi}] outside path domain [{path.t_start}, {path.t_end}]"
-        )
-    return _evaluate(path, node, np.linspace(lo, hi, substeps + 1))
+    return _evaluate(path, np.arange(path.steps, dtype=np.float64))

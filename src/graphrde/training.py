@@ -162,8 +162,8 @@ class PreparedSplit:
     """Constant model inputs for a set of forecasting windows."""
 
     f0: np.ndarray            # (count, nodes, channels) normalized first frames
-    coords: np.ndarray        # (count, W, nodes, L) log-signature coordinates
-    boundaries: np.ndarray    # (W + 1,) shared window edges in knot indices
+    coords: np.ndarray        # (W, count, nodes, L) log-signature coordinates, window-major
+    boundaries: np.ndarray    # (W + 1,) shared window edges in timesteps
     targets_norm: np.ndarray  # (count, nodes, horizon, out_channels)
     targets_raw: np.ndarray
     offsets: np.ndarray
@@ -187,11 +187,7 @@ def prepare_split(
         raise ContractError("cannot prepare an empty window set")
     if basis is None:
         basis = LyndonBasis(config.path_channels, config.sig_depth)
-    series = RawSeries(
-        values=normalizer.apply(windows.inputs),
-        mask=windows.masks,
-        times=np.arange(windows.input_len, dtype=np.float64),
-    )
+    series = RawSeries(values=normalizer.apply(windows.inputs), mask=windows.masks)
     count, nodes = series.cell_shape
     coords = None
     for lo in range(0, count * nodes, CHUNK_CELLS):
@@ -200,9 +196,8 @@ def prepare_split(
             fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, basis=basis
         )
         if coords is None:
-            coords = np.empty((count, len(chunk), nodes, len(basis)))
-        window_of, node_of = np.divmod(np.arange(lo, hi), nodes)
-        coords[window_of, :, node_of] = chunk.transpose(1, 0, 2)
+            coords = np.empty((len(chunk), count, nodes, len(basis)))
+        coords.reshape(len(chunk), count * nodes, -1)[:, lo:hi] = chunk
     targets_norm = normalizer.apply(windows.targets, channels=config.out_channels)
     return PreparedSplit(
         f0=normalizer.apply(windows.inputs[:, :, 0, :]),
@@ -226,7 +221,7 @@ def forward_prepared(
     prop = graph_operator(params, config)
     final = integrate(
         state,
-        prepared.coords[idx].transpose(1, 0, 2, 3),
+        prepared.coords[:, idx],
         np.diff(prepared.boundaries),
         solve,
         # looks ``augmented_rhs`` up by name at each call, so a wrapper

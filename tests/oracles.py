@@ -289,29 +289,28 @@ def cell_lyndon_project(levels, basis: LyndonBasis) -> np.ndarray:
 def cell_window_logsig(
     values: np.ndarray,
     mask: np.ndarray,
-    times: np.ndarray,
     subpath_len: int,
     depth: int,
-    substeps: int = 1,
 ) -> np.ndarray:
     """Windowed Lyndon log-signatures (windows, nodes, L) of one series.
 
     ``values`` is (nodes, timesteps, channels) and ``mask`` (nodes,
-    timesteps); each node is fitted, sampled and projected on its own.
+    timesteps), timestep i at time i; each node is fitted, sampled
+    window by window and projected on its own.
     """
     nodes, steps, channels = values.shape
     basis = LyndonBasis(channels + 1, depth)
     n_intervals = steps - 1
     n_windows = -(-n_intervals // subpath_len)
     edges = [min(i * subpath_len, n_intervals) for i in range(n_windows + 1)]
-    t_start, t_end = float(times[0]), float(times[-1])
+    t_start, t_end = 0.0, float(n_intervals)
     coords = np.zeros((n_windows, nodes, len(basis)))
     for v in range(nodes):
-        x = times[mask[v]]
+        x = np.flatnonzero(mask[v]).astype(np.float64)
         coeffs = cell_spline_coefficients(x, values[v][mask[v]])
         for w in range(n_windows):
             i0, i1 = edges[w], edges[w + 1]
-            ts = np.linspace(float(times[i0]), float(times[i1]), (i1 - i0) * substeps + 1)
+            ts = np.linspace(float(i0), float(i1), i1 - i0 + 1)
             pts = np.stack([cell_eval(x, coeffs, float(t), t_start, t_end) for t in ts])
             sig = cell_sig_linear(pts[1] - pts[0], depth)
             for i in range(1, len(pts) - 1):

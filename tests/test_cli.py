@@ -14,6 +14,7 @@ from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
 from graphrde.errors import ConfigError
 from graphrde.model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
+from test_data import BAD_ADJACENCY_ROWS
 from test_model import _with_header
 
 # ---------------------------------------------------------------------------
@@ -300,6 +301,17 @@ def test_predict_csv_is_byte_stable(workdir, tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, split
 
 
+def test_predict_csv_is_the_same_in_one_window_chunks(workdir, tmp_path, monkeypatch):
+    args = ["predict", "--checkpoint", str(workdir["out"] / "model.ckpt"),
+            "--data", str(workdir["root"] / "data" / "values.csv"), "--split", "all"]
+    assert cli.main(args + ["--out", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(cli, "FORECAST_CHUNK_ROWS", 1)  # one window per chunk
+    assert cli.main(args + ["--out", str(tmp_path / "chunked.csv")]) == 0
+    whole, chunked = (tmp_path / "whole.csv").read_bytes(), (tmp_path / "chunked.csv").read_bytes()
+    assert hashlib.sha256(chunked).hexdigest() == hashlib.sha256(whole).hexdigest()
+    assert whole.count(b"\n") > 1 + 5 * 12  # more than one window's rows
+
+
 def test_predict_rejects_a_multi_channel_checkpoint(tmp_path, capsys):
     # the forecast CSV has one value column, which would drop channel 1
     config = ModelConfig(num_nodes=3, in_channels=2, out_channels=2, input_len=5, horizon=2,
@@ -394,6 +406,14 @@ def test_logsig_dump_column_count(workdir, tmp_path):
     assert out.read_text().strip().split("\n")[0] == "window,node,coord_0,coord_1"
 
 
+@pytest.mark.parametrize("input_len", ["-3", "0", "1"])
+def test_logsig_input_len_below_two_is_a_usage_error(workdir, tmp_path, input_len):
+    out = tmp_path / "dump.csv"
+    assert cli.main(["logsig", "--data", str(workdir["root"] / "data" / "values.csv"),
+                     "--input-len", input_len, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_logsig_dump_is_byte_stable(tmp_path):
     # digests of the dump written by the original per-cell front end
     cases = [
@@ -426,6 +446,16 @@ def test_logsig_constant_data_has_null_data_coordinates(tmp_path):
     time_coord = np.array([float(r[3]) for r in body])  # coord_1 = time channel
     assert np.abs(data_coord).max() < 1e-12
     assert np.abs(time_coord).min() > 0.0
+
+
+@pytest.mark.parametrize("row", BAD_ADJACENCY_ROWS)
+def test_train_rejects_a_malformed_adjacency_before_writing(workdir, tmp_path, row):
+    adjacency = tmp_path / "adj.csv"
+    adjacency.write_text(f"src,dst,weight\n1,2,0.5\n{row}\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--adjacency",
+                     str(adjacency), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, workdir):

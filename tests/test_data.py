@@ -105,6 +105,26 @@ def test_adjacency_round_trip_and_inference(tmp_path):
         D.load_adjacency(path, num_nodes=2)
 
 
+# non-finite weights (1e309 overflows to inf) and node ids that are not integers
+BAD_ADJACENCY_ROWS = ["0,1,nan", "0,1,inf", "0,1,1e309", "inf,1,1.0", "0.5,1,1.0"]
+
+
+@pytest.mark.parametrize("row", BAD_ADJACENCY_ROWS)
+def test_adjacency_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "adj.csv"
+    path.write_text(f"src,dst,weight\n1,2,0.5\n{row}\n")
+    with pytest.raises(DataError, match="row 3"):
+        D.load_adjacency(str(path), num_nodes=3)
+
+
+def test_adjacency_accepts_integer_valued_float_ids(tmp_path):
+    path = tmp_path / "adj.csv"
+    path.write_text("3.0,1,0.5\n1.0,-0.0,2.0\n")
+    adj = D.load_adjacency(str(path))
+    assert adj.shape == (4, 4)
+    assert adj[3, 1] == 0.5 and adj[1, 0] == 2.0
+
+
 # ---------------------------------------------------------------------------
 # Windowing
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from graphrde import logsig as L
 from graphrde import training as TR
 from graphrde.errors import ContractError, DataError, NonFiniteError
 from graphrde.model import ModelConfig
-from graphrde.paths import RawSeries, fit_spline
+from graphrde.paths import RawSeries, fit_spline, sample_chords
 from oracles import (
     cell_window_logsig,
     densify_polyline,
@@ -233,7 +233,7 @@ def test_area_coordinate_of_parabola_path():
 # ---------------------------------------------------------------------------
 
 
-def make_path(values, times=None, mask=None):
+def make_path(values, mask=None):
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:
         values = values[:, :, None]
@@ -241,7 +241,6 @@ def make_path(values, times=None, mask=None):
     series = RawSeries(
         values=values,
         mask=np.ones((nodes, steps), bool) if mask is None else np.asarray(mask),
-        times=np.arange(steps, dtype=float) if times is None else np.asarray(times, float),
     )
     return fit_spline(series)
 
@@ -288,12 +287,10 @@ def test_constant_series_leaves_only_the_time_coordinate():
 def test_window_coords_match_quadrature_oracle():
     vals = RNG.normal(size=(2, 7))
     path = make_path(vals)
-    coords, _ = L.window_logsig(path, subpath_len=3, depth=2, substeps=2)
-    from graphrde.paths import sample_chords
-
+    coords, _ = L.window_logsig(path, subpath_len=3, depth=2)
     for w, (i0, i1) in enumerate([(0, 3), (3, 6)]):
         for v in range(2):
-            pts = sample_chords(path, v, (float(i0), float(i1)), (i1 - i0) * 2)
+            pts = sample_chords(path)[v, i0 : i1 + 1]
             dense = densify_polyline(pts, 700)
             s1 = quadrature_signature_entry(dense, (0,))
             s2 = quadrature_signature_entry(dense, (1,))
@@ -346,21 +343,33 @@ def random_batch(rng, windows, nodes, steps, channels, density):
     channels=st.integers(min_value=1, max_value=2),
     depth=st.integers(min_value=1, max_value=3),
     subpath_len=st.integers(min_value=1, max_value=4),
-    substeps=st.integers(min_value=1, max_value=3),
     density=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=60, deadline=None)
 def test_batched_front_end_matches_per_cell_oracle_bit_for_bit(
-    seed, steps, channels, depth, subpath_len, substeps, density
+    seed, steps, channels, depth, subpath_len, density
 ):
     rng = np.random.default_rng(seed)
     values, mask = random_batch(rng, 3, 4, steps, channels, density)
-    times = np.cumsum(rng.uniform(0.3, 2.0, size=steps))
-    path = fit_spline(RawSeries(values, mask, times))
-    coords, _ = L.window_logsig(path, subpath_len, depth, substeps)
+    path = fit_spline(RawSeries(values, mask))
+    coords, _ = L.window_logsig(path, subpath_len, depth)
     for w in range(3):
-        want = cell_window_logsig(values[w], mask[w], times, subpath_len, depth, substeps)
+        want = cell_window_logsig(values[w], mask[w], subpath_len, depth)
         assert coords[:, w].tobytes() == want.tobytes()
+
+
+def test_window_logsig_samples_the_path_once(monkeypatch):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return sample_chords(path)
+
+    monkeypatch.setattr(L, "sample_chords", counting)
+    path = make_path(RNG.normal(size=(2, 13)))
+    coords, edges = L.window_logsig(path, subpath_len=2, depth=2)
+    assert len(edges) - 1 == 6
+    assert calls == [path]
 
 
 def irregular_windows(nodes=3):
@@ -376,8 +385,8 @@ def test_prepare_split_is_chunk_invariant(monkeypatch):
                       subpath_len=3)
     whole = TR.prepare_split(windows, norm, cfg).coords
     for w in range(len(windows)):
-        want = cell_window_logsig(windows.inputs[w], windows.masks[w], np.arange(12.0), 3, 3)
-        assert whole[w].tobytes() == want.tobytes()
+        want = cell_window_logsig(windows.inputs[w], windows.masks[w], 3, 3)
+        assert whole[:, w].tobytes() == want.tobytes()
     for chunk in (1, 7):  # one cell, and a size that splits windows' node sets
         monkeypatch.setattr(TR, "CHUNK_CELLS", chunk)
         assert TR.prepare_split(windows, norm, cfg).coords.tobytes() == whole.tobytes()

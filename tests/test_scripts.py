@@ -1,0 +1,41 @@
+"""The demo scripts under ``scripts/`` run end to end on a small dataset."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+pytestmark = pytest.mark.slow
+
+SMALL = ["--nodes", "4", "--timesteps", "80"]
+
+
+def run_script(name, *args):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_synthetic_benchmark_script_writes_its_artifacts(tmp_path):
+    out = run_script("run_synthetic_benchmark.py", "--out", str(tmp_path), *SMALL)
+    assert "test MAE" in out
+    assert {"values.csv", "adjacency.csv"} <= set(os.listdir(tmp_path / "data"))
+    run = set(os.listdir(tmp_path / "run_full"))
+    assert {"model.ckpt", "history.csv", "metrics.json", "config.resolved.cfg",
+            "forecasts.csv"} <= run
+
+
+def test_irregular_sweep_script_trains_every_rate(tmp_path):
+    out = run_script("irregular_sweep.py", "--out", str(tmp_path), "--rates", "0,0.3", *SMALL)
+    assert "drop rate 0.00" in out and "drop rate 0.30" in out
+    for rate in ("0", "0.3"):
+        assert {"model.ckpt", "metrics.json"} <= set(os.listdir(tmp_path / f"drop_{rate}"))
