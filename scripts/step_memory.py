@@ -36,10 +36,10 @@ from graphrde.config import load_config
 from graphrde.model import ParamStore
 
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
-# Estimated peak of one step: an upper line over the measured peaks (0.74,
-# 1.42 and 2.78 GB at batch 1, 2 and 4 on a 2-CPU machine with numpy 2.4). A
+# Estimated peak of one step: an upper line over the measured peaks (0.71,
+# 1.37 and 2.69 GB at batch 1, 2 and 4 on a 2-CPU machine with numpy 2.4). A
 # batch is skipped unless MemAvailable exceeds its estimate by SPARE_MB.
-BASE_MB, PER_WINDOW_MB, SPARE_MB = 300, 800, 1000
+BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 670, 1000
 
 
 def estimate_mb(batch: int) -> int:

@@ -54,6 +54,10 @@ __all__ = [
 # Ambient tape: list of (output tensor, backward closure) in execution order.
 _TAPE: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
 _GRAD_ENABLED: bool = True
+# Bytes of tanh head per tile in ``head_matvec``: 32 rows of a 4096-wide head,
+# small enough that each pass over a tile hits L2 rather than memory; with
+# fewer rows per tile the per-tile gemm loses more than the cache saves.
+HEAD_TILE_BYTES = 1 << 20
 
 
 def _check_finite(data: np.ndarray, where: str) -> None:
@@ -329,12 +333,23 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     ``b`` ``(n,)`` and ``x`` ``(.., m, cols)`` with ``n = rows * cols``;
     the result is ``(.., m, rows)``.
 
+    The forward runs over tiles of head rows (a row is one slot of ``a``'s
+    leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
+    gemm, both finiteness checks, the bias, the tanh and the contraction
+    each pass over a tile while it is in cache.  A taped call writes the
+    tiles into the head it keeps for backward; an untaped one (``no_grad``
+    or no tracked input) reuses one tile buffer and never holds a head.
+    The closure keeps only the inputs and the tanh head.  Its backward
+    takes ``x``'s gradient from the head and then, tile by tile, overwrites
+    the head with ``g_pre = (g ⊗ x) * (1 - t*t)``, which the ``a``, ``b``
+    and ``w`` gradients read, so no head-sized array is allocated after
+    the forward.
+
     The values and the gradients of ``a``, ``b`` and ``x`` are
     bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape`` and a
-    per-slot matrix-vector product taped one by one, but the closure keeps
-    only the inputs and the tanh output: neither the pre-activation nor a
-    head-sized gradient outlives the forward pass or this entry's backward.
-    ``w``'s gradient is one gemm over every leading axis and row at once,
+    per-slot matrix-vector product taped one by one, as long as BLAS gives
+    a row the same bits whatever the number of rows in its gemm.  ``w``'s
+    gradient is one gemm over every leading axis and row at once,
     ``a.reshape(-1, k).T @ g_pre.reshape(-1, n)``, rather than one gemm per
     leading index summed afterwards; with leading axes it therefore sums in
     another order and agrees with the taped chain to rounding, not bit for
@@ -348,33 +363,47 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
             f"head_matvec: head of width {w.shape[1]} cannot take {cols} columns "
             f"against a control of shape {x.shape}"
         )
-    rows = w.shape[1] // cols
-    pre = np.matmul(a.data, w.data)
-    _check_finite(pre, "head_matvec (a @ w)")
-    pre = pre + b.data
-    _check_finite(pre, "head_matvec (a @ w + b)")  # tanh would hide an overflow
-    t = np.tanh(pre)
-    head = t.reshape(t.shape[:-1] + (rows, cols))
-    data = np.einsum("...pq,...q->...p", head, x.data)
+    k, n = w.shape
+    rows = n // cols
+    a2, x2 = a.data.reshape(-1, k), x.data.reshape(-1, cols)
+    total = a2.shape[0]
+    step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
+    keep = _GRAD_ENABLED and any(t.requires_grad for t in (a, w, b, x))
+    buf = np.empty((total if keep else min(step, total), n))
+    out = np.empty((total, rows))
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        p = buf[lo:hi] if keep else buf[: hi - lo]
+        np.matmul(a2[lo:hi], w.data, out=p)
+        _check_finite(p, "head_matvec (a @ w)")
+        p += b.data
+        _check_finite(p, "head_matvec (a @ w + b)")  # tanh would hide an overflow
+        np.tanh(p, out=p)
+        np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
     head_tracked = a.requires_grad or w.requires_grad or b.requires_grad
 
-    def backward_fn(g: np.ndarray) -> None:
+    def backward_fn(g: np.ndarray) -> None:  # taped only when ``keep``: buf is the head
+        t = buf.reshape(a.shape[:-1] + (n,))
         if x.requires_grad:
-            _accumulate(x, np.einsum("...pq,...p->...q", head, g))
+            _accumulate(x, np.einsum("...pq,...p->...q", t.reshape(g.shape + (cols,)), g))
         if not head_tracked:
             return
-        g_pre = np.einsum("...p,...q->...pq", g, x.data).reshape(t.shape)
-        tt = t * t
-        np.subtract(1.0, tt, out=tt)
-        g_pre *= tt
-        _accumulate(b, _unbroadcast(g_pre, b.shape))
+        # the entry runs once, so the head may turn into g_pre tile by tile
+        g2, scratch = g.reshape(-1, rows), np.empty((min(step, total), rows, cols))
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            gx = np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=scratch[: hi - lo])
+            tile = buf[lo:hi]
+            np.multiply(tile, tile, out=tile)
+            np.subtract(1.0, tile, out=tile)
+            tile *= gx.reshape(hi - lo, n)
+        _accumulate(b, _unbroadcast(t, b.shape))
         if a.requires_grad:
-            _accumulate(a, np.matmul(g_pre, w.data.T))
+            _accumulate(a, np.matmul(t, w.data.T))
         if w.requires_grad:
-            k, n = w.shape
-            _accumulate(w, a.data.reshape(-1, k).T @ g_pre.reshape(-1, n))
+            _accumulate(w, a2.T @ buf)
 
-    return _make(data, (a, w, b, x), backward_fn, "head_matvec")
+    return _make(out.reshape(a.shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 
 
 def transpose_last2(a: Tensor) -> Tensor:

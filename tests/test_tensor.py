@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode tensor core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,65 @@ def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         else:
             assert np.array_equal(got, want), name
+
+
+def run_head_matvec(arrays, tracked):
+    """Value and (a, w, b, x) gradients of a weighted sum of one head_matvec.
+
+    ``tracked`` names the inputs that require grad; None runs under no_grad.
+    """
+    *inputs, weights = arrays
+    ts = [T.Tensor(arr, requires_grad=tracked is not None and name in tracked)
+          for name, arr in zip("awbx", inputs)]
+    if tracked is None:
+        with T.no_grad():
+            return [T.head_matvec(*ts, 3).data]
+    out = T.head_matvec(*ts, 3)
+    T.backward(T.sum_all(T.mul(out, T.constant(weights))))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("tracked", ["awbx", "x", None])
+def test_head_matvec_is_tile_invariant(monkeypatch, tracked):
+    # 2 x 40 rows of a 12-wide head: tiles of 1, 3 and 32 rows all leave a partial last tile
+    arrays = [RNG.normal(size=(2, 40, 5)), RNG.normal(size=(5, 12)), RNG.normal(size=12),
+              RNG.normal(size=(2, 40, 3)), RNG.normal(size=(2, 40, 4))]
+    want = run_head_matvec(arrays, tracked)
+    for tile_rows in (1, 3, 32):
+        monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * tile_rows)
+        got = run_head_matvec(arrays, tracked)
+        assert len(got) == len(want)
+        for name, g, ref in zip(["out", "a", "w", "b", "x"], got, want):
+            if ref is None:  # an untracked input
+                assert g is None, (tile_rows, name)
+                continue
+            # BLAS may round a gemm of a few rows differently from a larger one
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), (tile_rows, name)
+
+
+def test_head_matvec_holds_no_head_sized_temporaries():
+    # 512 rows of a 64 x 64 head: 16 MiB of head, 1 MiB per default tile
+    rows, cols, k = 64, 64, 8
+    head_bytes = 512 * rows * cols * 8
+    arrays = [RNG.normal(size=(8, 64, k)) * 0.1, RNG.normal(size=(k, rows * cols)) * 0.1,
+              RNG.normal(size=rows * cols) * 0.1, RNG.normal(size=(8, 64, cols))]
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    untracked = [T.constant(arr) for arr in arrays]
+    with T.no_grad():
+        assert traced_peak(lambda: T.head_matvec(*untracked, cols)) < 4 * 2**20
+
+    a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+    loss = T.sum_all(T.head_matvec(a, w, b, x, cols))
+    assert traced_peak(lambda: T.backward(loss)) < head_bytes / 2
+    assert all(t.grad is not None for t in (a, w, b, x))
 
 
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
