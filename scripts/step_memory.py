@@ -36,9 +36,10 @@ from graphrde.config import load_config
 from graphrde.model import ParamStore
 
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
-# Estimated peak of one step: an upper line over the measured peaks (0.71,
-# 1.37 and 2.69 GB at batch 1, 2 and 4 on a 2-CPU machine with numpy 2.4). A
-# batch is skipped unless MemAvailable exceeds its estimate by SPARE_MB.
+# Estimated peak of one step: an upper line over the measured peaks (0.72,
+# 1.37 and 2.69 GB at batch 1, 2 and 4 on a 2-CPU machine with numpy 2.4 and
+# two head workers). A batch is skipped unless MemAvailable exceeds its
+# estimate by SPARE_MB.
 BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 670, 1000
 
 
@@ -82,6 +83,9 @@ def one_step(batch: int, seed: int) -> dict:
     adam.step()
     return {
         "batch": batch,
+        "nproc": len(os.sched_getaffinity(0)),
+        # threads that share a multi-tile head_matvec call: one unless BLAS runs one thread
+        "head_workers": T._head_pool().workers,
         "loss": loss.item(),
         "forward_s": forward_s,
         "backward_s": backward_s,

@@ -14,6 +14,7 @@ earlier split.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections.abc import Iterable
@@ -114,14 +115,20 @@ class Normalizer:
 def atomic_write(path: str, content: str | bytes | Iterable[str | bytes]) -> None:
     """Write ``content``, one string or an iterable of chunks, to a sibling
     temp file, then rename it over ``path``, so a crash mid-write never
-    leaves a truncated file."""
+    leaves a truncated file; if a chunk or a write raises, the temp file
+    is removed and ``path`` keeps its old bytes."""
     tmp = f"{path}.tmp"
     if isinstance(content, (str, bytes)):
         content = [content]
-    with open(tmp, "wb") as fh:
-        for chunk in content:
-            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in content:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _is_numeric_row(cells: list[str]) -> bool:

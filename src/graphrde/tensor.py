@@ -12,12 +12,20 @@ Design rules enforced at every operation boundary:
 * values are float64 and finite (NaN/Inf raises :class:`NonFiniteError`),
 * elementwise broadcasting is limited to leading-1 extents, i.e. the
   smaller operand may only broadcast along a prefix of the axes,
-* the tape is single threaded and cleared by :func:`backward`.
+* the tape is single threaded and cleared by :func:`backward`; only the
+  tile loops inside :func:`head_matvec` run on worker threads, which call
+  numpy alone and never touch the tape.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import itertools
+import os
+import queue
+import threading
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,9 +68,119 @@ _GRAD_ENABLED: bool = True
 HEAD_TILE_BYTES = 1 << 20
 
 
-def _check_finite(data: np.ndarray, where: str) -> None:
-    if not np.isfinite(data).all():
+def _check_finite(data: np.ndarray, where: str, scratch: np.ndarray | None = None) -> None:
+    if not np.isfinite(data, out=scratch).all():
         raise NonFiniteError(f"non-finite value produced by {where}")
+
+
+class _TilePool:
+    """The calling thread and ``workers - 1`` daemon threads that share a call's work.
+
+    The threads start with the first call to :meth:`run` that has work for them.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._todo: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+
+    def run(self, fn: Callable[[int, int], object], count: int) -> None:
+        """Call ``fn(slot, j)`` for every ``j`` in ``range(count)`` and wait for all.
+
+        The caller, as slot 0, and up to ``workers - 1`` threads, as slots
+        1, 2, ..., each take the next ``j`` in turn, so a thread whose CPU
+        is slow or busy takes fewer; no two calls at once share a slot.  A
+        thread runs in a copy of the caller's context, so ``np.errstate``
+        holds.  Then the error of the lowest ``j`` that raised is raised:
+        every lower ``j`` ran, as in a serial loop.
+        """
+        helpers = min(self.workers, count) - 1
+        if helpers < 1:
+            for j in range(count):
+                fn(0, j)
+            return
+        while len(self._threads) < self.workers - 1:
+            thread = threading.Thread(target=self._serve, name="head_matvec", daemon=True)
+            thread.start()
+            self._threads.append(thread)
+        # next() on an itertools.count is atomic, so each j and slot goes to one thread
+        jobs, slots, done = itertools.count(), itertools.count(1), queue.SimpleQueue()
+        # emptied once every j is done: a thread that wakes late holds none of fn's buffers
+        work = [fn]
+        share = partial(self._share, work, count, jobs, done)
+        for _ in range(helpers):
+            self._todo.put((contextvars.copy_context(), share, slots))
+        share(0)
+        errors = {}
+        for _ in range(count):  # every j is taken and reported once
+            j, exc = done.get()
+            if exc is not None:
+                errors[j] = exc
+        work.clear()
+        if errors:
+            raise errors[min(errors)]
+
+    @staticmethod
+    def _share(work: list, count: int, jobs, done: queue.SimpleQueue, slot: int) -> None:
+        failed = False
+        for j in jobs:
+            if j >= count:
+                return
+            if failed:  # after its own error a thread only reports what it takes
+                done.put((j, None))
+                continue
+            try:
+                work[0](slot, j)
+            except BaseException as exc:  # handed to the caller, which raises it
+                done.put((j, exc))
+                failed = True
+            else:
+                done.put((j, None))
+
+    def _serve(self) -> None:
+        # one item per call, so that a thread waiting for the next holds nothing
+        while self._serve_one(self._todo.get()):
+            pass
+
+    @staticmethod
+    def _serve_one(item) -> bool:
+        if item is None:
+            return False
+        context, share, slots = item
+        context.run(share, next(slots))
+        return True
+
+    def shutdown(self) -> None:
+        for _ in self._threads:
+            self._todo.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads.clear()
+
+
+_SERIAL = _TilePool(1)
+# Made by the first ``head_matvec`` call with more than one tile, never at import.
+_HEAD_POOL: _TilePool | None = None
+
+
+def _head_pool() -> _TilePool:
+    """One worker per CPU this process may run on, the caller among them.
+
+    When the inherited BLAS setting is not one thread (``OPENBLAS_NUM_THREADS``,
+    or else ``OMP_NUM_THREADS``, unset or above 1), each gemm already spreads
+    over the CPUs and more workers would oversubscribe them, so there is one.
+    """
+    global _HEAD_POOL
+    if _HEAD_POOL is None:
+        blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+        workers = 1
+        if blas is not None and blas.strip() == "1":
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+        _HEAD_POOL = _TilePool(workers)
+    return _HEAD_POOL
 
 
 class Tensor:
@@ -338,12 +456,22 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     gemm, both finiteness checks, the bias, the tanh and the contraction
     each pass over a tile while it is in cache.  A taped call writes the
     tiles into the head it keeps for backward; an untaped one (``no_grad``
-    or no tracked input) reuses one tile buffer and never holds a head.
-    The closure keeps only the inputs and the tanh head.  Its backward
-    takes ``x``'s gradient from the head and then, tile by tile, overwrites
-    the head with ``g_pre = (g ⊗ x) * (1 - t*t)``, which the ``a``, ``b``
-    and ``w`` gradients read, so no head-sized array is allocated after
-    the forward.
+    or no tracked input) gives each worker one tile buffer and never holds
+    a head.  The closure keeps only the inputs and the tanh head.  Its
+    backward takes ``x``'s gradient from each head tile and then overwrites
+    the tile with ``g_pre = (g ⊗ x) * (1 - t*t)``, which the ``a``, ``b`` and
+    ``w`` gradients read, so no head-sized array is allocated after the
+    forward.
+
+    A call with more than one tile shares its tiles, in order, among one
+    worker thread per CPU, the caller among them (see ``_head_pool``): a
+    worker takes the next tile whenever it is free, so one whose CPU is
+    busy takes fewer.  The backward's ``a`` gradient, and its ``w`` and
+    ``b`` gradients, are two more such pieces of work.  Workers run numpy
+    alone, into buffers the caller allocated, and the caller waits for all
+    of them before it raises the first error in tile order.  The tiles,
+    and every numpy call, are the same whatever the number of workers, so
+    every output bit is too.
 
     The values and the gradients of ``a``, ``b`` and ``x`` are
     bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape`` and a
@@ -368,40 +496,70 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     a2, x2 = a.data.reshape(-1, k), x.data.reshape(-1, cols)
     total = a2.shape[0]
     step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
+    tiles = -(-total // step)
+    pool = _head_pool() if tiles > 1 else _SERIAL  # a head of one tile stays on one thread
+    tile_shape = (min(pool.workers, tiles), min(step, total))  # one tile per slot
     keep = _GRAD_ENABLED and any(t.requires_grad for t in (a, w, b, x))
-    buf = np.empty((total if keep else min(step, total), n))
+    buf = np.empty((total, n)) if keep else np.empty(tile_shape + (n,))
+    finite = np.empty(tile_shape + (n,), dtype=bool)
     out = np.empty((total, rows))
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        p = buf[lo:hi] if keep else buf[: hi - lo]
+
+    def forward(slot: int, j: int) -> None:
+        lo, hi = j * step, min(j * step + step, total)
+        p = buf[lo:hi] if keep else buf[slot, : hi - lo]
         np.matmul(a2[lo:hi], w.data, out=p)
-        _check_finite(p, "head_matvec (a @ w)")
+        _check_finite(p, "head_matvec (a @ w)", finite[slot, : hi - lo])
         p += b.data
-        _check_finite(p, "head_matvec (a @ w + b)")  # tanh would hide an overflow
+        # tanh would hide an overflow
+        _check_finite(p, "head_matvec (a @ w + b)", finite[slot, : hi - lo])
         np.tanh(p, out=p)
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
+
+    pool.run(forward, tiles)
     head_tracked = a.requires_grad or w.requires_grad or b.requires_grad
 
     def backward_fn(g: np.ndarray) -> None:  # taped only when ``keep``: buf is the head
-        t = buf.reshape(a.shape[:-1] + (n,))
-        if x.requires_grad:
-            _accumulate(x, np.einsum("...pq,...p->...q", t.reshape(g.shape + (cols,)), g))
+        g2 = g.reshape(-1, rows)
+        gx = np.empty((total, cols)) if x.requires_grad else None
+        gx_outer = np.empty(tile_shape + (rows, cols)) if head_tracked else None
+
+        def to_g_pre(slot: int, j: int) -> None:
+            # the entry runs once, so the head may turn into g_pre tile by tile
+            lo, hi = j * step, min(j * step + step, total)
+            tile = buf[lo:hi]
+            if gx is not None:
+                np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
+            if gx_outer is not None:
+                outer = gx_outer[slot, : hi - lo]
+                np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=outer)
+                np.multiply(tile, tile, out=tile)
+                np.subtract(1.0, tile, out=tile)
+                tile *= outer.reshape(hi - lo, n)
+
+        pool.run(to_g_pre, tiles)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape))
         if not head_tracked:
             return
-        # the entry runs once, so the head may turn into g_pre tile by tile
-        g2, scratch = g.reshape(-1, rows), np.empty((min(step, total), rows, cols))
-        for lo in range(0, total, step):
-            hi = min(lo + step, total)
-            gx = np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=scratch[: hi - lo])
-            tile = buf[lo:hi]
-            np.multiply(tile, tile, out=tile)
-            np.subtract(1.0, tile, out=tile)
-            tile *= gx.reshape(hi - lo, n)
-        _accumulate(b, _unbroadcast(t, b.shape))
-        if a.requires_grad:
-            _accumulate(a, np.matmul(t, w.data.T))
-        if w.requires_grad:
-            _accumulate(w, a2.T @ buf)
+        t = buf.reshape(a.shape[:-1] + (n,))
+        ga = np.empty(a.shape) if a.requires_grad else None
+        gw = np.empty(w.shape) if w.requires_grad else None
+        gb = np.empty(b.shape) if b.requires_grad else None
+
+        def weight_grads() -> None:
+            if gb is not None:
+                np.sum(buf, axis=0, out=gb)
+            if gw is not None:
+                np.matmul(a2.T, buf, out=gw)
+
+        # a's gradient and w's are gemms of equal size, so two threads can share them
+        calls = [weight_grads]
+        if ga is not None:
+            calls.append(lambda: np.matmul(t, w.data.T, out=ga))
+        pool.run(lambda slot, j: calls[j](), len(calls))
+        for tensor, grad in ((a, ga), (w, gw), (b, gb)):
+            if grad is not None:
+                _accumulate(tensor, grad)
 
     return _make(out.reshape(a.shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 

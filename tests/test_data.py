@@ -125,6 +125,22 @@ def test_adjacency_accepts_integer_valued_float_ids(tmp_path):
     assert adj[3, 1] == 0.5 and adj[1, 0] == 2.0
 
 
+def test_atomic_write_failure_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+
+    def chunks():
+        yield "new,"
+        raise ValueError("chunk failed")
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        D.atomic_write(str(path), chunks())
+    with pytest.raises(TypeError):  # a write that fails: not str or bytes
+        D.atomic_write(str(path), ["new,", 3])
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
 # ---------------------------------------------------------------------------
 # Windowing
 # ---------------------------------------------------------------------------

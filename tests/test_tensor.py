@@ -1,6 +1,14 @@
 """Unit tests for the reverse-mode tensor core."""
 
+import contextlib
+import os
+import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +223,37 @@ def run_head_matvec(arrays, tracked):
     return [out.data] + [t.grad for t in ts]
 
 
+@contextlib.contextmanager
+def head_workers(count):
+    """Run head_matvec's tiles on ``count`` workers, the calling thread among them."""
+    pool, saved = T._TilePool(count), T._HEAD_POOL
+    T._HEAD_POOL = pool
+    try:
+        yield
+    finally:
+        T._HEAD_POOL = saved
+        within(60, pool.shutdown)  # joins the workers
+
+
+def within(seconds, fn):
+    """``fn()`` run on a helper thread that must finish within ``seconds``."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # handed back to the test thread below
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
 @pytest.mark.parametrize("tracked", ["awbx", "x", None])
 def test_head_matvec_is_tile_invariant(monkeypatch, tracked):
     # 2 x 40 rows of a 12-wide head: tiles of 1, 3 and 32 rows all leave a partial last tile
@@ -223,14 +262,123 @@ def test_head_matvec_is_tile_invariant(monkeypatch, tracked):
     want = run_head_matvec(arrays, tracked)
     for tile_rows in (1, 3, 32):
         monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * tile_rows)
-        got = run_head_matvec(arrays, tracked)
+        by_workers = {}
+        for workers in (1, 2, 3):
+            with head_workers(workers):
+                by_workers[workers] = run_head_matvec(arrays, tracked)
+        got = by_workers[1]
         assert len(got) == len(want)
+        for workers in (2, 3):  # the same tiles and numpy calls, so the same bits
+            for name, g, ref in zip(["out", "a", "w", "b", "x"], by_workers[workers], got):
+                assert (g is None and ref is None) or np.array_equal(g, ref), (workers, name)
         for name, g, ref in zip(["out", "a", "w", "b", "x"], got, want):
             if ref is None:  # an untracked input
                 assert g is None, (tile_rows, name)
                 continue
             # BLAS may round a gemm of a few rows differently from a larger one
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), (tile_rows, name)
+
+
+def test_head_matvec_starts_its_workers_with_the_first_multi_tile_call(monkeypatch):
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    imported = subprocess.run(
+        [sys.executable, "-c", "import threading, graphrde.cli; print(threading.active_count())"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src},
+    )
+    assert imported.stdout.split() == ["1"], imported.stderr
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * 8)  # 8 rows per tile
+    arrays = [RNG.normal(size=(8, 5)), RNG.normal(size=(5, 12)), RNG.normal(size=12),
+              RNG.normal(size=(8, 3)), RNG.normal(size=(8, 4))]
+    with head_workers(3):
+        run_head_matvec(arrays, "awbx")  # one tile
+        assert not T._HEAD_POOL._threads
+        a, w, b, x, weights = arrays
+        run_head_matvec([np.vstack([a, a]), w, b, np.vstack([x, x]), np.vstack([weights] * 2)],
+                        "awbx")  # two tiles
+        assert [t.is_alive() for t in T._HEAD_POOL._threads] == [True, True]
+
+
+def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
+    # 6 rows of a 2-wide head in tiles of 2 rows, shared by 1, 2 and 3 workers; each check
+    # sleeps, so that every worker has woken and taken a tile before the first one is done
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 2 * 2)
+    check = T._check_finite
+
+    def slow_check(*args):
+        time.sleep(0.005)
+        check(*args)
+
+    monkeypatch.setattr(T, "_check_finite", slow_check)
+    x, zero_b = T.constant(np.ones((6, 1))), T.constant(np.zeros(2))
+
+    def a_rows(values):  # a 6 x 2 ``a``, zero outside the rows given
+        out = np.zeros((6, 2))
+        for row, value in values.items():
+            out[row] = value
+        return out
+
+    w, big_b = T.constant(np.full((2, 2), 1e307)), T.constant(np.full(2, 1.7e308))
+    cases = [  # head inputs, and the message of the first failing tile
+        ((T.constant(a_rows({5: 1e10})), w, zero_b), r"\(a @ w\)$"),
+        ((T.Tensor(a_rows({5: 1.0}), requires_grad=True), w, big_b), r"\(a @ w \+ b\)$"),
+        # tile 1 fails at the bias and tile 2 already at the gemm: tile 1's error wins
+        ((T.constant(a_rows({2: 1.0, 5: 1e10})), w, big_b), r"\(a @ w \+ b\)$"),
+    ]
+
+    def call(inputs):
+        # an overflow warning is an error here, so workers must run under this errstate too
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            return T.head_matvec(*inputs, x, 1)
+
+    for inputs, pattern in cases:
+        messages = {}
+        for workers in (1, 2, 3):
+            with head_workers(workers):
+                with pytest.raises(NonFiniteError) as err:
+                    within(60, lambda: call(inputs))
+                messages[workers] = str(err.value)
+                # the pool survives the error
+                finite = (T.constant(np.ones((6, 2))), T.constant(np.ones((2, 2))), zero_b)
+                out = within(60, lambda: call(finite))
+                assert np.array_equal(out.data, np.full((6, 2), np.tanh(2.0)))
+        assert messages[3] == messages[2] == messages[1]
+        assert re.search(pattern, messages[1]), messages[1]
+    assert T.tape_size() == 0
+
+
+def test_head_matvec_stays_bitwise_equal_under_thread_stress(monkeypatch):
+    # more workers than CPUs, a tile of 2 rows each and a thread switch at every chance
+    arrays = [RNG.normal(size=(4, 30, 5)), RNG.normal(size=(5, 12)), RNG.normal(size=12),
+              RNG.normal(size=(4, 30, 3)), RNG.normal(size=(4, 30, 4))]
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * 2)
+    # and one row whose gemm overflows, in tile 37 of 60
+    bad = [arr.copy() for arr in arrays]
+    bad[0][2, 15] = 1e200
+    bad[1] *= 1e200
+
+    def overflow():
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"\(a @ w\)$"):
+            run_head_matvec(bad, None)
+
+    with head_workers(1):
+        want = {tracked: run_head_matvec(arrays, tracked) for tracked in ("awbx", None)}
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 5.0
+    runs = 0
+    try:
+        sys.setswitchinterval(1e-6)
+        with head_workers(4):
+            while runs < 40 and time.monotonic() < deadline:
+                for tracked, ref in want.items():
+                    got = within(60, lambda: run_head_matvec(arrays, tracked))
+                    assert all(np.array_equal(g, r) for g, r in zip(got, ref)), (runs, tracked)
+                within(60, overflow)
+                runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs >= 2
 
 
 def test_head_matvec_holds_no_head_sized_temporaries():
@@ -248,14 +396,16 @@ def test_head_matvec_holds_no_head_sized_temporaries():
         finally:
             tracemalloc.stop()
 
-    untracked = [T.constant(arr) for arr in arrays]
-    with T.no_grad():
-        assert traced_peak(lambda: T.head_matvec(*untracked, cols)) < 4 * 2**20
+    for workers in (1, 2):
+        with head_workers(workers):
+            untracked = [T.constant(arr) for arr in arrays]
+            with T.no_grad():
+                assert traced_peak(lambda: T.head_matvec(*untracked, cols)) < 4 * 2**20
 
-    a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
-    loss = T.sum_all(T.head_matvec(a, w, b, x, cols))
-    assert traced_peak(lambda: T.backward(loss)) < head_bytes / 2
-    assert all(t.grad is not None for t in (a, w, b, x))
+            a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+            loss = T.sum_all(T.head_matvec(a, w, b, x, cols))
+            assert traced_peak(lambda: T.backward(loss)) < head_bytes / 2
+            assert all(t.grad is not None for t in (a, w, b, x))
 
 
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
