@@ -22,6 +22,7 @@ import graphrde
 from graphrde import cli
 from graphrde import data as D
 from graphrde.config import load_config
+from graphrde.model import VARIANTS
 
 
 def main() -> int:
@@ -30,9 +31,7 @@ def main() -> int:
     parser.add_argument("--nodes", type=int, default=8)
     parser.add_argument("--timesteps", type=int, default=600)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--variant", default="full", choices=("full", "temporal_only", "spatial_only")
-    )
+    parser.add_argument("--variant", default="full", choices=VARIANTS)
     args = parser.parse_args()
 
     data_dir = os.path.join(args.out, "data")

@@ -32,7 +32,6 @@ from .errors import (
     ContractError,
     DataError,
     DimensionError,
-    DomainError,
     GraphRDEError,
     NumericError,
     UsageError,
@@ -448,7 +447,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, DomainError, DimensionError, ContractError) as exc:
+    except (DataError, DimensionError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -33,7 +33,6 @@ class DatasetSpec:
 
     values_path: str
     adjacency_path: str | None = None
-    channels: int = 1
     name: str = ""
 
 
@@ -332,7 +331,8 @@ def drop_observations(windows: WindowSet, rate: float, seed: int) -> WindowSet:
     """Independently hide input observations with probability ``rate``.
 
     The first and last input timestep of every node stay observed (the
-    interpolant needs both ends); targets are never masked.
+    interpolant needs both ends); targets are never masked.  The result
+    shares ``inputs``, ``targets`` and ``offsets`` with ``windows``.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"drop rate must be in [0, 1), got {rate}")
@@ -341,12 +341,7 @@ def drop_observations(windows: WindowSet, rate: float, seed: int) -> WindowSet:
         rng = np.random.default_rng(seed)
         interior = rng.random(size=masks[:, :, 1:-1].shape) >= rate
         masks[:, :, 1:-1] = interior
-    return WindowSet(
-        inputs=windows.inputs.copy(),
-        masks=masks,
-        targets=windows.targets.copy(),
-        offsets=windows.offsets.copy(),
-    )
+    return WindowSet(windows.inputs, masks, windows.targets, windows.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +427,6 @@ def synth(nodes: int, timesteps: int, seed: int, out_dir: str) -> tuple[DatasetS
     spec = DatasetSpec(
         values_path=values_path,
         adjacency_path=adj_path,
-        channels=1,
         name=f"synth-ring-{nodes}x{timesteps}",
     )
     return spec, info

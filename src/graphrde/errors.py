@@ -3,7 +3,7 @@
 Exit-code mapping used by the command line front end:
 
 * :class:`UsageError` / :class:`ConfigError`  -> exit code 1 (bad invocation)
-* :class:`DataError` / :class:`DomainError`   -> exit code 2 (bad data)
+* :class:`DataError`                          -> exit code 2 (bad data)
 * :class:`NumericError` and subclasses        -> exit code 3 (numeric failure)
 """
 
@@ -24,10 +24,6 @@ class ConfigError(GraphRDEError):
 
 class DataError(GraphRDEError):
     """Malformed or insufficient input data."""
-
-
-class DomainError(GraphRDEError):
-    """Evaluation requested outside the domain of an interpolant."""
 
 
 class DimensionError(GraphRDEError):

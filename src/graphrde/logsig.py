@@ -36,6 +36,8 @@ __all__ = [
     "window_logsig",
 ]
 
+LIE_TOL = 1e-8  # ``lyndon_project``'s bound on a Lie element's scalar and residual
+
 
 @dataclass
 class TruncatedTensor:
@@ -253,19 +255,19 @@ class LyndonBasis:
         return arr
 
 
-def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis, tol: float = 1e-8) -> np.ndarray:
+def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis) -> np.ndarray:
     """Coordinates (*cells, L) of Lie elements in the Lyndon basis.
 
     Exploits triangularity: sweeping words in (length, lex) order, the
     residual coefficient at each word is that word's coordinate.  A
-    residual above ``tol`` after the sweep means the input was not a Lie
+    residual above ``LIE_TOL`` after the sweep means the input was not a Lie
     element.
     """
     if lie.dim != basis.dim or lie.depth != basis.depth:
         raise ContractError(
             f"element ({lie.dim}, {lie.depth}) does not match basis ({basis.dim}, {basis.depth})"
         )
-    if abs(lie.scalar) > tol:
+    if abs(lie.scalar) > LIE_TOL:
         raise ContractError(f"Lie element must have zero level-0 scalar, got {lie.scalar}")
     for k, lvl in enumerate(lie.levels, start=1):
         if lvl.ndim < k or lvl.shape[lvl.ndim - k :] != (lie.dim,) * k:
@@ -283,7 +285,7 @@ def lyndon_project(lie: TruncatedTensor, basis: LyndonBasis, tol: float = 1e-8) 
         c = c[(...,) + (None,) * len(word)]
         np.subtract(lvl, c * basis.expansions[i], out=lvl, where=c != 0.0)
     worst = max(float(np.max(np.abs(l))) for l in residual)
-    if worst > tol:
+    if worst > LIE_TOL:
         raise ContractError(f"input is not a Lie element: projection residual {worst:.3e}")
     return coords
 

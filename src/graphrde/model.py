@@ -374,12 +374,7 @@ def readout(state: list[Tensor], params: ParamStore, config: ModelConfig) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(
-    path: str,
-    params: ParamStore,
-    extra: dict | None = None,
-    arrays: dict[str, np.ndarray] | None = None,
-) -> None:
+def save_checkpoint(path: str, params: ParamStore, extra: dict | None = None) -> None:
     """Write a self-describing binary checkpoint.
 
     Layout: 8-byte magic, little-endian uint64 header length, JSON
@@ -387,7 +382,7 @@ def save_checkpoint(
     ``extra`` metadata), then raw little-endian float64 blobs at the
     manifest offsets (relative to the end of the header).
     """
-    named = arrays if arrays is not None else params.state_arrays()
+    named = params.state_arrays()
     if params.propagation is not None:
         named = {**named, "const/propagation": params.propagation.data}
     manifest = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError
 
 
 @dataclass
@@ -181,28 +181,6 @@ def fit_spline(series: RawSeries, cells: slice | None = None) -> SplinePath:
     )
 
 
-def _evaluate(path: SplinePath, ts: np.ndarray) -> np.ndarray:
-    """Path values (*cells, len(ts), D + 1) at in-domain times ``ts``."""
-    knots, coeffs, counts = path.knots, path.coeffs, path.counts
-    # searchsorted(side="right") - 1 per cell, clipped to the cell's real intervals
-    i = np.clip((knots[..., None, :] <= ts[:, None]).sum(axis=-1) - 1, 0, counts[..., None] - 2)
-    dt = (ts - np.take_along_axis(knots, i, axis=-1))[..., None]
-    a, b, c, d = np.moveaxis(np.take_along_axis(coeffs, i[..., None, None], axis=-3), -1, 0)
-    value = a + dt * (b + dt * (c + dt * d))
-    time_channel = np.broadcast_to((ts / (path.steps - 1))[:, None], value.shape[:-1] + (1,))
-    return np.concatenate([value, time_channel], axis=-1)
-
-
-def eval_path(path: SplinePath, t: float) -> np.ndarray:
-    """Path value (*cells, D + 1) at time t: D spline channels plus time.
-
-    No extrapolation: t outside [0, steps - 1] is a domain error.
-    """
-    if not (0 <= t <= path.steps - 1):
-        raise DomainError(f"t={t} outside path domain [0, {path.steps - 1}]")
-    return _evaluate(path, np.array([t], dtype=np.float64))[..., 0, :]
-
-
 def sample_chords(path: SplinePath) -> np.ndarray:
     """Path values (*cells, steps, D + 1) at every timestep.
 
@@ -210,4 +188,12 @@ def sample_chords(path: SplinePath) -> np.ndarray:
     timestep, that approximates the path; a window's polyline is a slice
     of them.
     """
-    return _evaluate(path, np.arange(path.steps, dtype=np.float64))
+    knots, coeffs, counts = path.knots, path.coeffs, path.counts
+    ts = np.arange(path.steps, dtype=np.float64)
+    # searchsorted(side="right") - 1 per cell, clipped to the cell's real intervals
+    i = np.clip((knots[..., None, :] <= ts[:, None]).sum(axis=-1) - 1, 0, counts[..., None] - 2)
+    dt = (ts - np.take_along_axis(knots, i, axis=-1))[..., None]
+    a, b, c, d = np.moveaxis(np.take_along_axis(coeffs, i[..., None, None], axis=-3), -1, 0)
+    value = a + dt * (b + dt * (c + dt * d))
+    time_channel = np.broadcast_to((ts / (path.steps - 1))[:, None], value.shape[:-1] + (1,))
+    return np.concatenate([value, time_channel], axis=-1)

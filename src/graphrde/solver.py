@@ -21,6 +21,7 @@ from .errors import BlowupError, ConfigError, NonFiniteError
 from .tensor import Tensor
 
 METHODS = ("euler", "rk4")
+CONVERGENCE_EXPONENTS = range(2, 7)  # ``convergence_order`` steps by 2^-k for these k
 
 RhsFn = Callable[[list[Tensor]], list[Tensor]]
 
@@ -88,15 +89,15 @@ def integrate(
     return state
 
 
-def convergence_order(method: str, steps_exponents: range = range(2, 7)) -> float:
+def convergence_order(method: str) -> float:
     """Measured order of accuracy on the linear test problem z' = -z.
 
     Integrates over [0, 1] from z(0) = 1 at step sizes 2^-k for k in
-    ``steps_exponents`` and returns the slope of log(error) against
+    ``CONVERGENCE_EXPONENTS`` and returns the slope of log(error) against
     log(h); Euler should measure close to 1, RK4 close to 4.
     """
     hs, errs = [], []
-    for k in steps_exponents:
+    for k in CONVERGENCE_EXPONENTS:
         h = 2.0**-k
         n = round(1.0 / h)
         state = [T.constant(1.0)]

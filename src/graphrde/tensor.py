@@ -36,7 +36,6 @@ __all__ = [
     "Tensor",
     "backward",
     "no_grad",
-    "grad_enabled",
     "tape_size",
     "clear_tape",
     "add",
@@ -158,13 +157,15 @@ class _TilePool:
         self._threads.clear()
 
 
-_SERIAL = _TilePool(1)
-# Made by the first ``head_matvec`` call with more than one tile, never at import.
+# Made by the first ``head_matvec`` call, never at import.
 _HEAD_POOL: _TilePool | None = None
 
 
 def _head_pool() -> _TilePool:
     """One worker per CPU this process may run on, the caller among them.
+
+    Every ``head_matvec`` call runs its tiles on it; a call of one tile runs
+    on the caller alone, since ``_TilePool.run`` starts no thread for it.
 
     When the inherited BLAS setting is not one thread (``OPENBLAS_NUM_THREADS``,
     or else ``OMP_NUM_THREADS``, unset or above 1), each gemm already spreads
@@ -205,9 +206,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", tracked" if self.requires_grad else ""
@@ -250,10 +248,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def tape_size() -> int:
@@ -497,7 +491,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     total = a2.shape[0]
     step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
     tiles = -(-total // step)
-    pool = _head_pool() if tiles > 1 else _SERIAL  # a head of one tile stays on one thread
+    pool = _head_pool()
     tile_shape = (min(pool.workers, tiles), min(step, total))  # one tile per slot
     keep = _GRAD_ENABLED and any(t.requires_grad for t in (a, w, b, x))
     buf = np.empty((total, n)) if keep else np.empty(tile_shape + (n,))
@@ -552,11 +546,14 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
             if gw is not None:
                 np.matmul(a2.T, buf, out=gw)
 
-        # a's gradient and w's are gemms of equal size, so two threads can share them
         calls = [weight_grads]
         if ga is not None:
             calls.append(lambda: np.matmul(t, w.data.T, out=ga))
-        pool.run(lambda slot, j: calls[j](), len(calls))
+        if tiles > 1:  # a's gradient and w's are gemms of equal size, so two threads can share them
+            pool.run(lambda slot, j: calls[j](), len(calls))
+        else:  # a head of one tile stays on one thread
+            for call in calls:
+                call()
         for tensor, grad in ((a, ga), (w, gw), (b, gb)):
             if grad is not None:
                 _accumulate(tensor, grad)

@@ -31,6 +31,10 @@ MAPE_EPS = 1e-3  # |target| below this is excluded from MAPE
 # spread numpy's per-call cost, few enough to keep the chunk's spline and
 # signature intermediates to a few MB at any dataset size.
 CHUNK_CELLS = 1024
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+GRADCHECK_BATCH = 2  # windows in ``gradcheck``'s random batch
+GRADCHECK_EPS = 1e-5  # its central-difference step
 
 
 @dataclass
@@ -121,26 +125,17 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 class Adam:
     """Adam with coupled L2 weight decay (decay added to the gradient)."""
 
-    def __init__(
-        self,
-        params: list[tuple[str, Tensor]],
-        lr: float,
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
         self.v = {name: np.zeros_like(p.data) for name, p in params}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for name, p in self.params:
             if p.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient; run backward first")
@@ -149,7 +144,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1**self.t)
             v_hat = self.v[name] / (1 - b2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +369,7 @@ class GradCheckReport:
         return self.max_rel_err < 1e-4
 
 
-def gradcheck(
-    config: ModelConfig,
-    solve: SolveSpec,
-    seed: int = 0,
-    batch: int = 2,
-    eps: float = 1e-5,
-) -> GradCheckReport:
+def gradcheck(config: ModelConfig, solve: SolveSpec, seed: int = 0) -> GradCheckReport:
     """Compare every parameter gradient against central differences.
 
     Builds a small random batch through the real spline/log-signature
@@ -391,7 +380,7 @@ def gradcheck(
     """
     rng = np.random.default_rng(seed)
     v, d = config.num_nodes, config.in_channels
-    values = rng.normal(size=(v, config.input_len + config.horizon + batch - 1, d))
+    values = rng.normal(size=(v, config.input_len + config.horizon + GRADCHECK_BATCH - 1, d))
     propagation = None
     if config.needs_adjacency:
         propagation = normalized_adjacency(rng.uniform(size=(v, v)), config.gnn_kind)
@@ -399,7 +388,7 @@ def gradcheck(
     normalizer = Normalizer(mean=np.zeros(d), std=np.ones(d))
     prepared = prepare_split(windows, normalizer, config)
     params = ParamStore(config, seed=seed + 1, propagation=propagation)
-    idx = np.arange(min(batch, len(prepared)))
+    idx = np.arange(min(GRADCHECK_BATCH, len(prepared)))
     target = T.constant(prepared.targets_norm[idx])
 
     params.zero_grad()
@@ -418,12 +407,12 @@ def gradcheck(
         gflat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRADCHECK_EPS
             up = loss_value()
-            flat[i] = orig - eps
+            flat[i] = orig - GRADCHECK_EPS
             down = loss_value()
             flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
+            fd = (up - down) / (2.0 * GRADCHECK_EPS)
             rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
             checked += 1
             if rel > worst:

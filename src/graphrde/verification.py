@@ -25,6 +25,9 @@ from .model import GNN_KINDS, VARIANTS, ModelConfig
 from .solver import METHODS, SolveSpec, convergence_order
 from .training import gradcheck
 
+CHEN_PATHS = 100  # random polylines in ``suite_logsig``'s concatenation check
+LOGSIG_SEED = 0  # the seed that draws them
+
 
 @dataclass
 class CheckResult:
@@ -46,9 +49,9 @@ def _lyndon_by_rotation(dim: int, max_len: int) -> list[tuple[int, ...]]:
     return words
 
 
-def suite_logsig(chen_paths: int = 100, seed: int = 0) -> list[CheckResult]:
+def suite_logsig() -> list[CheckResult]:
     results = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LOGSIG_SEED)
 
     # basis sizes against brute-force enumeration
     expected_sizes = {(2, 2): 3, (2, 3): 5, (3, 2): 6, (2, 4): 8}
@@ -67,7 +70,7 @@ def suite_logsig(chen_paths: int = 100, seed: int = 0) -> list[CheckResult]:
 
     # concatenation identity on random polylines
     worst = 0.0
-    for i in range(chen_paths):
+    for i in range(CHEN_PATHS):
         d = 2 if i % 2 == 0 else 3
         a = rng.normal(size=(4, d))
         b = np.concatenate([a[-1:], rng.normal(size=(3, d))])
@@ -77,7 +80,7 @@ def suite_logsig(chen_paths: int = 100, seed: int = 0) -> list[CheckResult]:
             worst = max(worst, float(np.abs(lw - lg).max()))
     results.append(
         CheckResult(
-            f"concatenation identity ({chen_paths} polylines)",
+            f"concatenation identity ({CHEN_PATHS} polylines)",
             worst < 1e-9,
             f"max deviation {worst:.2e} (tol 1e-9)",
         )

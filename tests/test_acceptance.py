@@ -7,6 +7,7 @@ one cached set of training runs via the session fixture below.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +174,8 @@ def test_criterion_6_ablation_ordering(synth_task):
 def test_criterion_9_determinism(synth_task):
     first = synth_task["run"]("full")
     rerun = synth_task["run"]("full_rerun")  # identical config, fresh directory
-    a = open(os.path.join(first["out_dir"], "history.csv"), "rb").read()
-    b = open(os.path.join(rerun["out_dir"], "history.csv"), "rb").read()
+    a = Path(first["out_dir"], "history.csv").read_bytes()
+    b = Path(rerun["out_dir"], "history.csv").read_bytes()
     ok = a == b and len(a) > 0
     _report(
         9,
@@ -219,7 +220,7 @@ def test_criterion_8_fullscale_preset_documented():
     import graphrde
 
     preset = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
-    overrides = parse_config_text(open(preset).read())
+    overrides = parse_config_text(Path(preset).read_text())
     expected = {
         "num_layers": 2,
         "embed_dim": 8,

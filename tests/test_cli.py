@@ -5,6 +5,7 @@ import json
 import math
 import os
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,5 +504,5 @@ def test_preset_files_are_bundled():
         "pemsd7m.cfg", "pemsd8.cfg", "synth.cfg",
     ]
     for name in names:
-        overrides = parse_config_text(open(os.path.join(preset_dir, name)).read())
+        overrides = parse_config_text(Path(preset_dir, name).read_text())
         RunConfig(**overrides).validate()  # every preset parses and validates

@@ -499,7 +499,8 @@ def test_load_checkpoint_keeps_the_file_arrays_and_draws_nothing(tmp_path, monke
     with pytest.raises(DataError, match=r"'out_b' has shape \(3,\), expected \(2,\)"):
         ParamStore(cfg, arrays={**arrays, "out_b": np.zeros(3)})
     nan = tmp_path / "nan.ckpt"
-    save_checkpoint(str(nan), ps, arrays={**arrays, "out_b": np.full(2, np.nan)})
+    ps["out_b"].data = np.full(2, np.nan)  # forged: a Tensor built from a NaN would refuse it
+    save_checkpoint(str(nan), ps)
     with pytest.raises(DataError, match="non-finite"):
         load_checkpoint(str(nan))
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrde.errors import DataError, DomainError
-from graphrde.paths import RawSeries, eval_path, fit_spline, sample_chords
+from graphrde.errors import DataError
+from graphrde.paths import RawSeries, fit_spline, sample_chords
 from oracles import natural_spline_eval
 
 
@@ -37,33 +37,33 @@ def random_knots(rng, n, max_gap):
     return np.concatenate([[0], np.cumsum(rng.integers(1, max_gap + 1, size=n - 1))])
 
 
+def oracle_values(knots, vals):
+    """The M-form natural spline through (knots, vals) at every timestep."""
+    return [natural_spline_eval(np.asarray(knots, float), vals, float(t))
+            for t in range(knots[-1] + 1)]
+
+
 def test_hat_function_midpoint_value():
-    # Natural spline through (0,0), (1,1), (2,0); frozen midpoint value
+    # Natural spline through (0,0), (2,1), (4,0); frozen midpoint value
     # cross-checked against the dense second-derivative formulation.
-    series = make_series([[0.0, 1.0, 0.0]])
-    path = fit_spline(series)
-    got = eval_path(path, 0.5)[0, 0]
-    assert abs(got - 0.6875) < 1e-12
-    oracle = natural_spline_eval([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], 0.5)
-    assert abs(got - oracle) < 1e-12
+    path = fit_spline(masked_series([0, 2, 4], [0.0, 1.0, 0.0]))
+    got = sample_chords(path)[0, :, 0]
+    assert abs(got[1] - 0.6875) < 1e-12
+    assert np.allclose(got, oracle_values([0, 2, 4], [0.0, 1.0, 0.0]), rtol=0, atol=1e-12)
 
 
 def test_two_point_spline_is_a_straight_line():
-    series = make_series([[1.0, 3.0]])
-    path = fit_spline(series)
-    for t in np.linspace(0.0, 1.0, 7):
-        assert abs(eval_path(path, float(t))[0, 0] - (1.0 + 2.0 * t)) < 1e-12
+    path = fit_spline(masked_series([0, 6], [1.0, 13.0]))
+    assert np.allclose(sample_chords(path)[0, :, 0], 1.0 + 2.0 * np.arange(7), rtol=0, atol=1e-12)
 
 
 def test_spline_matches_m_form_oracle_everywhere():
+    # at every timestep, observed or masked
     rng = np.random.default_rng(7)
     knots = random_knots(rng, 9, 3)
     vals = rng.normal(size=9)
-    path = fit_spline(masked_series(knots, vals))
-    for t in np.linspace(knots[0], knots[-1], 40):
-        got = eval_path(path, float(t))[0, 0]
-        want = natural_spline_eval(knots.astype(float), vals, float(t))
-        assert abs(got - want) < 1e-9
+    got = sample_chords(fit_spline(masked_series(knots, vals)))[0, :, 0]
+    assert np.allclose(got, oracle_values(knots, vals), rtol=0, atol=1e-9)
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
@@ -72,11 +72,10 @@ def test_spline_interpolates_observed_values(n, seed):
     rng = np.random.default_rng(seed)
     knots = random_knots(rng, n, 4)
     vals = rng.normal(size=(n, 2)) * 5.0
-    path = fit_spline(masked_series(knots, vals[:, 0]))
-    path2 = fit_spline(masked_series(knots, vals))
-    for i, t in enumerate(knots):
-        assert abs(eval_path(path, float(t))[0, 0] - vals[i, 0]) < 1e-9
-        assert np.allclose(eval_path(path2, float(t))[0, :2], vals[i], atol=1e-9)
+    one = sample_chords(fit_spline(masked_series(knots, vals[:, 0])))
+    two = sample_chords(fit_spline(masked_series(knots, vals)))
+    assert np.allclose(one[0, knots, 0], vals[:, 0], rtol=0, atol=1e-9)
+    assert np.allclose(two[0, knots, :2], vals, rtol=0, atol=1e-9)
 
 
 def test_c2_continuity_and_natural_ends():
@@ -104,14 +103,13 @@ def test_masked_points_are_skipped_not_interpolated():
     # line between the endpoints, ignoring the outlier
     series = make_series([[0.0, 100.0, 2.0]], mask=[[True, False, True]])
     path = fit_spline(series)
-    assert abs(eval_path(path, 1.0)[0, 0] - 1.0) < 1e-12
+    assert abs(sample_chords(path)[0, 1, 0] - 1.0) < 1e-12
 
 
 def test_time_channel_is_exact_identity_rescaled():
-    path = fit_spline(masked_series([0, 2, 6], [1.0, 2.0, 0.5]))
-    for t, want in [(0.0, 0.0), (2.0, 2.0 / 6.0), (6.0, 1.0)]:
-        assert abs(eval_path(path, t)[0, -1] - want) < 1e-15
-    samples = sample_chords(path)
+    samples = sample_chords(fit_spline(masked_series([0, 2, 6], [1.0, 2.0, 0.5])))
+    for t, want in [(0, 0.0), (2, 2.0 / 6.0), (6, 1.0)]:
+        assert abs(samples[0, t, -1] - want) < 1e-15
     assert np.all(np.diff(samples[0, :, -1]) > 0)
 
 
@@ -122,16 +120,6 @@ def test_sample_chords_count_endpoints_and_spacing():
     assert pts.shape == (2, 4, 2)
     assert np.array_equal(pts[:, :, -1], np.broadcast_to(np.arange(4) / 3.0, (2, 4)))
     assert np.allclose(pts[:, :, 0], [[0.0, 1.0, 0.0, 2.0], [3.0, 1.0, 4.0, 1.0]], atol=1e-12)
-    for t in range(4):
-        assert np.array_equal(pts[:, t], eval_path(path, float(t)))
-
-
-def test_domain_errors():
-    path = fit_spline(make_series([[0.0, 1.0]]))
-    with pytest.raises(DomainError):
-        eval_path(path, -0.1)
-    with pytest.raises(DomainError):
-        eval_path(path, 1.1)
 
 
 def test_data_errors_name_the_offending_node():
@@ -152,6 +140,6 @@ def test_data_errors_name_the_offending_node():
 def test_irregular_times_supported():
     knots = np.array([0, 3, 17, 20])
     vals = np.array([0.0, 1.0, -1.0, 0.5])
-    path = fit_spline(masked_series(knots, vals))
-    for i, t in enumerate(knots):
-        assert abs(eval_path(path, float(t))[0, 0] - vals[i]) < 1e-10
+    got = sample_chords(fit_spline(masked_series(knots, vals)))[0, :, 0]
+    assert np.allclose(got[knots], vals, rtol=0, atol=1e-10)
+    assert np.allclose(got, oracle_values(knots, vals), rtol=0, atol=1e-9)

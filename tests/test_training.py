@@ -1,5 +1,7 @@
 """Loss, optimizer, metrics, baseline, and the fit loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,7 +300,7 @@ def test_history_file_round_trips(tmp_path):
     path = str(tmp_path / "history.csv")
     history = [(0, 1.0 / 3.0, 2.0 / 7.0), (1, 0.25, np.pi)]
     TR.write_history(path, history)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "epoch,train_loss,val_mae"
     for row, line in zip(history, lines[1:]):
         cells = line.split(",")
