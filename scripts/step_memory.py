@@ -36,11 +36,12 @@ from graphrde.config import load_config
 from graphrde.model import ParamStore
 
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
-# Estimated peak of one step: an upper line over the measured peaks (0.72,
-# 1.37 and 2.69 GB at batch 1, 2 and 4 on a 2-CPU machine with numpy 2.4 and
-# two head workers). A batch is skipped unless MemAvailable exceeds its
-# estimate by SPARE_MB.
-BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 670, 1000
+# Estimated peak of one step: an upper line over the measured peaks on a
+# 2-CPU machine with numpy 2.4: 244, 444, 803 and 1586 MB at batch 1, 2, 4
+# and 8 with two head workers (OPENBLAS_NUM_THREADS=1), and 250, 439, 821
+# and 1551 MB with one head worker and threaded BLAS. A batch is skipped
+# unless MemAvailable exceeds its estimate by SPARE_MB.
+BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 200, 1000
 
 
 def estimate_mb(batch: int) -> int:

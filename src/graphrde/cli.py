@@ -83,9 +83,9 @@ def _apply_stored_drop(windows: D.WindowSet, extra: dict, which: str) -> D.Windo
     ranges = extra.get("split_offsets", {})
     masks = windows.masks.copy()
     for name in ranges if which == "all" else [which]:
-        lo, hi = ranges[name]
-        keep = (windows.offsets >= lo) & (windows.offsets < hi)
-        if keep.any():
+        # offsets rise strictly, so a stored range is a slice: a view, not a copy
+        keep = slice(*np.searchsorted(windows.offsets, ranges[name]))
+        if keep.start < keep.stop:
             dropped = D.drop_observations(windows.take(keep), drop["rate"], drop["seeds"][name])
             masks[keep] = dropped.masks
     return D.WindowSet(windows.inputs, masks, windows.targets, windows.offsets)

@@ -37,24 +37,18 @@ __all__ = [
     "backward",
     "no_grad",
     "tape_size",
-    "clear_tape",
     "add",
     "sub",
-    "mul",
     "scale",
-    "neg",
     "matmul",
     "head_matvec",
     "relu",
-    "tanh",
     "absolute",
     "softmax_rows",
     "reshape",
     "transpose_last2",
-    "sum_all",
     "mean_all",
     "constant",
-    "zeros",
     "eye",
 ]
 
@@ -220,7 +214,7 @@ class Tensor:
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            return mul(self, other)
+            raise ContractError("tensor*tensor products are not supported")
         return scale(self, float(other))
 
     def __rmul__(self, other):
@@ -230,9 +224,6 @@ class Tensor:
         if isinstance(other, Tensor):
             raise ContractError("tensor/tensor division is not supported")
         return scale(self, 1.0 / float(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
@@ -252,10 +243,6 @@ def no_grad():
 
 def tape_size() -> int:
     return len(_TAPE)
-
-
-def clear_tape() -> None:
-    _TAPE.clear()
 
 
 def _as_tensor(x) -> Tensor:
@@ -374,18 +361,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn, "sub")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "mul")
-    data = a.data * b.data
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward_fn, "mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -397,10 +372,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _accumulate(a, g * c)
 
     return _make(data, (a,), backward_fn, "scale")
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +419,16 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     The forward runs over tiles of head rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
     gemm, both finiteness checks, the bias, the tanh and the contraction
-    each pass over a tile while it is in cache.  A taped call writes the
-    tiles into the head it keeps for backward; an untaped one (``no_grad``
-    or no tracked input) gives each worker one tile buffer and never holds
-    a head.  The closure keeps only the inputs and the tanh head.  Its
-    backward takes ``x``'s gradient from each head tile and then overwrites
-    the tile with ``g_pre = (g ⊗ x) * (1 - t*t)``, which the ``a``, ``b`` and
-    ``w`` gradients read, so no head-sized array is allocated after the
-    forward.
+    each pass over a tile while it is in cache.  Each worker has one tile
+    buffer, taped or not, so no call holds a head from its forward to its
+    backward: the closure keeps only the inputs.  The backward recomputes
+    the head tile by tile with the forward's gemm, bias and tanh calls on
+    the same arrays, so every bit is the forward's, and without its
+    finiteness checks, which those arrays already passed.  It takes ``x``'s
+    gradient from each tile and then overwrites the tile with
+    ``g_pre = (g ⊗ x) * (1 - t*t)``.  When ``a``, ``w`` or ``b`` is tracked,
+    the tiles land in one head-sized buffer, which their gradients read;
+    otherwise each worker reuses one tile buffer.
 
     A call with more than one tile shares its tiles, in order, among one
     worker thread per CPU, the caller among them (see ``_head_pool``): a
@@ -493,14 +466,13 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     tiles = -(-total // step)
     pool = _head_pool()
     tile_shape = (min(pool.workers, tiles), min(step, total))  # one tile per slot
-    keep = _GRAD_ENABLED and any(t.requires_grad for t in (a, w, b, x))
-    buf = np.empty((total, n)) if keep else np.empty(tile_shape + (n,))
+    buf = np.empty(tile_shape + (n,))
     finite = np.empty(tile_shape + (n,), dtype=bool)
     out = np.empty((total, rows))
 
     def forward(slot: int, j: int) -> None:
         lo, hi = j * step, min(j * step + step, total)
-        p = buf[lo:hi] if keep else buf[slot, : hi - lo]
+        p = buf[slot, : hi - lo]
         np.matmul(a2[lo:hi], w.data, out=p)
         _check_finite(p, "head_matvec (a @ w)", finite[slot, : hi - lo])
         p += b.data
@@ -512,15 +484,20 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     pool.run(forward, tiles)
     head_tracked = a.requires_grad or w.requires_grad or b.requires_grad
 
-    def backward_fn(g: np.ndarray) -> None:  # taped only when ``keep``: buf is the head
+    def backward_fn(g: np.ndarray) -> None:
         g2 = g.reshape(-1, rows)
         gx = np.empty((total, cols)) if x.requires_grad else None
         gx_outer = np.empty(tile_shape + (rows, cols)) if head_tracked else None
+        # the head's gradient reads every g_pre row at once; x's needs one tile at a time
+        head = np.empty((total, n)) if head_tracked else np.empty(tile_shape + (n,))
 
         def to_g_pre(slot: int, j: int) -> None:
-            # the entry runs once, so the head may turn into g_pre tile by tile
+            # the forward's calls on the arrays it checked, then g_pre in place of the tile
             lo, hi = j * step, min(j * step + step, total)
-            tile = buf[lo:hi]
+            tile = head[lo:hi] if head_tracked else head[slot, : hi - lo]
+            np.matmul(a2[lo:hi], w.data, out=tile)
+            tile += b.data
+            np.tanh(tile, out=tile)
             if gx is not None:
                 np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
             if gx_outer is not None:
@@ -535,16 +512,16 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
             _accumulate(x, gx.reshape(x.shape))
         if not head_tracked:
             return
-        t = buf.reshape(a.shape[:-1] + (n,))
+        t = head.reshape(a.shape[:-1] + (n,))
         ga = np.empty(a.shape) if a.requires_grad else None
         gw = np.empty(w.shape) if w.requires_grad else None
         gb = np.empty(b.shape) if b.requires_grad else None
 
         def weight_grads() -> None:
             if gb is not None:
-                np.sum(buf, axis=0, out=gb)
+                np.sum(head, axis=0, out=gb)
             if gw is not None:
-                np.matmul(a2.T, buf, out=gw)
+                np.matmul(a2.T, head, out=gw)
 
         calls = [weight_grads]
         if ga is not None:
@@ -587,16 +564,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(a, g * mask)
 
     return _make(data, (a,), backward_fn, "relu")
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), backward_fn, "tanh")
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -643,16 +610,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(data, (a,), backward_fn, "reshape")
 
 
-def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.asarray(a.data.sum())
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _make(data, (a,), backward_fn, "sum_all")
-
-
 def mean_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
@@ -673,10 +630,6 @@ def mean_all(a: Tensor) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))
 
 
 def eye(n: int) -> Tensor:

@@ -10,7 +10,9 @@ bit; and the unfused field heads at the end of this file, which tape
 each head as separate ops and rebuild the graph operator in every
 right-hand-side evaluation, the reference the fused heads and the
 once-per-forward operator must reproduce: predictions bit for bit,
-gradients bit for bit or, where the sum order differs, to rounding.
+gradients bit for bit or, where the sum order differs, to rounding.  The
+tape ops that only those heads and the tests use (``tanh``, ``mul``,
+``neg``, ``sum_all``, ``matvec``) live beside them, on the library's tape.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
-from graphrde.tensor import _accumulate, _as_tensor, _make
+from graphrde.tensor import _accumulate, _as_tensor, _check_broadcast, _make, _unbroadcast
 
 
 def finite_difference_grad(fn, arrays, eps: float = 1e-5):
@@ -320,8 +322,49 @@ def cell_window_logsig(
 
 
 # ---------------------------------------------------------------------------
-# Unfused field heads: matmul, add, tanh, reshape and matvec taped one by one
+# Tape ops only the tests use, and the unfused field heads built from them
 # ---------------------------------------------------------------------------
+
+
+def clear_tape():
+    """Drop a tape that no backward will consume."""
+    T._TAPE.clear()
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_broadcast(a.shape, b.shape, "mul")
+    data = a.data * b.data
+
+    def backward_fn(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+
+    return _make(data, (a, b), backward_fn, "mul")
+
+
+def neg(a):
+    return T.scale(a, -1.0)
+
+
+def tanh(a):
+    a = _as_tensor(a)
+    data = np.tanh(a.data)
+
+    def backward_fn(g):
+        _accumulate(a, g * (1.0 - data * data))
+
+    return _make(data, (a,), backward_fn, "tanh")
+
+
+def sum_all(a):
+    a = _as_tensor(a)
+    data = np.asarray(a.data.sum())
+
+    def backward_fn(g):
+        _accumulate(a, np.broadcast_to(g, a.shape))
+
+    return _make(data, (a,), backward_fn, "sum_all")
 
 
 def matvec(f, x):
@@ -345,7 +388,7 @@ def field_f(h, params, config):
     a = h
     for k in range(config.num_layers + 1):
         a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
-    out = T.tanh(a @ params["f_head_w"] + params["f_head_b"])
+    out = tanh(a @ params["f_head_w"] + params["f_head_b"])
     return T.reshape(out, out.shape[:-1] + (config.dim_h, config.logsig_dim))
 
 
@@ -370,7 +413,7 @@ def field_g(z, params, config):
     """Spatial field head: (.., nodes, dim_z) -> (.., nodes, dim_z, cols)."""
     b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
     b1 = mixed_features(b0, params, config)
-    out = T.tanh(b1 @ params["g_head_w"] + params["g_head_b"])
+    out = tanh(b1 @ params["g_head_w"] + params["g_head_b"])
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
     return T.reshape(out, out.shape[:-1] + (config.dim_z, cols))
 

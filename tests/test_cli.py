@@ -348,6 +348,32 @@ def test_split_all_applies_each_stored_drop(workdir, tmp_path):
     assert rows[start:start + len(forecasts["test"])] == forecasts["test"]
 
 
+def test_stored_drop_draws_masks_from_views_of_the_windows(monkeypatch):
+    windows = D.make_windows(np.random.default_rng(0).normal(size=(3, 40, 1)), 6, 3)
+    ranges = {"train": [0, 10], "val": [10, 20], "test": [20, 40]}
+    extra = {"drop": {"rate": 0.3, "seeds": {"train": 1, "val": 2, "test": 3}},
+             "split_offsets": ranges}
+    draw, drawn_from = D.drop_observations, []
+
+    def spy(subset, rate, seed):
+        drawn_from.append(subset)
+        return draw(subset, rate, seed)
+
+    monkeypatch.setattr(D, "drop_observations", spy)
+    for which in ("all", "test"):
+        got = cli._apply_stored_drop(windows, extra, which)
+        # the masks a boolean subset (a copy) of each stored range draws
+        want = windows.masks.copy()
+        for name in ranges if which == "all" else [which]:
+            keep = (windows.offsets >= ranges[name][0]) & (windows.offsets < ranges[name][1])
+            want[keep] = draw(windows.take(keep), 0.3, extra["drop"]["seeds"][name]).masks
+        assert np.array_equal(got.masks, want), which
+    assert len(drawn_from) == 4
+    for result in drawn_from + [got]:
+        assert np.shares_memory(result.inputs, windows.inputs)
+        assert np.shares_memory(result.targets, windows.targets)
+
+
 def test_undefined_mape_is_null_in_json_and_skipped_in_fold_stats():
     from graphrde import training as TR
 

@@ -1,5 +1,7 @@
 """The demo scripts under ``scripts/`` run end to end on a small dataset."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,12 @@ def test_irregular_sweep_script_trains_every_rate(tmp_path):
     assert "drop rate 0.00" in out and "drop rate 0.30" in out
     for rate in ("0", "0.3"):
         assert {"model.ckpt", "metrics.json"} <= set(os.listdir(tmp_path / f"drop_{rate}"))
+
+
+def test_step_memory_estimate_covers_a_measured_step(tmp_path):
+    run_script("step_memory.py", "--batches", "1", "--out", str(tmp_path / "steps.json"))
+    (record,) = json.loads((tmp_path / "steps.json").read_text())
+    spec = importlib.util.spec_from_file_location("step_memory", ROOT / "scripts" / "step_memory.py")
+    step_memory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_memory)
+    assert record["peak_rss_mb"] <= step_memory.estimate_mb(1), record

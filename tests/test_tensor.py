@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError, NonFiniteError
-from oracles import finite_difference_grad, matvec, max_grad_mismatch
+from oracles import (clear_tape, finite_difference_grad, matvec, max_grad_mismatch, mul, neg,
+                     sum_all, tanh)
 
 RNG = np.random.default_rng(20240811)
 CONTROL = T.constant(RNG.normal(size=(2, 4, 3)))  # an untracked head_matvec control
@@ -47,7 +48,7 @@ def test_matmul_value():
 
 def test_relu_value_and_zero_grad_in_dead_region():
     x = T.Tensor([-2.0], requires_grad=True)
-    y = T.sum_all(T.relu(x))
+    y = sum_all(T.relu(x))
     assert y.item() == 0.0
     T.backward(y)
     assert np.array_equal(x.grad, [0.0])
@@ -56,7 +57,7 @@ def test_relu_value_and_zero_grad_in_dead_region():
 def test_simple_polynomial_gradient():
     # d/dx of sum(x*x + 3x) at x=2 is 2*2+3 = 7
     x = T.Tensor([2.0], requires_grad=True)
-    y = T.sum_all(x * x + 3.0 * x)
+    y = sum_all(mul(x, x) + 3.0 * x)
     T.backward(y)
     assert np.allclose(x.grad, [7.0])
 
@@ -64,32 +65,32 @@ def test_simple_polynomial_gradient():
 @pytest.mark.parametrize(
     "name,build,shapes",
     [
-        ("add", lambda a, b: T.sum_all(T.tanh(a + b)), [(3, 4), (3, 4)]),
-        ("add_bias", lambda a, b: T.sum_all(T.tanh(a + b)), [(3, 4), (4,)]),
-        ("sub", lambda a, b: T.sum_all(T.tanh(a - b)), [(2, 5), (2, 5)]),
-        ("mul", lambda a, b: T.sum_all(T.tanh(a * b)), [(4, 2), (4, 2)]),
-        ("mul_broadcast", lambda a, b: T.sum_all(T.tanh(a * b)), [(1, 4), (3, 4)]),
-        ("matmul", lambda a, b: T.sum_all(T.tanh(a @ b)), [(3, 4), (4, 2)]),
-        ("matmul_stacked_left", lambda a, b: T.sum_all(T.tanh(a @ b)), [(2, 3, 4), (4, 2)]),
-        ("matmul_stacked_right", lambda a, b: T.sum_all(T.tanh(a @ b)), [(3, 4), (2, 4, 2)]),
-        ("matvec", lambda a, b: T.sum_all(T.tanh(matvec(a, b))), [(2, 3, 4), (2, 4)]),
-        ("softmax", lambda a, b: T.sum_all(T.softmax_rows(a) * b), [(3, 5), (3, 5)]),
-        ("relu", lambda a, b: T.sum_all(T.relu(a) * b), [(4, 4), (4, 4)]),
-        ("tanh", lambda a, b: T.sum_all(T.tanh(a) * b), [(4, 3), (4, 3)]),
-        ("abs", lambda a, b: T.sum_all(T.absolute(a) * b), [(5,), (5,)]),
-        ("scale", lambda a, b: T.sum_all(T.scale(a, 2.5) * b), [(3,), (3,)]),
-        ("mean", lambda a, b: T.mean_all(a * b), [(6,), (6,)]),
-        ("reshape", lambda a, b: T.sum_all(T.reshape(a, (2, 6)) @ b), [(3, 4), (6, 2)]),
-        ("transpose", lambda a, b: T.sum_all(T.transpose_last2(a) @ b), [(4, 3), (4, 2)]),
-        ("neg", lambda a, b: T.sum_all(T.tanh(-a) * b), [(3, 3), (3, 3)]),
+        ("add", lambda a, b: sum_all(tanh(a + b)), [(3, 4), (3, 4)]),
+        ("add_bias", lambda a, b: sum_all(tanh(a + b)), [(3, 4), (4,)]),
+        ("sub", lambda a, b: sum_all(tanh(a - b)), [(2, 5), (2, 5)]),
+        ("mul", lambda a, b: sum_all(tanh(mul(a, b))), [(4, 2), (4, 2)]),
+        ("mul_broadcast", lambda a, b: sum_all(tanh(mul(a, b))), [(1, 4), (3, 4)]),
+        ("matmul", lambda a, b: sum_all(tanh(a @ b)), [(3, 4), (4, 2)]),
+        ("matmul_stacked_left", lambda a, b: sum_all(tanh(a @ b)), [(2, 3, 4), (4, 2)]),
+        ("matmul_stacked_right", lambda a, b: sum_all(tanh(a @ b)), [(3, 4), (2, 4, 2)]),
+        ("matvec", lambda a, b: sum_all(tanh(matvec(a, b))), [(2, 3, 4), (2, 4)]),
+        ("softmax", lambda a, b: sum_all(mul(T.softmax_rows(a), b)), [(3, 5), (3, 5)]),
+        ("relu", lambda a, b: sum_all(mul(T.relu(a), b)), [(4, 4), (4, 4)]),
+        ("tanh", lambda a, b: sum_all(mul(tanh(a), b)), [(4, 3), (4, 3)]),
+        ("abs", lambda a, b: sum_all(mul(T.absolute(a), b)), [(5,), (5,)]),
+        ("scale", lambda a, b: sum_all(mul(T.scale(a, 2.5), b)), [(3,), (3,)]),
+        ("mean", lambda a, b: T.mean_all(mul(a, b)), [(6,), (6,)]),
+        ("reshape", lambda a, b: sum_all(T.reshape(a, (2, 6)) @ b), [(3, 4), (6, 2)]),
+        ("transpose", lambda a, b: sum_all(T.transpose_last2(a) @ b), [(4, 3), (4, 2)]),
+        ("neg", lambda a, b: sum_all(mul(tanh(neg(a)), b)), [(3, 3), (3, 3)]),
         (
             "head_matvec",
-            lambda a, w, b, x: T.sum_all(T.tanh(T.head_matvec(a, w, b, x, 3))),
+            lambda a, w, b, x: sum_all(tanh(T.head_matvec(a, w, b, x, 3))),
             [(2, 4, 5), (5, 6), (6,), (2, 4, 3)],
         ),
         (
             "head_matvec_untracked_control",
-            lambda a, w, b: T.sum_all(T.tanh(T.head_matvec(a, w, b, CONTROL, 3))),
+            lambda a, w, b: sum_all(tanh(T.head_matvec(a, w, b, CONTROL, 3))),
             [(2, 4, 5), (5, 6), (6,)],
         ),
     ],
@@ -102,7 +103,7 @@ def test_op_gradients_match_finite_differences(name, build, shapes):
 def test_two_layer_composition_gradient():
     def build(w1, b1, w2, x):
         h = T.relu(x @ w1 + b1)
-        return T.mean_all(T.absolute(T.tanh(h @ w2)))
+        return T.mean_all(T.absolute(tanh(h @ w2)))
 
     arrays = [RNG.normal(size=s) for s in [(3, 4), (4,), (4, 2), (5, 3)]]
     check_grads(build, arrays)
@@ -110,7 +111,7 @@ def test_two_layer_composition_gradient():
 
 def test_fan_in_gradient_accumulates_over_both_paths():
     x = T.Tensor([1.5], requires_grad=True)
-    y = T.sum_all(x * x + x * x)  # two uses of the same node
+    y = sum_all(mul(x, x) + mul(x, x))  # two uses of the same node
     T.backward(y)
     assert np.allclose(x.grad, [6.0])
 
@@ -140,7 +141,7 @@ def test_broadcast_limited_to_leading_axes():
     x = T.Tensor(np.ones((1, 4, 8)), requires_grad=True)
     bias = T.Tensor(np.ones(8), requires_grad=True)
     out = T.add(x, bias)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert np.array_equal(bias.grad, np.full(8, 4.0))
     assert np.array_equal(x.grad, np.ones((1, 4, 8)))
 
@@ -157,6 +158,9 @@ def test_shape_mismatch_raises():
         T.head_matvec(a, w, b, T.constant(np.ones((2, 3, 4))), 4)  # 4 does not divide 6
     with pytest.raises(DimensionError):
         T.head_matvec(a, w, T.constant(np.ones(3)), T.constant(np.ones((2, 3, 3))), 3)
+    for product in ("__mul__", "__truediv__"):  # a tensor is scaled by numbers only
+        with pytest.raises(ContractError):
+            getattr(T.constant(np.ones(2)), product)(T.constant(np.ones(2)))
 
 
 def test_non_finite_construction_rejected():
@@ -169,7 +173,7 @@ def test_non_finite_construction_rejected():
 def test_non_finite_op_output_rejected():
     big = T.constant(np.full((2,), 1e308))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        T.mul(big, big)
+        mul(big, big)
 
 
 def test_head_matvec_checks_the_pre_activation():
@@ -195,9 +199,9 @@ def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
             out = T.head_matvec(a, w, b, x, 3)
             assert T.tape_size() == 1
         else:
-            head = T.tanh(a @ w + b)
+            head = tanh(a @ w + b)
             out = matvec(T.reshape(head, head.shape[:-1] + (2, 3)), x)
-        T.backward(T.sum_all(T.tanh(out)))
+        T.backward(sum_all(tanh(out)))
         return [out.data] + [t.grad for t in (a, w, b, x)]
 
     for name, got, want in zip(["out", "a", "w", "b", "x"], run(True), run(False)):
@@ -219,7 +223,7 @@ def run_head_matvec(arrays, tracked):
         with T.no_grad():
             return [T.head_matvec(*ts, 3).data]
     out = T.head_matvec(*ts, 3)
-    T.backward(T.sum_all(T.mul(out, T.constant(weights))))
+    T.backward(sum_all(mul(out, T.constant(weights))))
     return [out.data] + [t.grad for t in ts]
 
 
@@ -381,37 +385,47 @@ def test_head_matvec_stays_bitwise_equal_under_thread_stress(monkeypatch):
     assert runs >= 2
 
 
-def test_head_matvec_holds_no_head_sized_temporaries():
+def test_head_matvec_holds_a_head_only_inside_its_backward():
     # 512 rows of a 64 x 64 head: 16 MiB of head, 1 MiB per default tile
-    rows, cols, k = 64, 64, 8
-    head_bytes = 512 * rows * cols * 8
+    rows = cols = 64
+    head_bytes, k = 512 * rows * cols * 8, 8
     arrays = [RNG.normal(size=(8, 64, k)) * 0.1, RNG.normal(size=(k, rows * cols)) * 0.1,
               RNG.normal(size=rows * cols) * 0.1, RNG.normal(size=(8, 64, cols))]
 
-    def traced_peak(fn):
+    def traced(fn):
+        """``fn()`` and the peak of the memory traced while it ran."""
         tracemalloc.start()
         try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
+            return fn(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def chain(a, w, b, x, calls):  # each call's output is the next call's control
+        for _ in range(calls):
+            x = T.head_matvec(a, w, b, x, cols)
+        return sum_all(x)
 
     for workers in (1, 2):
         with head_workers(workers):
             untracked = [T.constant(arr) for arr in arrays]
             with T.no_grad():
-                assert traced_peak(lambda: T.head_matvec(*untracked, cols)) < 4 * 2**20
-
+                assert traced(lambda: T.head_matvec(*untracked, cols))[1] < 4 * 2**20
+            # a taped forward keeps no head for its backward...
             a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
-            loss = T.sum_all(T.head_matvec(a, w, b, x, cols))
-            assert traced_peak(lambda: T.backward(loss)) < head_bytes / 2
+            loss, peak = traced(lambda: chain(a, w, b, x, 1))
+            assert peak < head_bytes / 4
+            # ...which recomputes it into one head-sized buffer
+            assert traced(lambda: T.backward(loss))[1] < 1.5 * head_bytes
             assert all(t.grad is not None for t in (a, w, b, x))
+            # so calls taped together hold one head at a time, not one each
+            a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+            assert traced(lambda: T.backward(chain(a, w, b, x, 4)))[1] < 1.5 * head_bytes
 
 
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
     p = T.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    mid = T.tanh(p)
-    loss = T.sum_all(mid * mid)
+    mid = tanh(p)
+    loss = sum_all(mul(mid, mid))
     T.backward(loss)
     assert mid.grad is None and loss.grad is None
     assert np.allclose(p.grad, 2.0 * mid.data * (1.0 - mid.data**2))
@@ -422,17 +436,17 @@ def test_backward_requires_scalar_tracked_loss():
     vec = p + T.constant(np.zeros((2, 2)))
     with pytest.raises(ContractError):
         T.backward(vec)
-    T.clear_tape()
-    const = T.sum_all(T.constant(np.ones(3)))
+    clear_tape()
+    const = sum_all(T.constant(np.ones(3)))
     with pytest.raises(ContractError):
         T.backward(const)
-    T.clear_tape()
+    clear_tape()
 
 
 def test_untracked_inputs_get_no_gradient():
     p = T.Tensor([2.0], requires_grad=True)
     c = T.constant([3.0])
-    y = T.sum_all(p * c)
+    y = sum_all(mul(p, c))
     T.backward(y)
     assert np.allclose(p.grad, [3.0])
     assert c.grad is None
@@ -440,7 +454,7 @@ def test_untracked_inputs_get_no_gradient():
 
 def test_tape_cleared_and_single_backward_per_forward():
     p = T.Tensor([1.0], requires_grad=True)
-    y = T.sum_all(p * p)
+    y = sum_all(mul(p, p))
     assert T.tape_size() > 0
     T.backward(y)
     assert T.tape_size() == 0
@@ -451,7 +465,7 @@ def test_tape_cleared_and_single_backward_per_forward():
 def test_no_grad_suppresses_taping():
     p = T.Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = T.sum_all(p * p)
+        y = sum_all(mul(p, p))
     assert not y.requires_grad
     assert T.tape_size() == 0
 
@@ -462,7 +476,7 @@ def test_backward_is_bit_deterministic():
     def run():
         w = T.Tensor(arrays[0].copy(), requires_grad=True)
         x = T.Tensor(arrays[1].copy(), requires_grad=True)
-        loss = T.mean_all(T.absolute(T.tanh(w @ x)))
+        loss = T.mean_all(T.absolute(tanh(w @ x)))
         T.backward(loss)
         return w.grad.copy(), x.grad.copy()
 

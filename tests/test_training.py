@@ -15,6 +15,7 @@ from graphrde.errors import ConfigError, ContractError, TrainingAbort
 from graphrde.model import ModelConfig, ParamStore
 from graphrde.solver import SolveSpec
 from graphrde.tensor import Tensor
+from oracles import clear_tape
 
 # ---------------------------------------------------------------------------
 # Loss and metrics
@@ -197,7 +198,7 @@ def test_forward_builds_one_graph_operator(monkeypatch, method, steps, stages):
     for forwards in (1, 2):
         TR.forward_prepared(params, cfg, SolveSpec(method, steps), train_prep, np.arange(4))
         assert calls == {"adjacency": forwards, "rhs": forwards * 3 * steps * stages}
-    T.clear_tape()
+    clear_tape()
 
 
 def test_fit_reduces_training_loss_and_is_deterministic():
