@@ -60,6 +60,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _stored_slice(windows: D.WindowSet, span: list[int]) -> slice:
+    """The windows whose offsets fall in a stored ``[lo, hi)`` range: offsets
+    rise strictly, so they are a slice, and taking it gives views, not copies."""
+    return slice(*np.searchsorted(windows.offsets, span))
+
+
 def _select_split(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
     """Reconstruct a training-time split subset from checkpoint metadata."""
     if which == "all":
@@ -68,8 +74,8 @@ def _select_split(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
     if not stored or which not in stored:
         raise DataError(f"checkpoint does not record a {which!r} split")
     lo, hi = stored[which]
-    keep = (windows.offsets >= lo) & (windows.offsets < hi)
-    if not keep.any():
+    keep = _stored_slice(windows, stored[which])
+    if keep.start == keep.stop:
         raise DataError(f"no windows fall in the stored {which!r} range [{lo}, {hi})")
     return windows.take(keep)
 
@@ -83,8 +89,7 @@ def _apply_stored_drop(windows: D.WindowSet, extra: dict, which: str) -> D.Windo
     ranges = extra.get("split_offsets", {})
     masks = windows.masks.copy()
     for name in ranges if which == "all" else [which]:
-        # offsets rise strictly, so a stored range is a slice: a view, not a copy
-        keep = slice(*np.searchsorted(windows.offsets, ranges[name]))
+        keep = _stored_slice(windows, ranges[name])
         if keep.start < keep.stop:
             dropped = D.drop_observations(windows.take(keep), drop["rate"], drop["seeds"][name])
             masks[keep] = dropped.masks
@@ -129,9 +134,11 @@ def _check_extra(extra: dict, channels: int) -> SolveSpec:
         if not (_is_number(rate) and 0.0 <= rate < 1.0):
             raise DataError("checkpoint drop rate must be a number in [0, 1)")
         seeds = drop.get("seeds", {})
-        seeded = isinstance(seeds, dict) and all(_is_int(seeds.get(k)) for k in ranges)
+        seeded = isinstance(seeds, dict) and all(
+            _is_int(seeds.get(k)) and seeds[k] >= 0 for k in ranges
+        )
         if rate > 0.0 and not seeded:
-            raise DataError("checkpoint drop must give an int seed for every stored split")
+            raise DataError("checkpoint drop must give an int seed >= 0 for every stored split")
     solve = extra.get("solve", {})
     if not isinstance(solve, dict):
         raise DataError("checkpoint solver settings are not an object")

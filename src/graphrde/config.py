@@ -127,7 +127,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = parse_config_text(text, source=path)
     if overrides:

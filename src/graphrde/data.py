@@ -144,7 +144,7 @@ def _read_csv_rows(path: str) -> tuple[list[list[str]], int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path} is empty")
@@ -392,6 +392,8 @@ def synth_series(
         raise ConfigError(f"ring graph needs at least 2 nodes, got {nodes}")
     if timesteps < 2:
         raise ConfigError(f"need at least 2 timesteps, got {timesteps}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     info = SynthInfo(nodes=nodes, timesteps=timesteps, seed=seed, coupling=coupling)
     if noise_sigma is not None:
         info.noise_sigma = noise_sigma

@@ -24,7 +24,7 @@ import contextvars
 import itertools
 import os
 import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Sequence
 
@@ -67,15 +67,16 @@ def _check_finite(data: np.ndarray, where: str, scratch: np.ndarray | None = Non
 
 
 class _TilePool:
-    """The calling thread and ``workers - 1`` daemon threads that share a call's work.
+    """The calling thread and up to ``workers - 1`` executor threads that share a call's work.
 
-    The threads start with the first call to :meth:`run` that has work for them.
+    The executor starts a thread only when a call has work for it and no
+    thread is idle, so there is none before the first such call.
     """
 
     def __init__(self, workers: int):
         self.workers = workers
-        self._todo: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads: list[threading.Thread] = []
+        # with one worker the executor is never given work, but it needs a size of 1 or more
+        self.executor = ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="head_matvec")
 
     def run(self, fn: Callable[[int, int], object], count: int) -> None:
         """Call ``fn(slot, j)`` for every ``j`` in ``range(count)`` and wait for all.
@@ -92,17 +93,13 @@ class _TilePool:
             for j in range(count):
                 fn(0, j)
             return
-        while len(self._threads) < self.workers - 1:
-            thread = threading.Thread(target=self._serve, name="head_matvec", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        # next() on an itertools.count is atomic, so each j and slot goes to one thread
-        jobs, slots, done = itertools.count(), itertools.count(1), queue.SimpleQueue()
+        # next() on an itertools.count is atomic, so each j goes to one thread
+        jobs, done = itertools.count(), queue.SimpleQueue()
         # emptied once every j is done: a thread that wakes late holds none of fn's buffers
         work = [fn]
         share = partial(self._share, work, count, jobs, done)
-        for _ in range(helpers):
-            self._todo.put((contextvars.copy_context(), share, slots))
+        for slot in range(1, helpers + 1):  # _share reports every error, so no future holds one
+            self.executor.submit(contextvars.copy_context().run, share, slot)
         share(0)
         errors = {}
         for _ in range(count):  # every j is taken and reported once
@@ -115,40 +112,15 @@ class _TilePool:
 
     @staticmethod
     def _share(work: list, count: int, jobs, done: queue.SimpleQueue, slot: int) -> None:
-        failed = False
         for j in jobs:
             if j >= count:
                 return
-            if failed:  # after its own error a thread only reports what it takes
-                done.put((j, None))
-                continue
             try:
                 work[0](slot, j)
             except BaseException as exc:  # handed to the caller, which raises it
                 done.put((j, exc))
-                failed = True
             else:
                 done.put((j, None))
-
-    def _serve(self) -> None:
-        # one item per call, so that a thread waiting for the next holds nothing
-        while self._serve_one(self._todo.get()):
-            pass
-
-    @staticmethod
-    def _serve_one(item) -> bool:
-        if item is None:
-            return False
-        context, share, slots = item
-        context.run(share, next(slots))
-        return True
-
-    def shutdown(self) -> None:
-        for _ in self._threads:
-            self._todo.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._threads.clear()
 
 
 # Made by the first ``head_matvec`` call, never at import.
@@ -159,7 +131,7 @@ def _head_pool() -> _TilePool:
     """One worker per CPU this process may run on, the caller among them.
 
     Every ``head_matvec`` call runs its tiles on it; a call of one tile runs
-    on the caller alone, since ``_TilePool.run`` starts no thread for it.
+    on the caller alone, since ``_TilePool.run`` hands no thread work for it.
 
     When the inherited BLAS setting is not one thread (``OPENBLAS_NUM_THREADS``,
     or else ``OMP_NUM_THREADS``, unset or above 1), each gemm already spreads
@@ -426,9 +398,8 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     the same arrays, so every bit is the forward's, and without its
     finiteness checks, which those arrays already passed.  It takes ``x``'s
     gradient from each tile and then overwrites the tile with
-    ``g_pre = (g ⊗ x) * (1 - t*t)``.  When ``a``, ``w`` or ``b`` is tracked,
-    the tiles land in one head-sized buffer, which their gradients read;
-    otherwise each worker reuses one tile buffer.
+    ``g_pre = (g ⊗ x) * (1 - t*t)``.  The tiles land in one head-sized
+    buffer, which the gradients of ``a``, ``w`` and ``b`` read.
 
     A call with more than one tile shares its tiles, in order, among one
     worker thread per CPU, the caller among them (see ``_head_pool``): a
@@ -467,73 +438,64 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     pool = _head_pool()
     tile_shape = (min(pool.workers, tiles), min(step, total))  # one tile per slot
     buf = np.empty(tile_shape + (n,))
-    finite = np.empty(tile_shape + (n,), dtype=bool)
+    scratch = np.empty(tile_shape + (n,), dtype=bool)
     out = np.empty((total, rows))
+
+    def head_tile(lo: int, hi: int, p: np.ndarray, finite: np.ndarray | None) -> None:
+        """The head's rows ``lo:hi`` into ``p``, checked unless ``finite`` is None."""
+        np.matmul(a2[lo:hi], w.data, out=p)
+        if finite is not None:
+            _check_finite(p, "head_matvec (a @ w)", finite)
+        p += b.data
+        if finite is not None:  # tanh would hide an overflow
+            _check_finite(p, "head_matvec (a @ w + b)", finite)
+        np.tanh(p, out=p)
 
     def forward(slot: int, j: int) -> None:
         lo, hi = j * step, min(j * step + step, total)
         p = buf[slot, : hi - lo]
-        np.matmul(a2[lo:hi], w.data, out=p)
-        _check_finite(p, "head_matvec (a @ w)", finite[slot, : hi - lo])
-        p += b.data
-        # tanh would hide an overflow
-        _check_finite(p, "head_matvec (a @ w + b)", finite[slot, : hi - lo])
-        np.tanh(p, out=p)
+        head_tile(lo, hi, p, scratch[slot, : hi - lo])
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
 
     pool.run(forward, tiles)
-    head_tracked = a.requires_grad or w.requires_grad or b.requires_grad
 
     def backward_fn(g: np.ndarray) -> None:
         g2 = g.reshape(-1, rows)
         gx = np.empty((total, cols)) if x.requires_grad else None
-        gx_outer = np.empty(tile_shape + (rows, cols)) if head_tracked else None
-        # the head's gradient reads every g_pre row at once; x's needs one tile at a time
-        head = np.empty((total, n)) if head_tracked else np.empty(tile_shape + (n,))
+        gx_outer = np.empty(tile_shape + (rows, cols))
+        head = np.empty((total, n))  # the head's gradient reads every g_pre row at once
 
         def to_g_pre(slot: int, j: int) -> None:
-            # the forward's calls on the arrays it checked, then g_pre in place of the tile
+            # the forward's head_tile on the arrays it checked, then g_pre in place of the tile
             lo, hi = j * step, min(j * step + step, total)
-            tile = head[lo:hi] if head_tracked else head[slot, : hi - lo]
-            np.matmul(a2[lo:hi], w.data, out=tile)
-            tile += b.data
-            np.tanh(tile, out=tile)
+            tile = head[lo:hi]
+            head_tile(lo, hi, tile, None)
             if gx is not None:
                 np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
-            if gx_outer is not None:
-                outer = gx_outer[slot, : hi - lo]
-                np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=outer)
-                np.multiply(tile, tile, out=tile)
-                np.subtract(1.0, tile, out=tile)
-                tile *= outer.reshape(hi - lo, n)
+            outer = gx_outer[slot, : hi - lo]
+            np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=outer)
+            np.multiply(tile, tile, out=tile)
+            np.subtract(1.0, tile, out=tile)
+            tile *= outer.reshape(hi - lo, n)
 
         pool.run(to_g_pre, tiles)
         if gx is not None:
             _accumulate(x, gx.reshape(x.shape))
-        if not head_tracked:
-            return
         t = head.reshape(a.shape[:-1] + (n,))
-        ga = np.empty(a.shape) if a.requires_grad else None
-        gw = np.empty(w.shape) if w.requires_grad else None
-        gb = np.empty(b.shape) if b.requires_grad else None
+        ga, gw, gb = np.empty(a.shape), np.empty(w.shape), np.empty(b.shape)
 
         def weight_grads() -> None:
-            if gb is not None:
-                np.sum(head, axis=0, out=gb)
-            if gw is not None:
-                np.matmul(a2.T, head, out=gw)
+            np.sum(head, axis=0, out=gb)
+            np.matmul(a2.T, head, out=gw)
 
-        calls = [weight_grads]
-        if ga is not None:
-            calls.append(lambda: np.matmul(t, w.data.T, out=ga))
+        calls = [weight_grads, lambda: np.matmul(t, w.data.T, out=ga)]
         if tiles > 1:  # a's gradient and w's are gemms of equal size, so two threads can share them
             pool.run(lambda slot, j: calls[j](), len(calls))
         else:  # a head of one tile stays on one thread
             for call in calls:
                 call()
         for tensor, grad in ((a, ga), (w, gw), (b, gb)):
-            if grad is not None:
-                _accumulate(tensor, grad)
+            _accumulate(tensor, grad)
 
     return _make(out.reshape(a.shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 

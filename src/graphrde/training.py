@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size and patience must be >= 1")
         if self.lr <= 0 or self.weight_decay < 0:
             raise ConfigError("lr must be > 0 and weight_decay >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import pytest
 from graphrde import cli
 from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
-from graphrde.errors import ConfigError
+from graphrde.errors import ConfigError, DataError
 from graphrde.model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
 from test_data import BAD_ADJACENCY_ROWS
 from test_model import _with_header
@@ -249,6 +249,8 @@ _FORGED_EXTRA = {
     "drop rate of one": _set_extra("drop", "rate", value=1.0),
     "drop rate a string": _set_extra("drop", "rate", value="0.1"),
     "drop seed missing": lambda h: h["extra"]["drop"].update(rate=0.2, seeds={"train": 1}),
+    "drop seed negative": lambda h: h["extra"]["drop"].update(
+        rate=0.2, seeds={"train": 1, "val": 2, "test": -3}),
     "solver method not a string": _set_extra("solve", "method", value=3),
     "solver method unknown": _set_extra("solve", "method", value="midpoint"),
     "solver key unknown": _set_extra("solve", "order", value=4),
@@ -281,25 +283,34 @@ def test_predict_row_count_and_format(workdir, tmp_path):
     assert len(cells) == 4 and np.isfinite(float(cells[3]))
 
 
+_PREDICT_CSV_SHA256 = {  # by drop rate, then split
+    0.0: {
+        "test": "ec93cf1f649f84749b61a16dd3c0076af7e10fc4fcd515b53e1e67d10048ac18",
+        "all": "4b3b6e5ace34ee3275a68dab12204054c838053427c3197b9b8ac6f4a91dd37b",
+    },
+    0.3: {
+        "test": "9b14dde1172b2c9064ce5aa78a3e010d968dee20b50384bdf4228d5a59dcd613",
+        "val": "d2b6bce659199877cd8138fc598fa55c3af968aaba4aa6020cf58c10c22965fe",
+        "all": "ba4c81668c253e4e5939e2101acc94fffd1219f0798863ac6615629e57076f54",
+    },
+}
+
+
 def test_predict_csv_is_byte_stable(workdir, tmp_path):
     # digests of the CSVs the row-by-row formatter wrote; the model is
     # untrained, so the values depend on the forward pass alone
     _, _, extra = load_checkpoint(str(workdir["out"] / "model.ckpt"))
-    extra = {**extra, "drop": {"rate": 0.3, "seeds": {"train": 1, "val": 2, "test": 3}}}
-    ckpt = tmp_path / "m.ckpt"
     config = ModelConfig(num_nodes=5, input_len=12, horizon=12, dim_h=4, dim_z=4)
-    save_checkpoint(str(ckpt), ParamStore(config, seed=3), extra=extra)
-    digests = {
-        "test": "9b14dde1172b2c9064ce5aa78a3e010d968dee20b50384bdf4228d5a59dcd613",
-        "val": "d2b6bce659199877cd8138fc598fa55c3af968aaba4aa6020cf58c10c22965fe",
-        "all": "ba4c81668c253e4e5939e2101acc94fffd1219f0798863ac6615629e57076f54",
-    }
-    for split, digest in digests.items():
-        out = tmp_path / f"{split}.csv"
-        assert cli.main(["predict", "--checkpoint", str(ckpt),
-                         "--data", str(workdir["root"] / "data" / "values.csv"),
-                         "--split", split, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, split
+    for rate, digests in _PREDICT_CSV_SHA256.items():
+        ckpt = tmp_path / f"m{rate}.ckpt"
+        drop = {"rate": rate, "seeds": {"train": 1, "val": 2, "test": 3}}
+        save_checkpoint(str(ckpt), ParamStore(config, seed=3), extra={**extra, "drop": drop})
+        for split, digest in digests.items():
+            out = tmp_path / f"{split}.csv"
+            assert cli.main(["predict", "--checkpoint", str(ckpt),
+                             "--data", str(workdir["root"] / "data" / "values.csv"),
+                             "--split", split, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (rate, split)
 
 
 def test_predict_csv_is_the_same_in_one_window_chunks(workdir, tmp_path, monkeypatch):
@@ -372,6 +383,19 @@ def test_stored_drop_draws_masks_from_views_of_the_windows(monkeypatch):
     for result in drawn_from + [got]:
         assert np.shares_memory(result.inputs, windows.inputs)
         assert np.shares_memory(result.targets, windows.targets)
+
+
+def test_select_split_takes_a_view_of_the_windows():
+    windows = D.make_windows(np.random.default_rng(0).normal(size=(3, 40, 1)), 6, 3)
+    ranges = {"train": [0, 10], "val": [10, 20], "test": [20, 40], "none": [100, 200]}
+    for which in ("train", "val", "test"):
+        got = cli._select_split(windows, {"split_offsets": ranges}, which)
+        lo, hi = ranges[which]
+        assert np.array_equal(got.offsets, windows.offsets[(windows.offsets >= lo)
+                                                            & (windows.offsets < hi)])
+        assert np.shares_memory(got.inputs, windows.inputs)
+    with pytest.raises(DataError, match="no windows fall"):
+        cli._select_split(windows, {"split_offsets": ranges}, "none")
 
 
 def test_undefined_mape_is_null_in_json_and_skipped_in_fold_stats():
@@ -482,6 +506,36 @@ def test_train_rejects_a_malformed_adjacency_before_writing(workdir, tmp_path, r
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--adjacency",
                      str(adjacency), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["values", "adjacency", "config"])
+def test_train_rejects_a_non_utf8_file_before_writing(workdir, tmp_path, capsys, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe1,2\n")
+    flag = {"values": "--data", "adjacency": "--adjacency", "config": "--config"}[which]
+    out = tmp_path / "run"  # a repeated --config takes the last one
+    code = cli.main(["train", "--config", str(workdir["cfg_path"]), flag, str(bad),
+                     "--out", str(out)])
+    assert code == (1 if which == "config" else 2)
+    assert "can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_a_negative_seed_before_writing(workdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    text = workdir["cfg_path"].read_text()
+    assert "\nseed = 0\n" in text
+    cfg.write_text(text.replace("\nseed = 0\n", "\nseed = -1\n"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_a_negative_seed(tmp_path):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--nodes", "4", "--timesteps", "30", "--seed", "-1",
+                     "--out", str(out)]) == 1
     assert not out.exists()
 
 
