@@ -1,11 +1,20 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A :class:`Tensor` wraps a numpy float64 buffer.  Operations on tracked
-tensors append an entry to an ambient tape; :func:`backward` replays the
-tape in reverse execution order (a reverse topological order, since the
-graph is built incrementally) and accumulates gradients into the
-``grad`` buffer of every tracked leaf tensor; an op output's gradient is
-released as soon as its own entry has run.
+A :class:`Tensor` wraps a numpy float64 buffer; a tracked one also has a
+gradient slot, its ``node``.  Operations on tracked tensors append the
+output's node and a backward closure to an ambient tape; :func:`backward`
+replays the tape in reverse execution order (a reverse topological order,
+since the graph is built incrementally) and accumulates gradients into the
+slot of every tracked leaf tensor; an op output's gradient is released as
+soon as its own entry has run.
+
+The tape holds slots, not tensors, and each closure holds the input slots,
+the shapes and only the arrays its own backward reads (``relu`` its mask,
+``matmul`` the operands its gradients read, ``add`` none).  So an op
+output whose array no backward reads is freed as soon as the forward drops
+its tensor, not at the end of the backward.  A closure reads its input
+arrays as they were bound in the forward: rebinding a tensor's ``data``
+before the backward does not reach it, writing into the array does.
 
 Design rules enforced at every operation boundary:
 
@@ -24,6 +33,7 @@ import contextvars
 import itertools
 import os
 import queue
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Sequence
@@ -52,8 +62,8 @@ __all__ = [
     "eye",
 ]
 
-# Ambient tape: list of (output tensor, backward closure) in execution order.
-_TAPE: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
+# Ambient tape: list of (output's node, backward closure) in execution order.
+_TAPE: list[tuple["_Node", Callable[[np.ndarray], None]]] = []
 _GRAD_ENABLED: bool = True
 # Bytes of tanh head per tile in ``head_matvec``: 32 rows of a 4096-wide head,
 # small enough that each pass over a tile hits L2 rather than memory; with
@@ -150,17 +160,55 @@ def _head_pool() -> _TilePool:
     return _HEAD_POOL
 
 
-class Tensor:
-    """Dense float64 array with an optional gradient buffer."""
+# What a node reads as ``data`` once its array is gone.
+_DEAD = np.empty(0)
 
-    __slots__ = ("data", "grad", "requires_grad")
+
+class _Node:
+    """The gradient slot of a tracked tensor, and a weak reference to its array.
+
+    ``data`` is the array the node was made with while anything holds that
+    array, and a zero-size array after.  So the slot never keeps the array
+    alive, and ``_TAPE`` still shows which taped arrays are alive
+    (perfbench's tape probe sums ``node.data.nbytes``).
+    """
+
+    __slots__ = ("grad", "_ref")
+
+    def __init__(self, data: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self._ref = weakref.ref(data)
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self._ref()
+        return _DEAD if data is None else data
+
+
+class Tensor:
+    """Dense float64 array with a gradient slot when tracked (``node`` is None when not)."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.node = _Node(arr) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.node is None:
+            raise ContractError("an untracked tensor has no gradient to set")
+        self.node.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -226,23 +274,22 @@ def _as_tensor(x) -> Tensor:
 def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
     """Create an op output, recording a tape entry when tracking applies."""
     _check_finite(data, name)
-    tracked = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = tracked
-    if tracked:
-        _TAPE.append((out, backward_fn))
+    out.node = None
+    if _GRAD_ENABLED and any(t.node is not None for t in inputs):
+        out.node = _Node(data)
+        _TAPE.append((out.node, backward_fn))
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(node: _Node | None, g: np.ndarray) -> None:
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -263,11 +310,11 @@ def backward(loss: Tensor) -> None:
     if not _TAPE:
         raise ContractError("no recorded operations; the tape supports one backward per forward")
     try:
-        loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(_TAPE):
-            if out.grad is not None:
-                fn(out.grad)
-                out.grad = None
+        loss.node.grad = np.ones_like(loss.data)
+        for node, fn in reversed(_TAPE):
+            if node.grad is not None:
+                fn(node.grad)
+                node.grad = None
     finally:
         _TAPE.clear()
 
@@ -313,10 +360,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape, "add")
     data = a.data + b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(na, _unbroadcast(g, sa))
+        _accumulate(nb, _unbroadcast(g, sb))
 
     return _make(data, (a, b), backward_fn, "add")
 
@@ -325,10 +373,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape, "sub")
     data = a.data - b.data
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        _accumulate(na, _unbroadcast(g, sa))
+        _accumulate(nb, _unbroadcast(-g, sb))
 
     return _make(data, (a, b), backward_fn, "sub")
 
@@ -339,9 +388,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     if not np.isfinite(c):
         raise NonFiniteError("non-finite scale factor")
     data = a.data * c
+    na = a.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * c)
+        _accumulate(na, g * c)
 
     return _make(data, (a,), backward_fn, "scale")
 
@@ -367,14 +417,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if la and lb and la != lb:
         raise DimensionError(f"matmul stacked axes differ: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
+    # each operand's array is read only for the other's gradient
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape))
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            _accumulate(na, _unbroadcast(ga, sa))
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+            _accumulate(nb, _unbroadcast(gb, sb))
 
     return _make(data, (a, b), backward_fn, "matmul")
 
@@ -393,7 +447,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     gemm, both finiteness checks, the bias, the tanh and the contraction
     each pass over a tile while it is in cache.  Each worker has one tile
     buffer, taped or not, so no call holds a head from its forward to its
-    backward: the closure keeps only the inputs.  The backward recomputes
+    backward: the closure keeps only the input arrays.  The backward recomputes
     the head tile by tile with the forward's gemm, bias and tanh calls on
     the same arrays, so every bit is the forward's, and without its
     finiteness checks, which those arrays already passed.  It takes ``x``'s
@@ -431,7 +485,8 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
         )
     k, n = w.shape
     rows = n // cols
-    a2, x2 = a.data.reshape(-1, k), x.data.reshape(-1, cols)
+    a2, x2, wd, bd = a.data.reshape(-1, k), x.data.reshape(-1, cols), w.data, b.data
+    na, nw, nb, nx, a_shape = a.node, w.node, b.node, x.node, a.shape
     total = a2.shape[0]
     step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
     tiles = -(-total // step)
@@ -443,10 +498,10 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
 
     def head_tile(lo: int, hi: int, p: np.ndarray, finite: np.ndarray | None) -> None:
         """The head's rows ``lo:hi`` into ``p``, checked unless ``finite`` is None."""
-        np.matmul(a2[lo:hi], w.data, out=p)
+        np.matmul(a2[lo:hi], wd, out=p)
         if finite is not None:
             _check_finite(p, "head_matvec (a @ w)", finite)
-        p += b.data
+        p += bd
         if finite is not None:  # tanh would hide an overflow
             _check_finite(p, "head_matvec (a @ w + b)", finite)
         np.tanh(p, out=p)
@@ -461,7 +516,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
 
     def backward_fn(g: np.ndarray) -> None:
         g2 = g.reshape(-1, rows)
-        gx = np.empty((total, cols)) if x.requires_grad else None
+        gx = np.empty((total, cols)) if nx is not None else None
         gx_outer = np.empty(tile_shape + (rows, cols))
         head = np.empty((total, n))  # the head's gradient reads every g_pre row at once
 
@@ -480,22 +535,22 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
 
         pool.run(to_g_pre, tiles)
         if gx is not None:
-            _accumulate(x, gx.reshape(x.shape))
-        t = head.reshape(a.shape[:-1] + (n,))
-        ga, gw, gb = np.empty(a.shape), np.empty(w.shape), np.empty(b.shape)
+            _accumulate(nx, gx.reshape(a_shape[:-1] + (cols,)))
+        t = head.reshape(a_shape[:-1] + (n,))
+        ga, gw, gb = np.empty(a_shape), np.empty(wd.shape), np.empty(bd.shape)
 
         def weight_grads() -> None:
             np.sum(head, axis=0, out=gb)
             np.matmul(a2.T, head, out=gw)
 
-        calls = [weight_grads, lambda: np.matmul(t, w.data.T, out=ga)]
+        calls = [weight_grads, lambda: np.matmul(t, wd.T, out=ga)]
         if tiles > 1:  # a's gradient and w's are gemms of equal size, so two threads can share them
             pool.run(lambda slot, j: calls[j](), len(calls))
         else:  # a head of one tile stays on one thread
             for call in calls:
                 call()
-        for tensor, grad in ((a, ga), (w, gw), (b, gb)):
-            _accumulate(tensor, grad)
+        for node, grad in ((na, ga), (nw, gw), (nb, gb)):
+            _accumulate(node, grad)
 
     return _make(out.reshape(a.shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 
@@ -505,9 +560,10 @@ def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise DimensionError(f"transpose_last2 requires ndim >= 2, got {a.shape}")
     data = np.swapaxes(a.data, -1, -2).copy()
+    na = a.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, np.swapaxes(g, -1, -2))
+        _accumulate(na, np.swapaxes(g, -1, -2))
 
     return _make(data, (a,), backward_fn, "transpose_last2")
 
@@ -521,9 +577,10 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0
     data = np.where(mask, a.data, 0.0)
+    na = a.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
+        _accumulate(na, g * mask)
 
     return _make(data, (a,), backward_fn, "relu")
 
@@ -531,9 +588,10 @@ def relu(a: Tensor) -> Tensor:
 def absolute(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     data = np.abs(a.data)
+    ad, na = a.data, a.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * np.sign(a.data))
+        _accumulate(na, g * np.sign(ad))
 
     return _make(data, (a,), backward_fn, "absolute")
 
@@ -546,10 +604,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
+    na = a.node
 
     def backward_fn(g: np.ndarray) -> None:
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(a, data * (g - inner))
+        _accumulate(na, data * (g - inner))
 
     return _make(data, (a,), backward_fn, "softmax_rows")
 
@@ -565,9 +624,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
+    na, sa = a.node, a.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(na, g.reshape(sa))
 
     return _make(data, (a,), backward_fn, "reshape")
 
@@ -578,9 +638,10 @@ def mean_all(a: Tensor) -> Tensor:
     if n == 0:
         raise DimensionError("mean of an empty tensor")
     data = np.asarray(a.data.mean())
+    na, sa = a.node, a.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g / n, a.shape))
+        _accumulate(na, np.broadcast_to(g / n, sa))
 
     return _make(data, (a,), backward_fn, "mean_all")
 

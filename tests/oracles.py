@@ -335,10 +335,11 @@ def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape, "mul")
     data = a.data * b.data
+    ad, bd, na, nb = a.data, b.data, a.node, b.node
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(na, _unbroadcast(g * bd, ad.shape))
+        _accumulate(nb, _unbroadcast(g * ad, bd.shape))
 
     return _make(data, (a, b), backward_fn, "mul")
 
@@ -350,9 +351,10 @@ def neg(a):
 def tanh(a):
     a = _as_tensor(a)
     data = np.tanh(a.data)
+    na = a.node
 
     def backward_fn(g):
-        _accumulate(a, g * (1.0 - data * data))
+        _accumulate(na, g * (1.0 - data * data))
 
     return _make(data, (a,), backward_fn, "tanh")
 
@@ -360,9 +362,10 @@ def tanh(a):
 def sum_all(a):
     a = _as_tensor(a)
     data = np.asarray(a.data.sum())
+    na, sa = a.node, a.shape
 
     def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(na, np.broadcast_to(g, sa))
 
     return _make(data, (a,), backward_fn, "sum_all")
 
@@ -373,12 +376,13 @@ def matvec(f, x):
     if f.ndim < 2 or x.ndim < 1 or f.shape[:-2] != x.shape[:-1] or f.shape[-1] != x.shape[-1]:
         raise DimensionError(f"matvec shapes incompatible: {f.shape} with {x.shape}")
     data = np.einsum("...pq,...q->...p", f.data, x.data)
+    fd, xd, nf, nx = f.data, x.data, f.node, x.node
 
     def backward_fn(g):
-        if f.requires_grad:
-            _accumulate(f, np.einsum("...p,...q->...pq", g, x.data))
-        if x.requires_grad:
-            _accumulate(x, np.einsum("...pq,...p->...q", f.data, g))
+        if nf is not None:
+            _accumulate(nf, np.einsum("...p,...q->...pq", g, xd))
+        if nx is not None:
+            _accumulate(nx, np.einsum("...pq,...p->...q", fd, g))
 
     return _make(data, (f, x), backward_fn, "matvec")
 

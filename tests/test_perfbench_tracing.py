@@ -2,8 +2,8 @@
 
 ``perfbench/tracing.py`` rebinds functions by module and name; one that is
 renamed or dropped would be reported as missing and its layer would read
-0, so the suite checks here that nothing is missing and that a forward
-pass is counted.
+0, so the suite checks here that nothing is missing, that a forward pass
+is counted and that the tape probe reads the tape's entries at backward.
 """
 
 import json
@@ -19,7 +19,7 @@ CHILD = """
 import json
 import numpy as np
 import tracing
-from graphrde import data as D, training as TR
+from graphrde import data as D, tensor as T, training as TR
 from graphrde.model import ModelConfig, ParamStore
 from graphrde.solver import SolveSpec
 
@@ -28,7 +28,8 @@ tracer.install()
 cfg = ModelConfig(num_nodes=2, input_len=5, horizon=1, dim_h=2, dim_z=2, subpath_len=2)
 windows = D.make_windows(np.random.default_rng(0).normal(size=(2, 7, 1)), 5, 1)
 prep = TR.prepare_split(windows, D.Normalizer(mean=np.zeros(1), std=np.ones(1)), cfg)
-TR.forward_prepared(ParamStore(cfg, seed=0), cfg, SolveSpec("rk4", 1), prep, np.arange(2))
+pred = TR.forward_prepared(ParamStore(cfg, seed=0), cfg, SolveSpec("rk4", 1), prep, np.arange(2))
+T.backward(TR.l1_loss(pred, T.constant(prep.targets_norm[:2])))
 print(json.dumps({"missing": tracer.missing, "metrics": tracer.metrics()}))
 """
 
@@ -48,3 +49,6 @@ def test_tracer_finds_every_layer_and_counts_rhs_evaluations():
     metrics = report["metrics"]
     assert metrics["solver.rhs_evals"] == 2 * 4  # log-signature windows x RK4 stages
     assert metrics["logsig.cells"] == 2 * 2  # forecasting windows x nodes
+    # the tape probe ran at backward and read the live taped outputs
+    assert metrics["tensor.tape_entries"] > 0
+    assert 0 < metrics["tensor.tape_bytes"]

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -436,6 +437,52 @@ def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
     T.backward(loss)
     assert mid.grad is None and loss.grad is None
     assert np.allclose(p.grad, 2.0 * mid.data * (1.0 - mid.data**2))
+
+
+def test_tape_frees_every_output_that_no_backward_reads():
+    arrays = [RNG.normal(size=s) for s in [(4, 3), (3, 5), (5,), (5, 2)]]
+    x, w, b, v = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+    refs = {}
+
+    def watch(name, t):
+        refs[name] = weakref.ref(t.data)
+        return t
+
+    hidden = watch("relu", T.relu(watch("add", watch("matmul", x @ w) + b)))
+    # add's and relu's backwards read no input array, so x @ w and + b are gone
+    assert refs["matmul"]() is None and refs["add"]() is None
+    loss = sum_all(tanh(hidden @ v))
+    del hidden
+    # the matmul that reads it for v's gradient keeps the relu output until backward
+    assert refs["relu"]() is not None
+    T.backward(loss)
+    assert refs["relu"]() is None
+
+    def value():
+        with T.no_grad():
+            x, w, b, v = [T.Tensor(arr) for arr in arrays]
+            return sum_all(tanh(T.relu(x @ w + b) @ v)).item()
+
+    numeric = finite_difference_grad(value, arrays)
+    assert max_grad_mismatch([t.grad for t in (x, w, b, v)], numeric) < 1e-6
+
+
+def test_a_tape_node_reads_its_output_while_the_output_lives():
+    p = T.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    out = p @ T.constant(RNG.normal(size=(3, 4)))
+    node, _ = T._TAPE[-1]
+    assert node.data is out.data
+    del out
+    assert node.data.size == 0
+    clear_tape()
+
+
+def test_an_untracked_tensor_refuses_a_gradient():
+    c = T.constant([1.0, 2.0])
+    assert c.grad is None
+    with pytest.raises(ContractError):
+        c.grad = np.ones(2)
+    assert c.grad is None
 
 
 def test_backward_requires_scalar_tracked_loss():
