@@ -258,11 +258,18 @@ def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
     """Temporal vector field applied to a control.
 
     (.., nodes, dim_h) with the control (.., nodes, L) -> (.., nodes, dim_h):
-    the (dim_h, L) head of each node contracted against its control.
+    the (dim_h, L) head of each node contracted against its control.  The
+    relu trunk is one tape entry, run again in the backward
+    (``tensor.recompute``); the head stays outside it, so it runs once per
+    forward and once per backward.
     """
-    a = h
-    for k in range(config.num_layers + 1):
-        a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
+
+    def trunk(a: Tensor) -> Tensor:
+        for k in range(config.num_layers + 1):
+            a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
+        return a
+
+    a = T.recompute(trunk, h)
     return T.head_matvec(a, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
 
 
@@ -308,10 +315,16 @@ def field_g(
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
     The control is dH, with ``cols`` = dim_h (full variant), or the
     log-signature velocity, with ``cols`` = L (spatial-only variant).
-    ``prop`` is the forward's ``graph_operator``.
+    ``prop`` is the forward's ``graph_operator``.  The relu layer and the
+    graph mixing are one tape entry, run again in the backward
+    (``tensor.recompute``), as in ``field_f``.
     """
-    b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
-    b1 = _mixed_features(b0, prop, params, config)
+
+    def trunk(z: Tensor) -> Tensor:
+        b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
+        return _mixed_features(b0, prop, params, config)
+
+    b1 = T.recompute(trunk, z)
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
     return T.head_matvec(b1, params["g_head_w"], params["g_head_b"], x, cols)
 

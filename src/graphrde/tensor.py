@@ -15,6 +15,8 @@ output whose array no backward reads is freed as soon as the forward drops
 its tensor, not at the end of the backward.  A closure reads its input
 arrays as they were bound in the forward: rebinding a tensor's ``data``
 before the backward does not reach it, writing into the array does.
+:func:`recompute` makes a whole function one entry that keeps only its
+input and runs the function again in the backward.
 
 Design rules enforced at every operation boundary:
 
@@ -46,7 +48,9 @@ __all__ = [
     "Tensor",
     "backward",
     "no_grad",
+    "discard_on_error",
     "tape_size",
+    "recompute",
     "add",
     "sub",
     "scale",
@@ -265,6 +269,30 @@ def tape_size() -> int:
     return len(_TAPE)
 
 
+@contextlib.contextmanager
+def discard_on_error():
+    """Remove the tape entries made inside the block when the block raises."""
+    mark = len(_TAPE)
+    try:
+        yield
+    except BaseException:
+        del _TAPE[mark:]
+        raise
+
+
+@contextlib.contextmanager
+def _own_tape():
+    """Record onto a fresh tape, yielded, inside the block; the ambient tape
+    and recording flag are restored after it, also when it raises."""
+    global _TAPE, _GRAD_ENABLED
+    outer, enabled = _TAPE, _GRAD_ENABLED
+    _TAPE, _GRAD_ENABLED = [], True
+    try:
+        yield _TAPE
+    finally:
+        _TAPE, _GRAD_ENABLED = outer, enabled
+
+
 def _as_tensor(x) -> Tensor:
     if not isinstance(x, Tensor):
         raise ContractError(f"expected Tensor, got {type(x).__name__}")
@@ -311,12 +339,56 @@ def backward(loss: Tensor) -> None:
         raise ContractError("no recorded operations; the tape supports one backward per forward")
     try:
         loss.node.grad = np.ones_like(loss.data)
-        for node, fn in reversed(_TAPE):
-            if node.grad is not None:
-                fn(node.grad)
-                node.grad = None
+        _replay(_TAPE)
     finally:
         _TAPE.clear()
+
+
+def _replay(tape: list[tuple[_Node, Callable[[np.ndarray], None]]]) -> None:
+    """Run the entries of ``tape`` whose output has a gradient, last first."""
+    for node, fn in reversed(tape):
+        if node.grad is not None:
+            fn(node.grad)
+            node.grad = None
+
+
+def recompute(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
+    """``fn(x)`` as one tape entry that keeps none of ``fn``'s intermediates.
+
+    The forward runs ``fn(x)`` on a tape of its own and drops that tape when
+    ``fn`` returns, so the output is tracked exactly when ``fn(x)`` run taped
+    would be, and the entry keeps ``x``'s array alone.  The backward re-runs
+    ``fn`` on a tape of its own, replays that tape seeded with the output's
+    gradient, and restores the outer tape, also when the re-run raises.  The
+    re-run reads ``x``'s array through ``x``'s own gradient slot, so every
+    gradient, of ``x`` and of the tracked tensors ``fn`` reads, is summed in
+    the order ``fn`` taped in place would sum it, bit for bit, as long as the
+    re-run computes what the forward did: ``fn`` reads the tensors it closes
+    over as they are at the backward, not as they were in the forward.
+
+    Under ``no_grad`` it is ``fn(x)``.
+    """
+    x = _as_tensor(x)
+    if not _GRAD_ENABLED:
+        return fn(x)
+    with _own_tape() as scratch:
+        out = _as_tensor(fn(x))
+    if out.node is None or not any(node is out.node for node, _ in scratch):
+        return out  # untracked, or not made by fn's ops: nothing to recompute
+    xd, nx = x.data, x.node
+
+    def backward_fn(g: np.ndarray) -> None:
+        x_again = Tensor.__new__(Tensor)
+        x_again.data, x_again.node = xd, nx
+        with _own_tape() as tape:
+            out_again = fn(x_again)
+            if out_again.node is None:
+                raise ContractError("recompute: the re-run of fn is not tracked, its forward was")
+            out_again.node.grad = g
+            _replay(tape)
+
+    _TAPE.append((out.node, backward_fn))
+    return out
 
 
 # ---------------------------------------------------------------------------

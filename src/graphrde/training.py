@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Normalizer, WindowSet, atomic_write, make_windows
-from .errors import ConfigError, ContractError, NumericError, TrainingAbort
+from .errors import ConfigError, ContractError, NonFiniteError, NumericError, TrainingAbort
 from .logsig import LyndonBasis, window_logsig
 from .model import (
     ModelConfig, ParamStore, augmented_rhs, graph_operator, init_state, normalized_adjacency,
@@ -142,8 +142,15 @@ class Adam:
             if p.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient; run backward first")
             g = p.grad + self.weight_decay * p.data
+            with np.errstate(over="ignore"):
+                v = b2 * self.v[name] + (1 - b2) * g * g
+            if not np.isfinite(v).all():  # it would zero every later update of p
+                raise NonFiniteError(
+                    f"Adam's second moment of {name!r} is not finite: "
+                    "a gradient entry is not finite, or its square overflows"
+                )
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            self.v[name] = v
             m_hat = self.m[name] / (1 - b1**self.t)
             v_hat = self.v[name] / (1 - b2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -315,8 +322,9 @@ def fit(
             for start in range(0, n, train_cfg.batch_size):
                 idx = order[start : start + train_cfg.batch_size]
                 params.zero_grad()
-                pred = forward_prepared(params, config, solve, train_prep, idx)
-                loss = l1_loss(pred, T.constant(train_prep.targets_norm[idx]))
+                with T.discard_on_error():  # a failed forward leaves no entries behind
+                    pred = forward_prepared(params, config, solve, train_prep, idx)
+                    loss = l1_loss(pred, T.constant(train_prep.targets_norm[idx]))
                 T.backward(loss)
                 adam.step()
                 total += loss.item() * len(idx)

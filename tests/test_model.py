@@ -33,6 +33,7 @@ from graphrde.solver import SolveSpec, integrate
 from oracles import field_f as unfused_field_f
 from oracles import field_g as unfused_field_g
 from oracles import augmented_rhs as unfused_augmented_rhs
+from oracles import clear_tape
 
 RNG = np.random.default_rng(777)
 
@@ -320,6 +321,22 @@ def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method)
             assert err <= 1e-12 * np.abs(grads_ref[name]).max(), name
         else:
             assert np.array_equal(grads[name], grads_ref[name]), name
+
+
+@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_field_is_one_trunk_entry_and_one_head_entry(variant, gnn_kind):
+    cfg = tiny_config(num_layers=2, variant=variant, gnn_kind=gnn_kind)
+    prop = normalized_adjacency(RNG.uniform(size=(3, 3)), gnn_kind) if cfg.needs_adjacency else None
+    ps = ParamStore(cfg, seed=3, propagation=prop)
+    op = graph_operator(ps, cfg)
+    h, z = (T.constant(RNG.normal(size=(2, 3, width))) for width in (cfg.dim_h, cfg.dim_z))
+    state = {"full": [h, z], "temporal_only": [h], "spatial_only": [z]}[variant]
+    clear_tape()  # the adaptive operator's entries
+    augmented_rhs(state, T.constant(RNG.normal(size=(2, 3, cfg.logsig_dim))), 2.0, op, ps, cfg)
+    # per field a recomputed trunk and a head; one scale by the divisor
+    assert T.tape_size() == (5 if variant == "full" else 3)
+    clear_tape()
 
 
 # ---------------------------------------------------------------------------

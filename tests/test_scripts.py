@@ -49,4 +49,6 @@ def test_step_memory_estimate_covers_a_measured_step(tmp_path):
     spec = importlib.util.spec_from_file_location("step_memory", ROOT / "scripts" / "step_memory.py")
     step_memory = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(step_memory)
-    assert record["peak_rss_mb"] <= step_memory.estimate_mb(1), record
+    # an upper line, but not so far above the measured step that it turns batches away
+    peak = record["peak_rss_mb"]
+    assert peak <= step_memory.estimate_mb(1) <= 1.25 * peak, record

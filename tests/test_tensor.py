@@ -467,6 +467,115 @@ def test_tape_frees_every_output_that_no_backward_reads():
     assert max_grad_mismatch([t.grad for t in (x, w, b, v)], numeric) < 1e-6
 
 
+RECOMPUTE_ARRAYS = {name: RNG.normal(size=shape) for name, shape in
+                    [("p", (2, 3, 4)), ("q", (4, 4)), ("w", (4, 5)), ("b", (5,)), ("u", (5, 4)),
+                     ("v", (4, 2))]}
+
+
+def recompute_case(wrapped, tracked):
+    """Tape entries, output, loss and gradients of a loss that reads ``x``
+    inside and outside ``block``.
+
+    ``block`` reads ``x`` twice, ``w`` and ``u``; ``tracked`` names which of
+    ``x``, ``w``, ``u`` and ``v`` are tracked, ``x`` as an op output of ``p``.
+    """
+    arrays = RECOMPUTE_ARRAYS
+    w, u, v = [T.Tensor(arrays[name], requires_grad=name in tracked) for name in "wuv"]
+    p = T.Tensor(arrays["p"], requires_grad=True)
+    x = p @ T.constant(arrays["q"]) if "x" in tracked else T.constant(arrays["p"])
+
+    def block(t):
+        return T.relu(t @ w + T.constant(arrays["b"])) @ u + t
+
+    out = T.recompute(block, x) if wrapped else block(x)
+    loss = sum_all(tanh((out + x) @ v))
+    entries = T.tape_size()
+    T.backward(loss)
+    return entries, [out.data, loss.data] + [t.grad for t in (p, w, u, v)]
+
+
+@pytest.mark.parametrize("tracked", ["xwuv", "wuv", "xv", "v"])
+def test_recompute_is_bit_identical_to_the_unwrapped_function(tracked):
+    wrapped_entries, wrapped = recompute_case(True, tracked)
+    plain_entries, plain = recompute_case(False, tracked)
+    for got, want in zip(wrapped, plain):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+    block_entries = 0 if tracked == "v" else 4  # matmul, add, relu, matmul, add; less one
+    assert wrapped_entries == plain_entries - block_entries
+
+
+def test_recompute_output_is_tracked_exactly_when_the_function_would_be():
+    x, w = T.constant(RNG.normal(size=(3, 2))), T.constant(RNG.normal(size=(2, 2)))
+    out = T.recompute(lambda t: T.relu(t @ w), x)
+    assert not out.requires_grad and T.tape_size() == 0
+    w = T.Tensor(w.data, requires_grad=True)
+    out = T.recompute(lambda t: T.relu(t @ w), x)
+    assert out.requires_grad and T.tape_size() == 1
+    clear_tape()
+    # a function whose output is not one of its own ops' is passed through
+    assert T.recompute(lambda t: t, w) is w and T.tape_size() == 0
+
+
+def test_recompute_under_no_grad_is_the_function():
+    x = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    calls = []
+
+    def block(t):
+        calls.append(t)
+        return T.relu(t @ T.constant(np.ones((2, 2))))
+
+    with T.no_grad():
+        out = T.recompute(block, x)
+    assert calls == [x] and not out.requires_grad and T.tape_size() == 0
+    assert np.array_equal(out.data, np.maximum(x.data @ np.ones((2, 2)), 0.0))
+
+
+def test_recompute_keeps_none_of_the_functions_intermediates():
+    x = T.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    w = T.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    refs = []
+
+    def block(t):
+        for _ in range(3):
+            t = T.relu(t @ w)
+            refs.append(weakref.ref(t.data))
+        return t
+
+    out = T.recompute(block, x)
+    # the last layer is the output; the two before it would be kept by the
+    # next layer's matmul for w's gradient if the block were taped in place
+    assert [ref() is None for ref in refs] == [True, True, False]
+    assert T.tape_size() == 1
+    T.backward(sum_all(tanh(out)))
+    assert len(refs) == 6  # the backward ran the block once more
+    assert x.grad is not None and w.grad is not None
+
+
+def test_recompute_restores_the_outer_tape_when_the_rerun_raises():
+    x = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    fail = []
+
+    def block(t):
+        if fail:
+            raise NonFiniteError("re-run fails")
+        return T.relu(t @ T.constant(np.ones((2, 2))))
+
+    out = sum_all(T.recompute(block, x))
+    outer = T._TAPE
+    _, backward_fn = outer[-2]
+    fail.append(True)
+    with pytest.raises(NonFiniteError, match="re-run fails"):
+        backward_fn(np.ones((3, 2)))
+    assert T._TAPE is outer and len(outer) == 2 and T._GRAD_ENABLED
+    with pytest.raises(NonFiniteError, match="re-run fails"):
+        T.backward(out)
+    assert T._TAPE is outer and T.tape_size() == 0
+    fail.clear()
+    T.backward(sum_all(T.recompute(block, x)))  # the tape works on
+    assert x.grad is not None
+
+
 def test_a_tape_node_reads_its_output_while_the_output_lives():
     p = T.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
     out = p @ T.constant(RNG.normal(size=(3, 4)))

@@ -1,5 +1,6 @@
 """Loss, optimizer, metrics, baseline, and the fit loop."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from graphrde import data as D
 from graphrde import model as M
 from graphrde import tensor as T
 from graphrde import training as TR
-from graphrde.errors import ConfigError, ContractError, TrainingAbort
+from graphrde.errors import BlowupError, ConfigError, ContractError, NonFiniteError, TrainingAbort
 from graphrde.model import ModelConfig, ParamStore
 from graphrde.solver import SolveSpec
 from graphrde.tensor import Tensor
@@ -124,6 +125,18 @@ def test_adam_couples_weight_decay_into_gradient():
     g = 0.2
     expected = 2.0 - 0.5 * g / (np.sqrt(g * g) + 1e-8)
     assert p.data[0, 0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_adam_refuses_a_gradient_whose_square_overflows():
+    q = Tensor(np.ones(2), requires_grad=True)
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = TR.Adam([("q", q), ("p", p)], lr=0.1)
+    q.grad, p.grad = np.ones(2), np.array([0.0, 1e154, 1.0])
+    opt.step()  # 0.001 * 1e154 * 1e154 is finite
+    p.grad = np.array([0.0, 1e300, 1.0])  # finite, but its square is not
+    with pytest.raises(NonFiniteError, match="second moment of 'p'"):
+        opt.step()
+    assert np.isfinite(opt.v["p"]).all()
 
 
 def test_adam_requires_gradients():
@@ -266,6 +279,44 @@ def test_training_abort_carries_history():
     assert exc_info.value.history == []
     assert exc_info.value.best_params is None
     assert T.tape_size() == 0  # the failed forward must not leak taped ops
+
+
+@pytest.mark.parametrize("method,error,match", [
+    ("rk4", BlowupError, "window 1, step 0"),  # the solver, after window 0 taped its entries
+    ("euler", NonFiniteError, "mean_all"),  # the loss, after the whole forward taped its entries
+])
+def test_a_failed_forward_leaves_no_tape_entries(method, error, match):
+    cfg, train_prep, val_prep, norm = _tiny_problem()
+    train_prep.coords[1] = 1.7e308
+    sspec = SolveSpec(method=method, steps_per_window=1)
+    tcfg = TR.TrainConfig(epochs=3, batch_size=64, lr=1e-2, patience=5, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(TrainingAbort, match=match) as exc_info:
+        TR.fit(ParamStore(cfg, seed=0), cfg, train_prep, val_prep, tcfg, sspec, norm)
+    assert type(exc_info.value.__cause__) is error
+    assert exc_info.value.history == []
+    assert T.tape_size() == 0
+
+
+def test_fit_aborts_with_the_last_snapshot_when_adam_overflows(monkeypatch):
+    cfg, train_prep, val_prep, norm = _tiny_problem()
+    sspec = SolveSpec(method="euler", steps_per_window=1)
+    tcfg = TR.TrainConfig(epochs=3, batch_size=64, lr=1e-2, patience=5, seed=0)
+    healthy = ParamStore(cfg, seed=0)
+    TR.fit(healthy, cfg, train_prep, val_prep, replace(tcfg, epochs=1), sspec, norm)
+    params, real_backward, losses = ParamStore(cfg, seed=0), T.backward, []
+
+    def backward(loss):
+        real_backward(loss)
+        losses.append(loss)
+        if len(losses) == 2:  # epoch 1's one batch: a finite gradient too large to square
+            params["out_b"].grad[0] = 1e300
+
+    monkeypatch.setattr(T, "backward", backward)
+    with pytest.raises(TrainingAbort, match="aborted at epoch 1.*'out_b'") as exc_info:
+        TR.fit(params, cfg, train_prep, val_prep, tcfg, sspec, norm)
+    assert len(exc_info.value.history) == 1
+    best = exc_info.value.best_params
+    assert all(np.array_equal(best[name], arr) for name, arr in healthy.state_arrays().items())
 
 
 def test_prepare_split_shapes_and_normalization():
