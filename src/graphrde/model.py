@@ -3,7 +3,7 @@
 The forecasting state is a pair of per-node hidden matrices (H, Z).
 H follows a controlled differential equation whose vector field is a
 stack of fully connected layers, contracted against the window's
-log-signature divided by the window length (an average velocity); Z is
+log-signature, each window spanning unit time (the log-ODE step); Z is
 driven by dH through a graph-convolutional field, so spatial mixing
 happens inside the dynamics.  Predictions are a linear readout of the
 final state.
@@ -314,7 +314,7 @@ def field_g(
 
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
     The control is dH, with ``cols`` = dim_h (full variant), or the
-    log-signature velocity, with ``cols`` = L (spatial-only variant).
+    window's log-signature, with ``cols`` = L (spatial-only variant).
     ``prop`` is the forward's ``graph_operator``.  The relu layer and the
     graph mixing are one tape entry, run again in the backward
     (``tensor.recompute``), as in ``field_f``.
@@ -352,26 +352,22 @@ def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> list[Tens
 def augmented_rhs(
     state: list[Tensor],
     ell: Tensor,
-    divisor: float,
     prop: Tensor | None,
     params: ParamStore,
     config: ModelConfig,
 ) -> list[Tensor]:
-    """Time derivative of the augmented state on one log-signature window.
+    """Derivative of the augmented state on one log-signature window.
 
-    ``ell`` holds the window's log-signature coordinates (.., nodes, L)
-    and ``divisor`` the window length, so ``ell / divisor`` is the
-    constant control velocity on the window.  ``prop`` is
+    ``ell`` holds the window's log-signature coordinates (.., nodes, L),
+    the constant control over the window's unit time.  ``prop`` is
     ``graph_operator(params, config)``, built once per forward pass.
     """
-    if divisor <= 0:
-        raise ContractError(f"window divisor must be positive, got {divisor}")
     if config.variant == "temporal_only":
-        return [field_f(state[0], ell, params, config) / divisor]
+        return [field_f(state[0], ell, params, config)]
     if config.variant == "spatial_only":
-        return [field_g(state[0], ell, prop, params, config) / divisor]
+        return [field_g(state[0], ell, prop, params, config)]
     h, z = state
-    dh = field_f(h, ell, params, config) / divisor
+    dh = field_f(h, ell, params, config)
     return [dh, field_g(z, dh, prop, params, config)]
 
 

@@ -1,9 +1,11 @@
 """Fixed-step integration of the window-piecewise dynamics.
 
-The control (a window's log-signature divided by its length) is
-constant within each window, so integration proceeds window by window:
-``steps_per_window`` equal steps of Euler or classical Runge-Kutta 4
-per window, which lands exactly on every window boundary.  All state
+The control (a window's log-signature) is constant within each window,
+so integration proceeds window by window.  Each window is stepped over
+unit time, as in the log-ODE method: on a window of length L,
+dX/dt = f(X) ell / L over [0, L] is the same map as dX/ds = f(X) ell over
+[0, 1].  ``steps_per_window`` equal steps of Euler or classical
+Runge-Kutta 4 per window land exactly on its end.  All state
 updates go through the taped tensor ops, so gradients flow through the
 unrolled solver (discretize-then-optimize).
 """
@@ -60,25 +62,23 @@ def step(method: str, rhs: RhsFn, state: list[Tensor], h: float) -> list[Tensor]
 def integrate(
     state: list[Tensor],
     coords: np.ndarray,
-    divisors: np.ndarray,
     spec: SolveSpec,
-    rhs: Callable[[list[Tensor], Tensor, float], list[Tensor]],
+    rhs: Callable[[list[Tensor], Tensor], list[Tensor]],
 ) -> list[Tensor]:
     """March a list-of-tensors state across every log-signature window.
 
     Window ``w`` has log-signature ``coords[w]``, which must
-    broadcast-match the state's leading axes, shape (.., nodes, L), and
-    length ``divisors[w]``; ``rhs(state, ell, divisor)`` is the state's
-    time derivative on the window.
+    broadcast-match the state's leading axes, shape (.., nodes, L);
+    ``rhs(state, ell)`` is the state's derivative on the window, which
+    spans unit time.
     """
+    h = 1.0 / spec.steps_per_window
     for w in range(len(coords)):
         ell = T.constant(coords[w])
-        divisor = float(divisors[w])
 
         def window_rhs(tensors: list[Tensor]) -> list[Tensor]:
-            return rhs(tensors, ell, divisor)
+            return rhs(tensors, ell)
 
-        h = divisor / spec.steps_per_window
         for k in range(spec.steps_per_window):
             try:
                 state = step(spec.method, window_rhs, state, h)

@@ -244,11 +244,6 @@ class Tensor:
     def __rmul__(self, other):
         return scale(self, float(other))
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported")
-        return scale(self, 1.0 / float(other))
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
@@ -299,8 +294,9 @@ def _as_tensor(x) -> Tensor:
     return x
 
 
-def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
+def _make(data, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
     """Create an op output, recording a tape entry when tracking applies."""
+    data = np.asarray(data)  # 0-d arithmetic gives numpy scalars, which no weakref can hold
     _check_finite(data, name)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -709,7 +705,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise DimensionError("mean of an empty tensor")
-    data = np.asarray(a.data.mean())
+    data = a.data.mean()
     na, sa = a.node, a.shape
 
     def backward_fn(g: np.ndarray) -> None:

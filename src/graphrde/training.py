@@ -167,7 +167,6 @@ class PreparedSplit:
 
     f0: np.ndarray            # (count, nodes, channels) normalized first frames
     coords: np.ndarray        # (W, count, nodes, L) log-signature coordinates, window-major
-    boundaries: np.ndarray    # (W + 1,) shared window edges in timesteps
     targets_norm: np.ndarray  # (count, nodes, horizon, out_channels)
     targets_raw: np.ndarray
     offsets: np.ndarray
@@ -196,7 +195,7 @@ def prepare_split(
     coords = None
     for lo in range(0, count * nodes, CHUNK_CELLS):
         hi = min(lo + CHUNK_CELLS, count * nodes)
-        chunk, edges = window_logsig(
+        chunk, _ = window_logsig(
             fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, basis=basis
         )
         if coords is None:
@@ -206,7 +205,6 @@ def prepare_split(
     return PreparedSplit(
         f0=normalizer.apply(windows.inputs[:, :, 0, :]),
         coords=coords,
-        boundaries=edges,
         targets_norm=targets_norm,
         targets_raw=windows.targets.copy(),
         offsets=windows.offsets.copy(),
@@ -226,11 +224,10 @@ def forward_prepared(
     final = integrate(
         state,
         prepared.coords[:, idx],
-        np.diff(prepared.boundaries),
         solve,
         # looks ``augmented_rhs`` up by name at each call, so a wrapper
         # rebound over the module attribute sees every evaluation
-        lambda s, ell, divisor: augmented_rhs(s, ell, divisor, prop, params, config),
+        lambda s, ell: augmented_rhs(s, ell, prop, params, config),
     )
     return readout(final, params, config)
 

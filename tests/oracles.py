@@ -10,9 +10,12 @@ bit; and the unfused field heads at the end of this file, which tape
 each head as separate ops and rebuild the graph operator in every
 right-hand-side evaluation, the reference the fused heads and the
 once-per-forward operator must reproduce: predictions bit for bit,
-gradients bit for bit or, where the sum order differs, to rounding.  The
-tape ops that only those heads and the tests use (``tanh``, ``mul``,
-``neg``, ``sum_all``, ``matvec``) live beside them, on the library's tape.
+gradients bit for bit or, where the sum order differs, to rounding.
+Those heads take each window's length and scale by its inverse, and
+``integrate``, the solver's earlier form, steps each window over its real
+length: the reference for the library's unit-time windows.  The tape ops that only
+those heads and the tests use (``tanh``, ``mul``, ``neg``, ``sum_all``,
+``matvec``) live beside them, on the library's tape.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
+from graphrde.solver import step
 from graphrde.tensor import _accumulate, _as_tensor, _check_broadcast, _make, _unbroadcast
 
 
@@ -361,7 +365,7 @@ def tanh(a):
 
 def sum_all(a):
     a = _as_tensor(a)
-    data = np.asarray(a.data.sum())
+    data = a.data.sum()
     na, sa = a.node, a.shape
 
     def backward_fn(g):
@@ -423,11 +427,30 @@ def field_g(z, params, config):
 
 
 def augmented_rhs(state, ell, divisor, params, config):
-    """The model's right-hand side, built from the unfused heads."""
+    """The model's right-hand side, built from the unfused heads, on a
+    window of length ``divisor`` run over real time."""
     if config.variant == "temporal_only":
-        return [matvec(field_f(state[0], params, config), ell) / divisor]
+        return [matvec(field_f(state[0], params, config), ell) * (1.0 / divisor)]
     if config.variant == "spatial_only":
-        return [matvec(field_g(state[0], params, config), ell) / divisor]
+        return [matvec(field_g(state[0], params, config), ell) * (1.0 / divisor)]
     h, z = state
-    dh = matvec(field_f(h, params, config), ell) / divisor
+    dh = matvec(field_f(h, params, config), ell) * (1.0 / divisor)
     return [dh, matvec(field_g(z, params, config), dh)]
+
+
+def integrate(state, coords, divisors, spec, rhs):
+    """March ``state`` across the windows with window ``w`` spanning
+    ``divisors[w]`` of time, ``spec.steps_per_window`` steps of
+    ``divisors[w] / spec.steps_per_window`` each; ``rhs(state, ell,
+    divisor)`` is the state's time derivative on the window."""
+    for w in range(len(coords)):
+        ell = T.constant(coords[w])
+        divisor = float(divisors[w])
+
+        def window_rhs(tensors):
+            return rhs(tensors, ell, divisor)
+
+        h = divisor / spec.steps_per_window
+        for _ in range(spec.steps_per_window):
+            state = step(spec.method, window_rhs, state, h)
+    return state

@@ -34,6 +34,7 @@ from oracles import field_f as unfused_field_f
 from oracles import field_g as unfused_field_g
 from oracles import augmented_rhs as unfused_augmented_rhs
 from oracles import clear_tape
+from oracles import integrate as real_time_integrate
 
 RNG = np.random.default_rng(777)
 
@@ -281,35 +282,44 @@ def test_batched_fields_match_per_sample():
         assert np.allclose(together_g[i], single, atol=1e-14)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
-@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method):
-    cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
-                      variant=variant, gnn_kind=gnn_kind)
+def fused_and_oracle_runs(cfg, method, divisors):
+    """Predictions and gradients of a forward and backward through the
+    fused heads on unit-time windows, then through the unfused oracle on
+    windows of length ``divisors``."""
     rng = np.random.default_rng(31)
     prop = None
     if cfg.needs_adjacency:
-        prop = normalized_adjacency(rng.uniform(size=(4, 4)), gnn_kind)
+        prop = normalized_adjacency(rng.uniform(size=(4, 4)), cfg.gnn_kind)
     ps = ParamStore(cfg, seed=5, propagation=prop)
-    coords = rng.normal(size=(3, 2, 4, cfg.logsig_dim)) * 0.5  # windows, batch, nodes, L
-    divisors = np.array([2.0, 2.0, 1.0])
+    # windows, batch, nodes, L
+    coords = rng.normal(size=(len(divisors), 2, 4, cfg.logsig_dim)) * 0.5
     f0 = T.constant(rng.normal(size=(2, 4, 2)))
     target = T.constant(rng.normal(size=(2, 4, cfg.horizon, 2)))
     spec = SolveSpec(method=method, steps_per_window=2)
 
-    def run(rhs):
+    def run(march):
         ps.zero_grad()
-        pred = readout(integrate(init_state(f0, ps, cfg), coords, divisors, spec, rhs), ps, cfg)
+        pred = readout(march(init_state(f0, ps, cfg)), ps, cfg)
         T.backward(T.mean_all(T.absolute(pred - target)))
         return pred.data, {name: p.grad.copy() for name, p in ps.tracked()}
 
+    op = graph_operator(ps, cfg)  # once per forward, as in forward_prepared
+    fused_rhs = lambda state, ell: augmented_rhs(state, ell, op, ps, cfg)
     # the oracle rebuilds the graph operator in every RHS evaluation
-    pred_ref, grads_ref = run(
-        lambda state, ell, divisor: unfused_augmented_rhs(state, ell, divisor, ps, cfg)
-    )
-    prop = graph_operator(ps, cfg)  # once per forward, as in forward_prepared
-    pred, grads = run(lambda state, ell, divisor: augmented_rhs(state, ell, divisor, prop, ps, cfg))
+    oracle_rhs = lambda state, ell, divisor: unfused_augmented_rhs(state, ell, divisor, ps, cfg)
+    fused = run(lambda state: integrate(state, coords, spec, fused_rhs))
+    oracle = run(lambda state: real_time_integrate(state, coords, divisors, spec, oracle_rhs))
+    return fused, oracle
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method):
+    # window lengths 2, 2, 1 (subpath_len 2): unit time rescales by powers of two, exactly
+    cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
+                      variant=variant, gnn_kind=gnn_kind)
+    (pred, grads), (pred_ref, grads_ref) = fused_and_oracle_runs(cfg, method, [2.0, 2.0, 1.0])
     assert np.array_equal(pred, pred_ref)
     assert grads.keys() == grads_ref.keys()
     # summed in another order: embed's over one operator instead of one per
@@ -323,6 +333,19 @@ def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method)
             assert np.array_equal(grads[name], grads_ref[name]), name
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unit_time_windows_match_real_time_windows_of_length_three(variant):
+    # input_len 8 -> 7 knot intervals -> windows of 3, 3 and 1
+    cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
+                      input_len=8, subpath_len=3, variant=variant)
+    (pred, grads), (pred_ref, grads_ref) = fused_and_oracle_runs(cfg, "rk4", [3.0, 3.0, 1.0])
+    assert np.abs(pred - pred_ref).max() <= 1e-12 * np.abs(pred_ref).max()
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        err = np.abs(grads[name] - grads_ref[name]).max()
+        assert err <= 1e-12 * np.abs(grads_ref[name]).max(), name
+
+
 @pytest.mark.parametrize("gnn_kind", GNN_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_field_is_one_trunk_entry_and_one_head_entry(variant, gnn_kind):
@@ -333,9 +356,9 @@ def test_each_field_is_one_trunk_entry_and_one_head_entry(variant, gnn_kind):
     h, z = (T.constant(RNG.normal(size=(2, 3, width))) for width in (cfg.dim_h, cfg.dim_z))
     state = {"full": [h, z], "temporal_only": [h], "spatial_only": [z]}[variant]
     clear_tape()  # the adaptive operator's entries
-    augmented_rhs(state, T.constant(RNG.normal(size=(2, 3, cfg.logsig_dim))), 2.0, op, ps, cfg)
-    # per field a recomputed trunk and a head; one scale by the divisor
-    assert T.tape_size() == (5 if variant == "full" else 3)
+    augmented_rhs(state, T.constant(RNG.normal(size=(2, 3, cfg.logsig_dim))), op, ps, cfg)
+    # per field a recomputed trunk and a head
+    assert T.tape_size() == (4 if variant == "full" else 2)
     clear_tape()
 
 
@@ -365,15 +388,13 @@ def test_augmented_rhs_full_couples_z_to_dh():
     ps = ParamStore(cfg, seed=6)
     st = [T.constant(RNG.normal(size=(3, 4))), T.constant(RNG.normal(size=(3, 3)))]
     ell = T.constant(RNG.normal(size=(3, cfg.logsig_dim)))
-    dh, dz = augmented_rhs(st, ell, 2.0, graph_operator(ps, cfg), ps, cfg)
+    dh, dz = augmented_rhs(st, ell, graph_operator(ps, cfg), ps, cfg)
     f_out = unfused_field_f(st[0], ps, cfg).data
-    want_dh = np.einsum("vpl,vl->vp", f_out, ell.data) / 2.0
+    want_dh = np.einsum("vpl,vl->vp", f_out, ell.data)
     assert np.allclose(dh.data, want_dh, atol=1e-13)
     g_out = unfused_field_g(st[1], ps, cfg).data
     want_dz = np.einsum("vqp,vp->vq", g_out, want_dh)
     assert np.allclose(dz.data, want_dz, atol=1e-13)
-    with pytest.raises(ContractError):
-        augmented_rhs(st, ell, 0.0, graph_operator(ps, cfg), ps, cfg)
 
 
 def test_variant_rhs_states():
@@ -381,12 +402,12 @@ def test_variant_rhs_states():
     t_ps = ParamStore(t_cfg, seed=0)
     assert graph_operator(t_ps, t_cfg) is None
     d = augmented_rhs([T.constant(RNG.normal(size=(3, 4)))],
-                      T.constant(RNG.normal(size=(3, 3))), 1.0, None, t_ps, t_cfg)
+                      T.constant(RNG.normal(size=(3, 3))), None, t_ps, t_cfg)
     assert [t.shape for t in d] == [(3, 4)]
     s_cfg = tiny_config(variant="spatial_only")
     s_ps = ParamStore(s_cfg, seed=0)
     d = augmented_rhs([T.constant(RNG.normal(size=(3, 3)))],
-                      T.constant(RNG.normal(size=(3, 3))), 1.0, graph_operator(s_ps, s_cfg),
+                      T.constant(RNG.normal(size=(3, 3))), graph_operator(s_ps, s_cfg),
                       s_ps, s_cfg)
     assert [t.shape for t in d] == [(3, 3)]
 
@@ -410,14 +431,13 @@ def test_node_permutation_equivariance():
     h = RNG.normal(size=(3, 4))
     z = RNG.normal(size=(3, 3))
     ell = RNG.normal(size=(3, cfg.logsig_dim))
-    d = augmented_rhs([T.constant(h), T.constant(z)], T.constant(ell), 2.0,
+    d = augmented_rhs([T.constant(h), T.constant(z)], T.constant(ell),
                       graph_operator(ps, cfg), ps, cfg)
     ps_perm = ParamStore(cfg, seed=12)
     ps_perm["embed"].data = ps["embed"].data[perm]
     d_perm = augmented_rhs(
         [T.constant(h[perm]), T.constant(z[perm])],
         T.constant(ell[perm]),
-        2.0,
         graph_operator(ps_perm, cfg),
         ps_perm,
         cfg,
@@ -436,8 +456,8 @@ def test_local_lipschitz_ratio_is_bounded():
     for _ in range(1000):
         h1, z1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
         dh, dz = rng.normal(size=(3, 4)) * 0.1, rng.normal(size=(3, 3)) * 0.1
-        d1 = augmented_rhs([T.constant(h1), T.constant(z1)], ell, 2.0, prop, ps, cfg)
-        d2 = augmented_rhs([T.constant(h1 + dh), T.constant(z1 + dz)], ell, 2.0, prop, ps, cfg)
+        d1 = augmented_rhs([T.constant(h1), T.constant(z1)], ell, prop, ps, cfg)
+        d2 = augmented_rhs([T.constant(h1 + dh), T.constant(z1 + dz)], ell, prop, ps, cfg)
         num = np.sqrt(sum(np.sum((a.data - b.data) ** 2) for a, b in zip(d1, d2)))
         den = np.sqrt(np.sum(dh**2) + np.sum(dz**2))
         ratios.append(num / den)

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` rebinds functions by module and name; one that is
 renamed or dropped would be reported as missing and its layer would read
 0, so the suite checks here that nothing is missing, that a forward pass
-is counted and that the tape probe reads the tape's entries at backward.
+is counted and that the tape probe reads the tape's entries at backward,
+exactly, so a change in the entries per RHS evaluation shows here.
 """
 
 import json
@@ -49,6 +50,9 @@ def test_tracer_finds_every_layer_and_counts_rhs_evaluations():
     metrics = report["metrics"]
     assert metrics["solver.rhs_evals"] == 2 * 4  # log-signature windows x RK4 stages
     assert metrics["logsig.cells"] == 2 * 2  # forecasting windows x nodes
-    # the tape probe ran at backward and read the live taped outputs
-    assert metrics["tensor.tape_entries"] > 0
+    # the tape probe ran at backward and read the live taped outputs: 4 per
+    # RHS evaluation (a recomputed trunk and a head per field) x 8, 52 RK4
+    # state updates, 5 for the adaptive graph operator, 4 for the initial
+    # state and 6 for the readout and loss
+    assert metrics["tensor.tape_entries"] == 4 * 8 + 52 + 5 + 4 + 6
     assert 0 < metrics["tensor.tape_bytes"]

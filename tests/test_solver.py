@@ -51,65 +51,65 @@ def test_measured_convergence_orders():
 
 
 def test_integrate_covers_every_window_exactly():
-    # constant unit derivative: the final state equals init plus the total
-    # window span, which checks step x h lands exactly on each boundary
-    coords, divisors = np.zeros((3, 1, 2)), np.array([2.0, 2.0, 1.0])
+    # constant unit derivative: the final state equals init plus one unit
+    # of time per window, which checks step x h lands exactly on each end
+    coords = np.zeros((3, 1, 2))
     init = [T.constant(np.zeros((1, 2)))]
 
-    def rhs(state, ell, divisor):
+    def rhs(state, ell):
         return [T.constant(np.ones((1, 2)))]
 
     for method in ("euler", "rk4"):
         for steps in (1, 2, 3):
-            out = integrate(init, coords, divisors, SolveSpec(method, steps), rhs)
-            assert np.allclose(out[0].data, 5.0, atol=1e-12)
+            out = integrate(init, coords, SolveSpec(method, steps), rhs)
+            assert np.allclose(out[0].data, 3.0, atol=1e-12)
 
 
-def test_integrate_passes_each_window_its_control_and_length():
-    coords, divisors = RNG.normal(size=(3, 1, 2)), np.array([2.0, 2.0, 1.0])
+def test_integrate_passes_each_window_its_control():
+    coords = RNG.normal(size=(3, 1, 2))
     seen = []
 
-    def rhs(state, ell, divisor):
-        seen.append((ell.data, divisor))
+    def rhs(state, ell):
+        seen.append(ell.data)
         return [0.0 * state[0]]
 
-    integrate([T.constant(np.zeros((1, 2)))], coords, divisors, SolveSpec("rk4", 2), rhs)
+    integrate([T.constant(np.zeros((1, 2)))], coords, SolveSpec("rk4", 2), rhs)
     assert len(seen) == 3 * 2 * 4  # windows x steps x stages
-    for i, (ell, divisor) in enumerate(seen):
-        assert np.array_equal(ell, coords[i // 8]) and divisor == divisors[i // 8]
+    for i, ell in enumerate(seen):
+        assert np.array_equal(ell, coords[i // 8])
 
 
 def test_integrate_linear_ode_against_closed_form():
     lam = -0.7
-    coords, divisors = np.zeros((2, 1, 2)), np.array([1.0, 1.0])
+    coords = np.zeros((2, 1, 2))
     init = [T.constant(np.full((1, 2), 3.0))]
 
-    def rhs(state, ell, divisor):
+    def rhs(state, ell):
         return [lam * state[0]]
 
-    out = integrate(init, coords, divisors, SolveSpec("rk4", 8), rhs)
+    out = integrate(init, coords, SolveSpec("rk4", 8), rhs)
     assert np.allclose(out[0].data, 3.0 * np.exp(lam * 2.0), atol=1e-7)
-    out_e = integrate(init, coords, divisors, SolveSpec("euler", 512), rhs)
+    out_e = integrate(init, coords, SolveSpec("euler", 512), rhs)
     assert np.allclose(out_e[0].data, 3.0 * np.exp(lam * 2.0), atol=2e-3)
 
 
 def test_integrate_detects_blowup_with_location():
-    coords, divisors = np.zeros((2, 1, 2)), np.array([2.0, 2.0])
+    coords = np.zeros((2, 1, 2))
     init = [T.constant(np.full((1, 2), 10.0))]
 
-    def rhs(state, ell, divisor):
+    def rhs(state, ell):
         with np.errstate(over="ignore"):
             return [1e308 * state[0]]
 
     with pytest.raises(BlowupError) as err:
-        integrate(init, coords, divisors, SolveSpec("euler", 1), rhs)
+        integrate(init, coords, SolveSpec("euler", 1), rhs)
     assert err.value.window == 0
     assert err.value.step == 0
 
 
 def model_rhs(ps, cfg):
     prop = graph_operator(ps, cfg)
-    return lambda state, ell, divisor: augmented_rhs(state, ell, divisor, prop, ps, cfg)
+    return lambda state, ell: augmented_rhs(state, ell, prop, ps, cfg)
 
 
 def test_field_head_overflow_is_a_blowup():
@@ -121,16 +121,16 @@ def test_field_head_overflow_is_a_blowup():
     ps["f_b0"].data[:] = 1.0  # trunk output is all ones
     ps["f_head_w"].data[:] = 1e308
     init = init_state(T.constant(np.zeros((2, 1))), ps, cfg)
-    coords, divisors = np.ones((2, 2, cfg.logsig_dim)), np.array([2.0, 2.0])
+    coords = np.ones((2, 2, cfg.logsig_dim))
     with np.errstate(over="ignore"), pytest.raises(BlowupError, match=r"a @ w\)") as err:
-        integrate(init, coords, divisors, SolveSpec("rk4", 2), model_rhs(ps, cfg))
+        integrate(init, coords, SolveSpec("rk4", 2), model_rhs(ps, cfg))
     assert (err.value.window, err.value.step) == (0, 0)
     clear_tape()
 
 
-def full_forward(cfg, ps, spec, f0, coords, boundaries):
+def full_forward(cfg, ps, spec, f0, coords):
     state = init_state(T.constant(f0), ps, cfg)
-    final = integrate(state, coords, np.diff(boundaries), spec, model_rhs(ps, cfg))
+    final = integrate(state, coords, spec, model_rhs(ps, cfg))
     return readout(final, ps, cfg)
 
 
@@ -140,10 +140,9 @@ def test_gradient_flows_through_integrate():
     ps = ParamStore(cfg, seed=2)
     f0 = RNG.normal(size=(2, 1))
     coords = RNG.normal(size=(2, 2, cfg.logsig_dim)) * 0.5
-    boundaries = np.array([0.0, 2.0, 4.0])
     spec = SolveSpec("rk4", 2)
 
-    loss = T.mean_all(T.absolute(full_forward(cfg, ps, spec, f0, coords, boundaries)))
+    loss = T.mean_all(T.absolute(full_forward(cfg, ps, spec, f0, coords)))
     T.backward(loss)
     analytic = {name: t.grad.copy() for name, t in ps.tracked()}
     assert all(g is not None for g in analytic.values())
@@ -154,7 +153,7 @@ def test_gradient_flows_through_integrate():
         def value():
             with T.no_grad():
                 return T.mean_all(
-                    T.absolute(full_forward(cfg, ps, spec, f0, coords, boundaries))
+                    T.absolute(full_forward(cfg, ps, spec, f0, coords))
                 ).item()
 
         # spot-check a handful of coordinates per tensor
@@ -181,9 +180,8 @@ def test_batched_integration_matches_per_sample():
     batch = 3
     f0 = RNG.normal(size=(batch, 2, 1))
     coords = RNG.normal(size=(2, batch, 2, cfg.logsig_dim)) * 0.5
-    boundaries = np.array([0.0, 2.0, 4.0])
     with T.no_grad():
-        together = full_forward(cfg, ps, spec, f0, coords, boundaries).data
+        together = full_forward(cfg, ps, spec, f0, coords).data
         for i in range(batch):
-            single = full_forward(cfg, ps, spec, f0[i], coords[:, i], boundaries).data
+            single = full_forward(cfg, ps, spec, f0[i], coords[:, i]).data
             assert np.allclose(together[i], single, atol=1e-13)

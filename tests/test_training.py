@@ -328,7 +328,6 @@ def test_prepare_split_shapes_and_normalization():
     assert prep.f0.shape == (5, 3, 1)
     # input_len 6 -> 5 knot intervals -> ceil(5/2) = 3 windows, short final
     assert prep.coords.shape == (3, 5, 3, cfg.logsig_dim)
-    assert np.array_equal(prep.boundaries, [0, 2, 4, 5])
     assert np.allclose(prep.f0, norm.apply(windows.inputs[:5, :, 0, :]))
     assert np.allclose(prep.targets_norm, norm.apply(windows.targets[:5]))
     assert np.array_equal(prep.targets_raw, windows.targets[:5])
