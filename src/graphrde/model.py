@@ -259,8 +259,8 @@ def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
 
     (.., nodes, dim_h) with the control (.., nodes, L) -> (.., nodes, dim_h):
     the (dim_h, L) head of each node contracted against its control.  The
-    relu trunk is one tape entry, run again in the backward
-    (``tensor.recompute``); the head stays outside it, so it runs once per
+    relu trunk and the head are one tape entry (``tensor.head_matvec``) that
+    keeps ``h`` and runs both again in the backward, so each runs once per
     forward and once per backward.
     """
 
@@ -269,8 +269,7 @@ def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
             a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
         return a
 
-    a = T.recompute(trunk, h)
-    return T.head_matvec(a, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
+    return T.head_matvec(trunk, h, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
 
 
 def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
@@ -315,18 +314,17 @@ def field_g(
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
     The control is dH, with ``cols`` = dim_h (full variant), or the
     window's log-signature, with ``cols`` = L (spatial-only variant).
-    ``prop`` is the forward's ``graph_operator``.  The relu layer and the
-    graph mixing are one tape entry, run again in the backward
-    (``tensor.recompute``), as in ``field_f``.
+    ``prop`` is the forward's ``graph_operator``.  The relu layer, the
+    graph mixing and the head are one tape entry that keeps ``z`` and runs
+    them again in the backward, as in ``field_f``.
     """
 
     def trunk(z: Tensor) -> Tensor:
         b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
         return _mixed_features(b0, prop, params, config)
 
-    b1 = T.recompute(trunk, z)
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
-    return T.head_matvec(b1, params["g_head_w"], params["g_head_b"], x, cols)
+    return T.head_matvec(trunk, z, params["g_head_w"], params["g_head_b"], x, cols)
 
 
 def init_state(f0: Tensor, params: ParamStore, config: ModelConfig) -> list[Tensor]:

@@ -15,8 +15,9 @@ output whose array no backward reads is freed as soon as the forward drops
 its tensor, not at the end of the backward.  A closure reads its input
 arrays as they were bound in the forward: rebinding a tensor's ``data``
 before the backward does not reach it, writing into the array does.
-:func:`recompute` makes a whole function one entry that keeps only its
-input and runs the function again in the backward.
+:func:`head_matvec` makes a whole field, a trunk under a tanh head, one
+entry that keeps only its inputs and runs the trunk and the head again in
+the backward.
 
 Design rules enforced at every operation boundary:
 
@@ -50,7 +51,6 @@ __all__ = [
     "no_grad",
     "discard_on_error",
     "tape_size",
-    "recompute",
     "add",
     "sub",
     "scale",
@@ -348,45 +348,6 @@ def _replay(tape: list[tuple[_Node, Callable[[np.ndarray], None]]]) -> None:
             node.grad = None
 
 
-def recompute(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
-    """``fn(x)`` as one tape entry that keeps none of ``fn``'s intermediates.
-
-    The forward runs ``fn(x)`` on a tape of its own and drops that tape when
-    ``fn`` returns, so the output is tracked exactly when ``fn(x)`` run taped
-    would be, and the entry keeps ``x``'s array alone.  The backward re-runs
-    ``fn`` on a tape of its own, replays that tape seeded with the output's
-    gradient, and restores the outer tape, also when the re-run raises.  The
-    re-run reads ``x``'s array through ``x``'s own gradient slot, so every
-    gradient, of ``x`` and of the tracked tensors ``fn`` reads, is summed in
-    the order ``fn`` taped in place would sum it, bit for bit, as long as the
-    re-run computes what the forward did: ``fn`` reads the tensors it closes
-    over as they are at the backward, not as they were in the forward.
-
-    Under ``no_grad`` it is ``fn(x)``.
-    """
-    x = _as_tensor(x)
-    if not _GRAD_ENABLED:
-        return fn(x)
-    with _own_tape() as scratch:
-        out = _as_tensor(fn(x))
-    if out.node is None or not any(node is out.node for node, _ in scratch):
-        return out  # untracked, or not made by fn's ops: nothing to recompute
-    xd, nx = x.data, x.node
-
-    def backward_fn(g: np.ndarray) -> None:
-        x_again = Tensor.__new__(Tensor)
-        x_again.data, x_again.node = xd, nx
-        with _own_tape() as tape:
-            out_again = fn(x_again)
-            if out_again.node is None:
-                raise ContractError("recompute: the re-run of fn is not tracked, its forward was")
-            out_again.node.grad = g
-            _replay(tape)
-
-    _TAPE.append((out.node, backward_fn))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Broadcasting helpers (leading-1 extents only)
 # ---------------------------------------------------------------------------
@@ -501,27 +462,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn, "matmul")
 
 
-def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor:
-    """A tanh field head applied to a control, as one tape entry.
+def head_matvec(
+    trunk: Callable[[Tensor], Tensor], h: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int
+) -> Tensor:
+    """A field, a trunk under a tanh head, applied to a control, as one tape entry.
 
-    ``out[.., p] = sum_q tanh(a @ w + b)[.., p, q] * x[.., q]``, where the
-    head ``tanh(a @ w + b)`` of shape ``(.., rows * cols)`` is read as
-    ``(.., rows, cols)``.  Shapes: ``a`` ``(.., m, k)``, ``w`` ``(k, n)``,
-    ``b`` ``(n,)`` and ``x`` ``(.., m, cols)`` with ``n = rows * cols``;
-    the result is ``(.., m, rows)``.
+    ``out[.., p] = sum_q tanh(a @ w + b)[.., p, q] * x[.., q]`` with
+    ``a = trunk(h)``, where the head ``tanh(a @ w + b)`` of shape
+    ``(.., rows * cols)`` is read as ``(.., rows, cols)``.  Shapes: ``a``
+    ``(.., m, k)``, ``w`` ``(k, n)``, ``b`` ``(n,)`` and ``x`` ``(.., m, cols)``
+    with ``n = rows * cols``; the result is ``(.., m, rows)``.  A head with
+    no trunk passes ``lambda a: a``.
 
-    The forward runs over tiles of head rows (a row is one slot of ``a``'s
+    The entry keeps ``h``, ``w``, ``b`` and ``x``, and neither the trunk's
+    output nor any of its intermediates (selective recomputation).  The
+    forward runs the trunk on a tape of its own that it drops when the trunk
+    returns.  The backward runs the trunk again, taped on a tape of its own
+    and reading ``h`` through ``h``'s own gradient slot, recomputes the head
+    from that output, takes the gradients of ``x``, the trunk's output, ``w``
+    and ``b``, then replays the re-run's tape from the output's gradient, and
+    restores the outer tape, also when the re-run raises.  So every gradient,
+    of ``h`` and of the tracked tensors the trunk reads, is summed in the
+    order the trunk and the head taped in place would sum it, bit for bit, as
+    long as the re-run computes what the forward did: the trunk reads the
+    tensors it closes over as they are at the backward.  A trunk output that
+    is untracked, or not made by the trunk's own ops (``lambda a: a``), is
+    kept as an input instead.  Under ``no_grad`` the trunk runs once.
+
+    The head runs over tiles of head rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
     gemm, both finiteness checks, the bias, the tanh and the contraction
     each pass over a tile while it is in cache.  Each worker has one tile
     buffer, taped or not, so no call holds a head from its forward to its
-    backward: the closure keeps only the input arrays.  The backward recomputes
-    the head tile by tile with the forward's gemm, bias and tanh calls on
-    the same arrays, so every bit is the forward's, and without its
-    finiteness checks, which those arrays already passed.  It takes ``x``'s
-    gradient from each tile and then overwrites the tile with
-    ``g_pre = (g ⊗ x) * (1 - t*t)``.  The tiles land in one head-sized
-    buffer, which the gradients of ``a``, ``w`` and ``b`` read.
+    backward.  The backward recomputes the head tile by tile with the
+    forward's gemm, bias and tanh calls on the same arrays, so every bit is
+    the forward's, and without its finiteness checks, which those arrays
+    already passed.  It takes ``x``'s gradient from each tile and then
+    overwrites the tile with ``g_pre = (g ⊗ x) * (1 - t*t)``.  The tiles land
+    in one head-sized buffer, which the gradients of ``a``, ``w`` and ``b``
+    read.
 
     A call with more than one tile shares its tiles, in order, among one
     worker thread per CPU, the caller among them (see ``_head_pool``): a
@@ -543,7 +522,15 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     another order and agrees with the taped chain to rounding, not bit for
     bit.
     """
-    a, w, b, x = _as_tensor(a), _as_tensor(w), _as_tensor(b), _as_tensor(x)
+    h, w, b, x = _as_tensor(h), _as_tensor(w), _as_tensor(b), _as_tensor(x)
+    if _GRAD_ENABLED:
+        with _own_tape() as trunk_tape:
+            a = _as_tensor(trunk(h))
+        # run the trunk again in the backward only if its own ops made the output
+        rerun = a.node is not None and any(node is a.node for node, _ in trunk_tape)
+        del trunk_tape  # and free its intermediates before the head runs
+    else:
+        a, rerun = _as_tensor(trunk(h)), False
     if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"head_matvec: cannot apply {a.shape} @ {w.shape} + {b.shape}")
     if cols < 1 or w.shape[1] % cols or x.shape != a.shape[:-1] + (cols,):
@@ -554,7 +541,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     k, n = w.shape
     rows = n // cols
     a2, x2, wd, bd = a.data.reshape(-1, k), x.data.reshape(-1, cols), w.data, b.data
-    na, nw, nb, nx, a_shape = a.node, w.node, b.node, x.node, a.shape
+    nw, nb, nx, a_shape = w.node, b.node, x.node, a.shape
     total = a2.shape[0]
     step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
     tiles = -(-total // step)
@@ -564,8 +551,8 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     scratch = np.empty(tile_shape + (n,), dtype=bool)
     out = np.empty((total, rows))
 
-    def head_tile(lo: int, hi: int, p: np.ndarray, finite: np.ndarray | None) -> None:
-        """The head's rows ``lo:hi`` into ``p``, checked unless ``finite`` is None."""
+    def head_tile(a2: np.ndarray, lo: int, hi: int, p: np.ndarray, finite) -> None:
+        """The head's rows ``lo:hi`` of ``a2`` into ``p``, checked unless ``finite`` is None."""
         np.matmul(a2[lo:hi], wd, out=p)
         if finite is not None:
             _check_finite(p, "head_matvec (a @ w)", finite)
@@ -577,12 +564,13 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
     def forward(slot: int, j: int) -> None:
         lo, hi = j * step, min(j * step + step, total)
         p = buf[slot, : hi - lo]
-        head_tile(lo, hi, p, scratch[slot, : hi - lo])
+        head_tile(a2, lo, hi, p, scratch[slot, : hi - lo])
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
 
     pool.run(forward, tiles)
 
-    def backward_fn(g: np.ndarray) -> None:
+    def head_grads(g: np.ndarray, a2: np.ndarray, na: _Node | None) -> None:
+        """The gradients of ``x``, of the trunk's output ``a2`` (slot ``na``), ``w`` and ``b``."""
         g2 = g.reshape(-1, rows)
         gx = np.empty((total, cols)) if nx is not None else None
         gx_outer = np.empty(tile_shape + (rows, cols))
@@ -592,7 +580,7 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
             # the forward's head_tile on the arrays it checked, then g_pre in place of the tile
             lo, hi = j * step, min(j * step + step, total)
             tile = head[lo:hi]
-            head_tile(lo, hi, tile, None)
+            head_tile(a2, lo, hi, tile, None)
             if gx is not None:
                 np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
             outer = gx_outer[slot, : hi - lo]
@@ -620,7 +608,23 @@ def head_matvec(a: Tensor, w: Tensor, b: Tensor, x: Tensor, cols: int) -> Tensor
         for node, grad in ((na, ga), (nw, gw), (nb, gb)):
             _accumulate(node, grad)
 
-    return _make(out.reshape(a.shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
+    # the trunk's input when the backward runs the trunk again, else its output
+    kept, node = (h.data, h.node) if rerun else (a.data, a.node)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if not rerun:
+            head_grads(g, kept.reshape(-1, k), node)
+            return
+        h_again = Tensor.__new__(Tensor)
+        h_again.data, h_again.node = kept, node
+        with _own_tape() as tape:
+            a_again = _as_tensor(trunk(h_again))
+            if a_again.node is None:
+                raise ContractError("head_matvec: the trunk's re-run is untracked")
+            head_grads(g, a_again.data.reshape(-1, k), a_again.node)
+            _replay(tape)
+
+    return _make(out.reshape(a_shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 
 
 def transpose_last2(a: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrde import cli
+from graphrde import model as M
 from graphrde import tensor as T
 from graphrde.errors import ConfigError, ContractError, DataError, DimensionError
 from graphrde.model import (
@@ -348,7 +350,7 @@ def test_unit_time_windows_match_real_time_windows_of_length_three(variant):
 
 @pytest.mark.parametrize("gnn_kind", GNN_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_each_field_is_one_trunk_entry_and_one_head_entry(variant, gnn_kind):
+def test_each_field_is_one_tape_entry(variant, gnn_kind):
     cfg = tiny_config(num_layers=2, variant=variant, gnn_kind=gnn_kind)
     prop = normalized_adjacency(RNG.uniform(size=(3, 3)), gnn_kind) if cfg.needs_adjacency else None
     ps = ParamStore(cfg, seed=3, propagation=prop)
@@ -357,9 +359,40 @@ def test_each_field_is_one_trunk_entry_and_one_head_entry(variant, gnn_kind):
     state = {"full": [h, z], "temporal_only": [h], "spatial_only": [z]}[variant]
     clear_tape()  # the adaptive operator's entries
     augmented_rhs(state, T.constant(RNG.normal(size=(2, 3, cfg.logsig_dim))), op, ps, cfg)
-    # per field a recomputed trunk and a head
-    assert T.tape_size() == (4 if variant == "full" else 2)
+    # per field one head_matvec entry, which runs its trunk again in the backward
+    assert T.tape_size() == (2 if variant == "full" else 1)
     clear_tape()
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_a_taped_field_keeps_no_trunk_output(monkeypatch, field):
+    cfg = tiny_config(num_layers=2)
+    ps = ParamStore(cfg, seed=3)
+    op = graph_operator(ps, cfg)
+    clear_tape()  # the adaptive operator's entries
+    refs = []
+
+    def watched(fn):
+        def call(*args):
+            out = fn(*args)
+            refs.append(weakref.ref(out.data))
+            return out
+        return call
+
+    # the last op of each trunk: f's relu layers, g's graph mixing
+    if field == "f":
+        monkeypatch.setattr(T, "relu", watched(T.relu))
+        width, cols, run = cfg.dim_h, cfg.logsig_dim, lambda s, x: field_f(s, x, ps, cfg)
+    else:
+        monkeypatch.setattr(M, "_mixed_features", watched(M._mixed_features))
+        width, cols, run = cfg.dim_z, cfg.dim_h, lambda s, x: field_g(s, x, op, ps, cfg)
+    state = T.constant(RNG.normal(size=(2, 3, width)))
+    out = run(state, T.constant(RNG.normal(size=(2, 3, cols))))
+    assert refs and all(ref() is None for ref in refs)
+    assert out.requires_grad and T.tape_size() == 1
+    T.backward(T.mean_all(out))
+    assert len(refs) == 2 * (cfg.num_layers + 1 if field == "f" else 1)  # the backward's re-run
+    assert ps[f"{field}_head_w"].grad is not None and ps[f"{field}_w0"].grad is not None
 
 
 # ---------------------------------------------------------------------------

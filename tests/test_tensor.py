@@ -23,6 +23,7 @@ from oracles import (clear_tape, finite_difference_grad, matvec, max_grad_mismat
 
 RNG = np.random.default_rng(20240811)
 CONTROL = T.constant(RNG.normal(size=(2, 4, 3)))  # an untracked head_matvec control
+NO_TRUNK = lambda a: a  # the trunk of a head_matvec call that has none
 
 
 def check_grads(build, arrays, tol=1e-6):
@@ -86,13 +87,18 @@ def test_simple_polynomial_gradient():
         ("neg", lambda a, b: sum_all(mul(tanh(neg(a)), b)), [(3, 3), (3, 3)]),
         (
             "head_matvec",
-            lambda a, w, b, x: sum_all(tanh(T.head_matvec(a, w, b, x, 3))),
+            lambda a, w, b, x: sum_all(tanh(T.head_matvec(NO_TRUNK, a, w, b, x, 3))),
             [(2, 4, 5), (5, 6), (6,), (2, 4, 3)],
         ),
         (
             "head_matvec_untracked_control",
-            lambda a, w, b: sum_all(tanh(T.head_matvec(a, w, b, CONTROL, 3))),
+            lambda a, w, b: sum_all(tanh(T.head_matvec(NO_TRUNK, a, w, b, CONTROL, 3))),
             [(2, 4, 5), (5, 6), (6,)],
+        ),
+        (
+            "head_matvec_trunk",
+            lambda h, u, w, b, x: sum_all(tanh(T.head_matvec(lambda t: tanh(t @ u), h, w, b, x, 3))),
+            [(2, 4, 5), (5, 5), (5, 6), (6,), (2, 4, 3)],
         ),
     ],
 )
@@ -166,11 +172,11 @@ def test_shape_mismatch_raises():
         T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
     a, w, b = T.constant(np.ones((2, 3, 4))), T.constant(np.ones((4, 6))), T.constant(np.ones(6))
     with pytest.raises(DimensionError):
-        T.head_matvec(a, w, b, T.constant(np.ones((3, 3))), 3)  # leading axes differ
+        T.head_matvec(NO_TRUNK, a, w, b, T.constant(np.ones((3, 3))), 3)  # leading axes differ
     with pytest.raises(DimensionError):
-        T.head_matvec(a, w, b, T.constant(np.ones((2, 3, 4))), 4)  # 4 does not divide 6
+        T.head_matvec(NO_TRUNK, a, w, b, T.constant(np.ones((2, 3, 4))), 4)  # 4 does not divide 6
     with pytest.raises(DimensionError):
-        T.head_matvec(a, w, T.constant(np.ones(3)), T.constant(np.ones((2, 3, 3))), 3)
+        T.head_matvec(NO_TRUNK, a, w, T.constant(np.ones(3)), T.constant(np.ones((2, 3, 3))), 3)
     with pytest.raises(ContractError):  # a tensor is scaled by numbers only
         T.constant(np.ones(2)) * T.constant(np.ones(2))
 
@@ -194,10 +200,10 @@ def test_head_matvec_checks_the_pre_activation():
     x = T.constant(np.ones((1, 1)))
     w = T.Tensor(np.full((2, 2), 1e200), requires_grad=True)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w\)"):
-        T.head_matvec(a, w, T.constant(np.zeros(2)), x, 1)
+        T.head_matvec(NO_TRUNK, a, w, T.constant(np.zeros(2)), x, 1)
     big = T.constant(np.full(2, 1.7e308))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w \+ b"):
-        T.head_matvec(T.constant(np.ones((1, 2))), T.constant(np.full((2, 2), 1e307)), big, x, 1)
+        T.head_matvec(NO_TRUNK, T.constant(np.ones((1, 2))), T.constant(np.full((2, 2), 1e307)), big, x, 1)
     assert T.tape_size() == 0
 
 
@@ -208,7 +214,7 @@ def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
     def run(fused):
         a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
         if fused:
-            out = T.head_matvec(a, w, b, x, 3)
+            out = T.head_matvec(NO_TRUNK, a, w, b, x, 3)
             assert T.tape_size() == 1
         else:
             head = tanh(a @ w + b)
@@ -233,8 +239,8 @@ def run_head_matvec(arrays, tracked):
           for name, arr in zip("awbx", inputs)]
     if tracked is None:
         with T.no_grad():
-            return [T.head_matvec(*ts, 3).data]
-    out = T.head_matvec(*ts, 3)
+            return [T.head_matvec(NO_TRUNK, *ts, 3).data]
+    out = T.head_matvec(NO_TRUNK, *ts, 3)
     T.backward(sum_all(mul(out, T.constant(weights))))
     return [out.data] + [t.grad for t in ts]
 
@@ -353,7 +359,7 @@ def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
         # an overflow warning is an error here, so workers must run under this errstate too
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error", RuntimeWarning)
-            return T.head_matvec(*inputs, x, 1)
+            return T.head_matvec(NO_TRUNK, *inputs, x, 1)
 
     for inputs, pattern in cases:
         messages = {}
@@ -421,14 +427,14 @@ def test_head_matvec_holds_a_head_only_inside_its_backward():
 
     def chain(a, w, b, x, calls):  # each call's output is the next call's control
         for _ in range(calls):
-            x = T.head_matvec(a, w, b, x, cols)
+            x = T.head_matvec(NO_TRUNK, a, w, b, x, cols)
         return sum_all(x)
 
     for workers in (1, 2):
         with head_workers(workers):
             untracked = [T.constant(arr) for arr in arrays]
             with T.no_grad():
-                assert traced(lambda: T.head_matvec(*untracked, cols))[1] < 4 * 2**20
+                assert traced(lambda: T.head_matvec(NO_TRUNK, *untracked, cols))[1] < 4 * 2**20
             # a taped forward keeps no head for its backward...
             a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
             loss, peak = traced(lambda: chain(a, w, b, x, 1))
@@ -480,26 +486,35 @@ def test_tape_frees_every_output_that_no_backward_reads():
 
 RECOMPUTE_ARRAYS = {name: RNG.normal(size=shape) for name, shape in
                     [("p", (2, 3, 4)), ("q", (4, 4)), ("w", (4, 5)), ("b", (5,)), ("u", (5, 4)),
-                     ("v", (4, 2))]}
+                     ("v", (4, 8)), ("c", (8,)), ("control", (2, 3, 2))]}
+# the head of the recompute tests below: weight (2, 2), bias (2,), control (3, 1)
+SMALL_HEAD = [T.constant(RNG.normal(size=shape)) for shape in [(2, 2), (2,), (3, 1)]]
 
 
 def recompute_case(wrapped, tracked):
     """Tape entries, output, loss and gradients of a loss that reads ``x``
     inside and outside ``block``.
 
-    ``block`` reads ``x`` twice, ``w`` and ``u``; ``tracked`` names which of
-    ``x``, ``w``, ``u`` and ``v`` are tracked, ``x`` as an op output of ``p``.
+    ``block`` reads ``x`` twice, ``w`` and ``u``; wrapped, it is the trunk of
+    a ``head_matvec`` that runs it again in the backward, else it runs taped
+    in place under a head with no trunk.  The head's weight is ``v``.
+    ``tracked`` names which of ``x``, ``w``, ``u`` and ``v`` are tracked,
+    ``x`` as an op output of ``p``.
     """
     arrays = RECOMPUTE_ARRAYS
     w, u, v = [T.Tensor(arrays[name], requires_grad=name in tracked) for name in "wuv"]
     p = T.Tensor(arrays["p"], requires_grad=True)
     x = p @ T.constant(arrays["q"]) if "x" in tracked else T.constant(arrays["p"])
+    c, control = T.constant(arrays["c"]), T.constant(arrays["control"])
 
     def block(t):
         return T.relu(t @ w + T.constant(arrays["b"])) @ u + t
 
-    out = T.recompute(block, x) if wrapped else block(x)
-    loss = sum_all(tanh((out + x) @ v))
+    if wrapped:
+        out = T.head_matvec(block, x, v, c, control, 2)
+    else:
+        out = T.head_matvec(NO_TRUNK, block(x), v, c, control, 2)
+    loss = sum_all(tanh(out + x))
     entries = T.tape_size()
     T.backward(loss)
     return entries, [out.data, loss.data] + [t.grad for t in (p, w, u, v)]
@@ -512,20 +527,31 @@ def test_recompute_is_bit_identical_to_the_unwrapped_function(tracked):
     for got, want in zip(wrapped, plain):
         assert (got is None) == (want is None)
         assert got is None or np.array_equal(got, want)
-    block_entries = 0 if tracked == "v" else 4  # matmul, add, relu, matmul, add; less one
+    block_entries = 0 if tracked == "v" else 5  # matmul, add, relu, matmul, add
     assert wrapped_entries == plain_entries - block_entries
 
 
 def test_recompute_output_is_tracked_exactly_when_the_function_would_be():
     x, w = T.constant(RNG.normal(size=(3, 2))), T.constant(RNG.normal(size=(2, 2)))
-    out = T.recompute(lambda t: T.relu(t @ w), x)
+    out = T.head_matvec(lambda t: T.relu(t @ w), x, *SMALL_HEAD, 1)
     assert not out.requires_grad and T.tape_size() == 0
     w = T.Tensor(w.data, requires_grad=True)
-    out = T.recompute(lambda t: T.relu(t @ w), x)
+    out = T.head_matvec(lambda t: T.relu(t @ w), x, *SMALL_HEAD, 1)
     assert out.requires_grad and T.tape_size() == 1
     clear_tape()
-    # a function whose output is not one of its own ops' is passed through
-    assert T.recompute(lambda t: t, w) is w and T.tape_size() == 0
+    # an output not made by the trunk's own ops is kept as an input, not run again
+    y = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    calls = []
+
+    def trunk(t):
+        calls.append(t)
+        return y
+
+    T.backward(sum_all(T.head_matvec(trunk, x, *SMALL_HEAD, 1)))
+    got = y.grad
+    y.grad = None
+    T.backward(sum_all(T.head_matvec(NO_TRUNK, y, *SMALL_HEAD, 1)))
+    assert calls == [x] and np.array_equal(got, y.grad)
 
 
 def test_recompute_under_no_grad_is_the_function():
@@ -537,14 +563,16 @@ def test_recompute_under_no_grad_is_the_function():
         return T.relu(t @ T.constant(np.ones((2, 2))))
 
     with T.no_grad():
-        out = T.recompute(block, x)
-    assert calls == [x] and not out.requires_grad and T.tape_size() == 0
-    assert np.array_equal(out.data, np.maximum(x.data @ np.ones((2, 2)), 0.0))
+        out = T.head_matvec(block, x, *SMALL_HEAD, 1)
+        assert calls == [x] and not out.requires_grad and T.tape_size() == 0
+        want = T.head_matvec(NO_TRUNK, T.constant(np.maximum(x.data @ np.ones((2, 2)), 0.0)),
+                             *SMALL_HEAD, 1)
+    assert np.array_equal(out.data, want.data)
 
 
 def test_recompute_keeps_none_of_the_functions_intermediates():
-    x = T.Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    w = T.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    x = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    w = T.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     refs = []
 
     def block(t):
@@ -553,10 +581,10 @@ def test_recompute_keeps_none_of_the_functions_intermediates():
             refs.append(weakref.ref(t.data))
         return t
 
-    out = T.recompute(block, x)
-    # the last layer is the output; the two before it would be kept by the
-    # next layer's matmul for w's gradient if the block were taped in place
-    assert [ref() is None for ref in refs] == [True, True, False]
+    out = T.head_matvec(block, x, *SMALL_HEAD, 1)
+    # the two layers before the last would be kept by the next layer's matmul
+    # for w's gradient if the block were taped in place, and the last by the head
+    assert [ref() is None for ref in refs] == [True, True, True]
     assert T.tape_size() == 1
     T.backward(sum_all(tanh(out)))
     assert len(refs) == 6  # the backward ran the block once more
@@ -572,7 +600,7 @@ def test_recompute_restores_the_outer_tape_when_the_rerun_raises():
             raise NonFiniteError("re-run fails")
         return T.relu(t @ T.constant(np.ones((2, 2))))
 
-    out = sum_all(T.recompute(block, x))
+    out = sum_all(T.head_matvec(block, x, *SMALL_HEAD, 1))
     outer = T._TAPE
     _, backward_fn = outer[-2]
     fail.append(True)
@@ -583,7 +611,7 @@ def test_recompute_restores_the_outer_tape_when_the_rerun_raises():
         T.backward(out)
     assert T._TAPE is outer and T.tape_size() == 0
     fail.clear()
-    T.backward(sum_all(T.recompute(block, x)))  # the tape works on
+    T.backward(sum_all(T.head_matvec(block, x, *SMALL_HEAD, 1)))  # the tape works on
     assert x.grad is not None
 
 
