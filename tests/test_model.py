@@ -364,6 +364,39 @@ def test_each_field_is_one_tape_entry(variant, gnn_kind):
     clear_tape()
 
 
+@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_field_is_one_trunk_entry_and_one_head_entry(monkeypatch, variant, gnn_kind):
+    # the field's one entry holds one trunk and one head: the trunk runs once
+    # in the forward and once more in the backward, never per head tile
+    cfg = tiny_config(num_layers=2, variant=variant, gnn_kind=gnn_kind)
+    prop = normalized_adjacency(RNG.uniform(size=(3, 3)), gnn_kind) if cfg.needs_adjacency else None
+    ps = ParamStore(cfg, seed=3, propagation=prop)
+    op = graph_operator(ps, cfg)
+    heads, trunk_runs = [], []
+
+    def counted_head_matvec(trunk, h, w, b, x, cols):
+        def counted_trunk(a):
+            trunk_runs.append(len(heads))
+            return trunk(a)
+        heads.append(w)
+        return head_matvec(counted_trunk, h, w, b, x, cols)
+
+    head_matvec = T.head_matvec
+    monkeypatch.setattr(T, "head_matvec", counted_head_matvec)
+    h, z = (T.Tensor(RNG.normal(size=(2, 3, width)), requires_grad=True)
+            for width in (cfg.dim_h, cfg.dim_z))
+    state = {"full": [h, z], "temporal_only": [h], "spatial_only": [z]}[variant]
+    clear_tape()  # the adaptive operator's entries
+    out = augmented_rhs(state, T.constant(RNG.normal(size=(2, 3, cfg.logsig_dim))), op, ps, cfg)
+    fields = 2 if variant == "full" else 1
+    assert len(heads) == fields and trunk_runs == list(range(1, fields + 1))
+    T.backward(T.mean_all(out[-1]))  # in ``full`` g's control is f's output
+    assert len(heads) == fields and len(trunk_runs) == 2 * fields
+    assert all(state_part.grad is not None for state_part in state)
+    clear_tape()
+
+
 @pytest.mark.parametrize("field", ["f", "g"])
 def test_a_taped_field_keeps_no_trunk_output(monkeypatch, field):
     cfg = tiny_config(num_layers=2)
