@@ -193,8 +193,9 @@ def save_values(path: str, values: np.ndarray) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_adjacency(path: str, num_nodes: int | None = None) -> np.ndarray:
-    """Read an edge-list CSV ``src,dst,weight`` into a dense matrix."""
+def load_adjacency(path: str, num_nodes: int) -> np.ndarray:
+    """Read an edge-list CSV ``src,dst,weight`` into a dense
+    (num_nodes, num_nodes) matrix; node ids must lie in 0..num_nodes-1."""
     rows, header = _read_csv_rows(path)
     edges = []
     for i, cells in enumerate(rows):
@@ -210,11 +211,10 @@ def load_adjacency(path: str, num_nodes: int | None = None) -> np.ndarray:
         if not math.isfinite(w):
             raise DataError(f"{path}: row {row_no} contains a non-finite value")
         edges.append((int(src), int(dst), w))
-    n = num_nodes if num_nodes is not None else max(max(s, d) for s, d, _ in edges) + 1
-    adj = np.zeros((n, n))
+    adj = np.zeros((num_nodes, num_nodes))
     for src, dst, w in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise DataError(f"{path}: edge ({src}, {dst}) outside 0..{n - 1}")
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise DataError(f"{path}: edge ({src}, {dst}) outside 0..{num_nodes - 1}")
         adj[src, dst] = w
     return adj
 

@@ -17,7 +17,7 @@ Variants:
 
 Graph mixers (``gnn_kind``): ``adaptive`` learns the adjacency from node
 embeddings; ``chebyshev`` and ``plain_gcn`` use an externally supplied
-adjacency; ``attention`` scores edges from the current features.
+adjacency.  Each mixes with one graph operator built once per forward.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .logsig import lyndon_dimension
 from .tensor import Tensor
 
 VARIANTS = ("full", "temporal_only", "spatial_only")
-GNN_KINDS = ("adaptive", "chebyshev", "plain_gcn", "attention")
+GNN_KINDS = ("adaptive", "chebyshev", "plain_gcn")
 
 CHECKPOINT_MAGIC = b"STGNRDE1"
 CHECKPOINT_VERSION = 1
@@ -131,9 +131,6 @@ def _param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
         spec.append(("g_w0", (dz, dz), dz))
         spec.append(("g_b0", (dz,), dz))
         spec.append(("w_spatial", (dz, dz), dz))
-        if config.gnn_kind == "attention":
-            spec.append(("attn_self", (dz, 1), dz))
-            spec.append(("attn_neigh", (dz, 1), dz))
         g_head_out = dz * lsig if config.variant == "spatial_only" else dz * dh
         spec.append(("g_head_w", (dz, g_head_out), dz))
         spec.append(("g_head_b", (g_head_out,), dz))
@@ -193,7 +190,7 @@ class ParamStore:
     store holds those arrays instead, without copying them or drawing.
     ``propagation`` is the constant graph operator of the
     external-adjacency mixers (see ``normalized_adjacency``), and None for
-    the other mixers.
+    ``adaptive`` and for the ``temporal_only`` variant.
     """
 
     def __init__(
@@ -277,38 +274,17 @@ def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
 
     ``I + adaptive_adjacency`` for ``adaptive`` (a function of the node
     embeddings alone), the stored propagation matrix for ``chebyshev`` and
-    ``plain_gcn``; None for ``attention``, whose scores depend on the
-    state, and for the ``temporal_only`` variant, which has no graph.
+    ``plain_gcn``; None for the ``temporal_only`` variant, which has no
+    graph.
     """
-    if config.variant == "temporal_only" or config.gnn_kind == "attention":
+    if config.variant == "temporal_only":
         return None
     if config.gnn_kind == "adaptive":
         return T.eye(config.num_nodes) + adaptive_adjacency(params)
     return params.propagation
 
 
-def _mixed_features(
-    b0: Tensor, prop: Tensor | None, params: ParamStore, config: ModelConfig
-) -> Tensor:
-    """Graph mixing step: (.., nodes, dim_z) -> (.., nodes, dim_z).
-
-    ``prop`` is ``graph_operator(params, config)``; the attention mixer
-    scores its edges from ``b0`` instead.
-    """
-    if config.gnn_kind == "attention":
-        v = config.num_nodes
-        s_self = b0 @ params["attn_self"]    # (.., v, 1)
-        s_neigh = b0 @ params["attn_neigh"]  # (.., v, 1)
-        ones_row = T.constant(np.ones((1, v)))
-        ones_col = T.constant(np.ones((v, 1)))
-        scores = s_self @ ones_row + ones_col @ T.transpose_last2(s_neigh)
-        prop = T.softmax_rows(scores)
-    return (prop @ b0) @ params["w_spatial"]
-
-
-def field_g(
-    z: Tensor, x: Tensor, prop: Tensor | None, params: ParamStore, config: ModelConfig
-) -> Tensor:
+def field_g(z: Tensor, x: Tensor, prop: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
     """Spatial vector field applied to a control.
 
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
@@ -321,7 +297,7 @@ def field_g(
 
     def trunk(z: Tensor) -> Tensor:
         b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
-        return _mixed_features(b0, prop, params, config)
+        return (prop @ b0) @ params["w_spatial"]
 
     cols = config.logsig_dim if config.variant == "spatial_only" else config.dim_h
     return T.head_matvec(trunk, z, params["g_head_w"], params["g_head_b"], x, cols)

@@ -406,14 +406,8 @@ def mixed_features(b0, params, config):
     if config.gnn_kind == "adaptive":
         e = params["embed"]
         prop = T.eye(v) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
-    elif config.gnn_kind in ("chebyshev", "plain_gcn"):
+    else:
         prop = params.propagation
-    else:  # attention
-        s_self = b0 @ params["attn_self"]
-        s_neigh = b0 @ params["attn_neigh"]
-        scores = (s_self @ T.constant(np.ones((1, v)))
-                  + T.constant(np.ones((v, 1))) @ T.transpose_last2(s_neigh))
-        prop = T.softmax_rows(scores)
     return (prop @ b0) @ params["w_spatial"]
 
 

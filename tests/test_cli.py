@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def test_config_split_plan_and_model_builders(tmp_path):
 
 _OTHER_TEXT = {
     "variant": "temporal_only",
-    "gnn_kind": "attention",
+    "gnn_kind": "plain_gcn",
     "method": "euler",
     "split": "rolling_cv",
     "ratios": "7:2:1",
@@ -225,6 +226,28 @@ def test_eval_rejects_mismatched_data(workdir, tmp_path):
     code = cli.main(["eval", "--checkpoint", str(workdir["out"] / "model.ckpt"),
                      "--data", str(other / "values.csv")])
     assert code == 2
+
+
+def test_eval_rejects_a_checkpoint_naming_the_removed_attention_mixer(workdir, tmp_path, capsys):
+    # an adaptive checkpoint rewritten as the attention mixer once stored it
+    raw = (workdir["out"] / "model.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    blob = raw[16 + n :]
+    extra = np.random.default_rng(0).normal(size=(2, 8))  # attn_self, attn_neigh: (dim_z, 1)
+
+    def mutate(header):
+        header["config"]["gnn_kind"] = "attention"
+        for k, name in enumerate(("attn_self", "attn_neigh")):
+            header["tensors"].append({"name": name, "shape": [8, 1], "offset": len(blob) + 64 * k})
+
+    path = tmp_path / "attention.ckpt"
+    path.write_bytes(_with_header(raw, mutate) + extra.astype("<f8").tobytes())
+    code = cli.main(["eval", "--checkpoint", str(path),
+                     "--data", str(workdir["root"] / "data" / "values.csv"), "--split", "test"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown gnn_kind 'attention'" in err
+    assert "Traceback" not in err
 
 
 def _set_extra(*keys, value):
@@ -529,6 +552,17 @@ def test_train_rejects_a_negative_seed_before_writing(workdir, tmp_path):
     cfg.write_text(text.replace("\nseed = 0\n", "\nseed = -1\n"))
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    text = workdir["cfg_path"].read_text()
+    assert "\ngnn_kind = adaptive\n" in text
+    cfg.write_text(text.replace("\ngnn_kind = adaptive\n", "\ngnn_kind = attention\n"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "('adaptive', 'chebyshev', 'plain_gcn')" in capsys.readouterr().err
     assert not out.exists()
 
 

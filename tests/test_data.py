@@ -96,7 +96,7 @@ def test_adjacency_round_trip_and_inference(tmp_path):
     edges = [(0, 1, 0.5), (1, 2, 2.0), (2, 0, 1.0)]
     D.save_adjacency(path, edges)
     assert Path(path).read_text().splitlines()[0] == "src,dst,weight"
-    adj = D.load_adjacency(path)  # size inferred from the largest index
+    adj = D.load_adjacency(path, num_nodes=3)
     assert adj.shape == (3, 3)
     assert adj[0, 1] == 0.5 and adj[1, 2] == 2.0 and adj[2, 0] == 1.0
     assert adj.sum() == 3.5
@@ -121,7 +121,7 @@ def test_adjacency_rejects_malformed_rows(tmp_path, row):
 def test_adjacency_accepts_integer_valued_float_ids(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("3.0,1,0.5\n1.0,-0.0,2.0\n")
-    adj = D.load_adjacency(str(path))
+    adj = D.load_adjacency(str(path), num_nodes=4)
     assert adj.shape == (4, 4)
     assert adj[3, 1] == 0.5 and adj[1, 0] == 2.0
 

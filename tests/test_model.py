@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrde import cli
-from graphrde import model as M
 from graphrde import tensor as T
 from graphrde.errors import ConfigError, ContractError, DataError, DimensionError
 from graphrde.model import (
@@ -252,11 +251,6 @@ def test_field_g_shapes_by_variant_and_kind():
     ell = T.constant(RNG.normal(size=(3, sp.logsig_dim)))
     ps = ParamStore(sp, seed=0)
     assert field_g(z, ell, graph_operator(ps, sp), ps, sp).shape == (3, 3)
-    att = tiny_config(gnn_kind="attention")
-    ps = ParamStore(att, seed=0)
-    assert "attn_self" in ps.params and "attn_neigh" in ps.params
-    assert graph_operator(ps, att) is None
-    assert field_g(z, dh, None, ps, att).shape == (3, 3)
     adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cheb = tiny_config(gnn_kind="chebyshev")
     ps2 = ParamStore(cheb, seed=0, propagation=normalized_adjacency(adj, "chebyshev"))
@@ -412,19 +406,19 @@ def test_a_taped_field_keeps_no_trunk_output(monkeypatch, field):
             return out
         return call
 
-    # the last op of each trunk: f's relu layers, g's graph mixing
+    # f's relu layers; every matmul of g's trunk: its layer and its graph mixing
     if field == "f":
         monkeypatch.setattr(T, "relu", watched(T.relu))
         width, cols, run = cfg.dim_h, cfg.logsig_dim, lambda s, x: field_f(s, x, ps, cfg)
     else:
-        monkeypatch.setattr(M, "_mixed_features", watched(M._mixed_features))
+        monkeypatch.setattr(T, "matmul", watched(T.matmul))
         width, cols, run = cfg.dim_z, cfg.dim_h, lambda s, x: field_g(s, x, op, ps, cfg)
     state = T.constant(RNG.normal(size=(2, 3, width)))
     out = run(state, T.constant(RNG.normal(size=(2, 3, cols))))
     assert refs and all(ref() is None for ref in refs)
     assert out.requires_grad and T.tape_size() == 1
     T.backward(T.mean_all(out))
-    assert len(refs) == 2 * (cfg.num_layers + 1 if field == "f" else 1)  # the backward's re-run
+    assert len(refs) == 2 * (cfg.num_layers + 1 if field == "f" else 3)  # the backward's re-run
     assert ps[f"{field}_head_w"].grad is not None and ps[f"{field}_w0"].grad is not None
 
 
