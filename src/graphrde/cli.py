@@ -313,7 +313,7 @@ def cmd_logsig(args) -> int:
         )
     first = values[:, : args.input_len, :]
     series = RawSeries(values=first, mask=np.ones(first.shape[:2], dtype=bool))
-    coords, _ = window_logsig(fit_spline(series), args.subpath, args.depth)
+    coords = window_logsig(fit_spline(series), args.subpath, args.depth)
     w, nodes, dim = coords.shape
     header = ["window", "node"] + [f"coord_{i}" for i in range(dim)]
     lines = [",".join(header)]

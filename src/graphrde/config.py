@@ -60,9 +60,17 @@ class _Sections:
 
     def validate(self) -> None:
         """Cheap checks that don't need the data: build every section."""
+        for f in fields(self):  # render_config writes a string as it is, to be parsed back
+            v = getattr(self, f.name)
+            if f.type == "str" and ("#" in v or v != v.strip() or len(v.splitlines()) > 1):
+                raise ConfigError(f"config key {f.name!r} cannot hold {v!r}: a '#', a line break "
+                                  "or a blank at an end would not be read back")
         if not (0.0 <= self.drop_rate < 1.0):
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        self.model_config(self.num_nodes or 1)
+        if self.model_config(self.num_nodes or 1).needs_adjacency and not self.adjacency_path:
+            raise ConfigError(
+                f"gnn_kind {self.gnn_kind!r} requires an external adjacency (--adjacency)"
+            )
         self.train_config()
         self.solve_spec()
         self.split_plan()

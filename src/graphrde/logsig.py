@@ -300,18 +300,15 @@ def window_logsig(
     subpath_len: int,
     depth: int,
     basis: LyndonBasis | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Depth-``depth`` log-signature of each cell over each sub-path window.
 
-    Returns ``(coords, edges)``: coordinates of shape (windows, *cells, L)
-    and the (windows + 1,) window edges in timesteps, whose differences
-    are the window lengths.  The timesteps 0..N are cut into
-    ceil(N / subpath_len) windows [i*P, min((i+1)*P, N)]; the final
-    window may be shorter, and every window is non-empty, so the edges
-    increase strictly.  The path is sampled once at every timestep; each
-    window's chord polyline is a slice of those samples, and its
-    signature logarithm is projected onto the Lyndon basis in one
-    vectorised pass over every cell.
+    Returns coordinates of shape (windows, *cells, L).  The timesteps 0..N
+    are cut into ceil(N / subpath_len) windows [i*P, min((i+1)*P, N)]; the
+    final window may be shorter, and every window is non-empty.  The path
+    is sampled once at every timestep; each window's chord polyline is a
+    slice of those samples, and its signature logarithm is projected onto
+    the Lyndon basis in one vectorised pass over every cell.
     """
     if subpath_len < 1:
         raise ContractError(f"sub-path length must be >= 1, got {subpath_len}")
@@ -331,4 +328,4 @@ def window_logsig(
     for w in range(n_windows):
         window = pts[..., edges[w] : edges[w + 1] + 1, :]
         coords[w] = lyndon_project(tensor_log(sig_polyline(window, depth)), basis)
-    return coords, np.asarray(edges, dtype=np.float64)
+    return coords

@@ -276,12 +276,12 @@ def discard_on_error():
 
 
 @contextlib.contextmanager
-def _own_tape():
-    """Record onto a fresh tape, yielded, inside the block; the ambient tape
-    and recording flag are restored after it, also when it raises."""
+def _own_tape(record: bool):
+    """Ops record onto a fresh tape, yielded, in the block if ``record``; the
+    ambient tape and recording flag are restored after it, also when it raises."""
     global _TAPE, _GRAD_ENABLED
     outer, enabled = _TAPE, _GRAD_ENABLED
-    _TAPE, _GRAD_ENABLED = [], True
+    _TAPE, _GRAD_ENABLED = [], record
     try:
         yield _TAPE
     finally:
@@ -478,16 +478,16 @@ def head_matvec(
     output nor any of its intermediates (selective recomputation).  The
     forward runs the trunk on a tape of its own that it drops when the trunk
     returns.  The backward runs the trunk again, taped on a tape of its own
-    and reading ``h`` through ``h``'s own gradient slot, recomputes the head
-    from that output, takes the gradients of ``x``, the trunk's output, ``w``
-    and ``b``, then replays the re-run's tape from the output's gradient, and
-    restores the outer tape, also when the re-run raises.  So every gradient,
-    of ``h`` and of the tracked tensors the trunk reads, is summed in the
-    order the trunk and the head taped in place would sum it, bit for bit, as
-    long as the re-run computes what the forward did: the trunk reads the
-    tensors it closes over as they are at the backward.  A trunk output that
-    is untracked, or not made by the trunk's own ops (``lambda a: a``), is
-    kept as an input instead.  Under ``no_grad`` the trunk runs once.
+    and reading ``h`` through ``h``'s own gradient slot, restores the outer
+    tape, also when the re-run raises, recomputes the head from the re-run's
+    output, takes the gradients of ``x``, that output, ``w`` and ``b``, and
+    then replays the re-run's tape from the output's gradient.  So every
+    gradient, of ``h`` and of the tracked tensors the trunk reads, is summed
+    in the order the trunk and the head taped in place would sum it, bit for
+    bit, as long as the re-run computes what the forward did: the trunk reads
+    the tensors it closes over as they are at the backward.  A re-run whose
+    output is untracked where the forward's was raises ``ContractError``.
+    Under ``no_grad`` the trunk runs once.
 
     The head runs over tiles of head rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
@@ -523,14 +523,8 @@ def head_matvec(
     bit.
     """
     h, w, b, x = _as_tensor(h), _as_tensor(w), _as_tensor(b), _as_tensor(x)
-    if _GRAD_ENABLED:
-        with _own_tape() as trunk_tape:
-            a = _as_tensor(trunk(h))
-        # run the trunk again in the backward only if its own ops made the output
-        rerun = a.node is not None and any(node is a.node for node, _ in trunk_tape)
-        del trunk_tape  # and free its intermediates before the head runs
-    else:
-        a, rerun = _as_tensor(trunk(h)), False
+    with _own_tape(_GRAD_ENABLED):  # dropped, with the trunk's intermediates, before the head runs
+        a = _as_tensor(trunk(h))
     if a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"head_matvec: cannot apply {a.shape} @ {w.shape} + {b.shape}")
     if cols < 1 or w.shape[1] % cols or x.shape != a.shape[:-1] + (cols,):
@@ -569,8 +563,14 @@ def head_matvec(
 
     pool.run(forward, tiles)
 
-    def head_grads(g: np.ndarray, a2: np.ndarray, na: _Node | None) -> None:
-        """The gradients of ``x``, of the trunk's output ``a2`` (slot ``na``), ``w`` and ``b``."""
+    tracked = a.node is not None  # a bool, so that the entry keeps h and not the trunk's output
+
+    def backward_fn(g: np.ndarray) -> None:
+        with _own_tape(True) as tape:
+            a_again = _as_tensor(trunk(h))
+        if tracked and a_again.node is None:
+            raise ContractError("head_matvec: the trunk's re-run is untracked")
+        a2 = a_again.data.reshape(-1, k)
         g2 = g.reshape(-1, rows)
         gx = np.empty((total, cols)) if nx is not None else None
         gx_outer = np.empty(tile_shape + (rows, cols))
@@ -605,24 +605,10 @@ def head_matvec(
         else:  # a head of one tile stays on one thread
             for call in calls:
                 call()
-        for node, grad in ((na, ga), (nw, gw), (nb, gb)):
+        for node, grad in ((a_again.node, ga), (nw, gw), (nb, gb)):
             _accumulate(node, grad)
-
-    # the trunk's input when the backward runs the trunk again, else its output
-    kept, node = (h.data, h.node) if rerun else (a.data, a.node)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if not rerun:
-            head_grads(g, kept.reshape(-1, k), node)
-            return
-        h_again = Tensor.__new__(Tensor)
-        h_again.data, h_again.node = kept, node
-        with _own_tape() as tape:
-            a_again = _as_tensor(trunk(h_again))
-            if a_again.node is None:
-                raise ContractError("head_matvec: the trunk's re-run is untracked")
-            head_grads(g, a_again.data.reshape(-1, k), a_again.node)
-            _replay(tape)
+        del head, t, gx, gx_outer, ga, gw, gb  # freed before the trunk's gradients are made
+        _replay(tape)
 
     return _make(out.reshape(a_shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
 

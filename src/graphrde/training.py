@@ -49,8 +49,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("epochs, batch_size and patience must be >= 1")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ConfigError("lr must be > 0 and weight_decay >= 0")
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):  # nan fails too
+            raise ConfigError("lr must be finite and > 0, and weight_decay finite and >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -195,7 +195,7 @@ def prepare_split(
     coords = None
     for lo in range(0, count * nodes, CHUNK_CELLS):
         hi = min(lo + CHUNK_CELLS, count * nodes)
-        chunk, _ = window_logsig(
+        chunk = window_logsig(
             fit_spline(series, slice(lo, hi)), config.subpath_len, config.sig_depth, basis=basis
         )
         if coords is None:

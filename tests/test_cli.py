@@ -566,6 +566,53 @@ def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["chebyshev", "plain_gcn"])
+def test_train_rejects_a_graph_mixer_without_an_adjacency_before_writing(
+    workdir, tmp_path, capsys, kind
+):
+    cfg = tmp_path / "run.cfg"
+    lines = workdir["cfg_path"].read_text().split("\n")
+    assert "gnn_kind = adaptive" in lines
+    lines = [f"gnn_kind = {kind}" if ln == "gnn_kind = adaptive" else ln
+             for ln in lines if not ln.startswith("adjacency_path = ")]
+    cfg.write_text("\n".join(lines))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "requires an external adjacency" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "weight_decay = nan",
+                                  "weight_decay = inf"])
+def test_train_rejects_a_non_finite_step_size_before_writing(workdir, tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    lines = workdir["cfg_path"].read_text().split("\n")
+    assert sum(ln.startswith(f"{key} = ") for ln in lines) == 1
+    cfg.write_text("\n".join(line if ln.startswith(f"{key} = ") else ln for ln in lines))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["d#1/values.csv", "values.csv ", "val\nues.csv"])
+def test_train_rejects_a_path_the_resolved_config_cannot_hold_before_writing(
+    workdir, tmp_path, capsys, name
+):
+    # config.resolved.cfg would read back another path: '#' starts a comment,
+    # a line break ends the line and the parser strips blanks at either end
+    values = tmp_path / name
+    values.parent.mkdir(exist_ok=True)
+    values.write_bytes((workdir["root"] / "data" / "values.csv").read_bytes())
+    out = tmp_path / "run"
+    code = cli.main(["train", "--config", str(workdir["cfg_path"]), "--data", str(values),
+                     "--out", str(out)])
+    assert code == 1
+    assert "config key 'values_path' cannot hold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rejects_a_negative_seed(tmp_path):
     out = tmp_path / "data"
     assert cli.main(["synth", "--nodes", "4", "--timesteps", "30", "--seed", "-1",

@@ -247,24 +247,23 @@ def make_path(values, mask=None):
 
 def test_window_grid_and_short_final_window():
     path = make_path(RNG.normal(size=(2, 12)))
-    coords, edges = L.window_logsig(path, subpath_len=2, depth=2)
-    assert np.array_equal(edges, [0, 2, 4, 6, 8, 10, 11])
-    assert np.array_equal(np.diff(edges), [2, 2, 2, 2, 2, 1])
+    coords = L.window_logsig(path, subpath_len=2, depth=2)
     assert coords.shape == (6, 2, 3)
+    # coordinate 1 is the time increment, the window's length over the span of 11
+    assert np.allclose(coords[..., 1] * 11, [[2, 2]] * 5 + [[1, 1]], rtol=0, atol=1e-12)
 
 
 def test_window_count_formula():
     for steps, p, want in [(13, 2, 6), (13, 3, 4), (13, 4, 3), (7, 2, 3), (5, 4, 1)]:
         path = make_path(RNG.normal(size=(1, steps)))
-        coords, edges = L.window_logsig(path, subpath_len=p, depth=1)
-        assert len(coords) == len(edges) - 1 == want
-        assert edges[-1] == steps - 1
+        coords = L.window_logsig(path, subpath_len=p, depth=1)
+        assert len(coords) == want
 
 
 def test_depth_one_logsig_is_the_window_increment():
     vals = RNG.normal(size=(2, 9))
     path = make_path(vals)
-    coords, _ = L.window_logsig(path, subpath_len=4, depth=1)
+    coords = L.window_logsig(path, subpath_len=4, depth=1)
     # coords per window are (data increment, time increment)
     assert coords.shape == (2, 2, 2)
     span = 8.0
@@ -276,7 +275,7 @@ def test_depth_one_logsig_is_the_window_increment():
 
 def test_constant_series_leaves_only_the_time_coordinate():
     path = make_path(np.full((3, 12), 7.5))
-    coords, _ = L.window_logsig(path, subpath_len=2, depth=2)
+    coords = L.window_logsig(path, subpath_len=2, depth=2)
     # word order for d=2, D=2: (0,), (1,), (0,1); channel 1 is time
     assert np.max(np.abs(coords[..., 0])) < 1e-12
     assert np.max(np.abs(coords[..., 2])) < 1e-12
@@ -287,7 +286,7 @@ def test_constant_series_leaves_only_the_time_coordinate():
 def test_window_coords_match_quadrature_oracle():
     vals = RNG.normal(size=(2, 7))
     path = make_path(vals)
-    coords, _ = L.window_logsig(path, subpath_len=3, depth=2)
+    coords = L.window_logsig(path, subpath_len=3, depth=2)
     for w, (i0, i1) in enumerate([(0, 3), (3, 6)]):
         for v in range(2):
             pts = sample_chords(path)[v, i0 : i1 + 1]
@@ -304,7 +303,7 @@ def test_masked_nodes_use_their_own_knots():
     vals = np.array([[0.0, 5.0, 1.0, 2.0, 1.0], [0.0, 99.0, 1.0, 2.0, 1.0]])
     mask = np.array([[True] * 5, [True, False, True, True, True]])
     path = make_path(vals, mask=mask)
-    coords, _ = L.window_logsig(path, subpath_len=2, depth=2)
+    coords = L.window_logsig(path, subpath_len=2, depth=2)
     # node 1 interpolates across the hidden outlier, so its first-window
     # increment still ends at the same observed value
     assert abs(coords[0, 1, 0] - 1.0) < 1e-9
@@ -352,7 +351,7 @@ def test_batched_front_end_matches_per_cell_oracle_bit_for_bit(
     rng = np.random.default_rng(seed)
     values, mask = random_batch(rng, 3, 4, steps, channels, density)
     path = fit_spline(RawSeries(values, mask))
-    coords, _ = L.window_logsig(path, subpath_len, depth)
+    coords = L.window_logsig(path, subpath_len, depth)
     for w in range(3):
         want = cell_window_logsig(values[w], mask[w], subpath_len, depth)
         assert coords[:, w].tobytes() == want.tobytes()
@@ -367,8 +366,8 @@ def test_window_logsig_samples_the_path_once(monkeypatch):
 
     monkeypatch.setattr(L, "sample_chords", counting)
     path = make_path(RNG.normal(size=(2, 13)))
-    coords, edges = L.window_logsig(path, subpath_len=2, depth=2)
-    assert len(edges) - 1 == 6
+    coords = L.window_logsig(path, subpath_len=2, depth=2)
+    assert len(coords) == 6
     assert calls == [path]
 
 

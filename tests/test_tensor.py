@@ -447,6 +447,32 @@ def test_head_matvec_holds_a_head_only_inside_its_backward():
             assert traced(lambda: T.backward(chain(a, w, b, x, 4)))[1] < 1.5 * head_bytes
 
 
+def test_head_matvec_frees_its_head_before_the_trunk_backward_runs():
+    rows = cols = 64  # 512 rows of a 64 x 64 head: 16 MiB of head
+    head_bytes, k = 512 * rows * cols * 8, 8
+    arrays = [RNG.normal(size=(8, 64, k)) * 0.1, RNG.normal(size=(k, rows * cols)) * 0.1,
+              RNG.normal(size=rows * cols) * 0.1, RNG.normal(size=(8, 64, cols))]
+    held = []
+
+    def trunk(t):  # one op whose backward reads how much is held when it runs
+        def backward_fn(g):
+            held.append(tracemalloc.get_traced_memory()[0])
+            T._accumulate(t.node, g)
+
+        return T._make(t.data + 0.0, (t,), backward_fn, "probe")
+
+    a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
+    loss = sum_all(T.head_matvec(trunk, a, w, b, x, cols))
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+    finally:
+        tracemalloc.stop()
+    # held: the gradients made so far and the trunk's output, about 0.6 MiB
+    assert len(held) == 1 and held[0] < head_bytes / 4
+    assert all(t.grad is not None for t in (a, w, b, x))
+
+
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
     p = T.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
     mid = tanh(p)
@@ -539,7 +565,7 @@ def test_recompute_output_is_tracked_exactly_when_the_function_would_be():
     out = T.head_matvec(lambda t: T.relu(t @ w), x, *SMALL_HEAD, 1)
     assert out.requires_grad and T.tape_size() == 1
     clear_tape()
-    # an output not made by the trunk's own ops is kept as an input, not run again
+    # an output not made by the trunk's own ops is taken again from a re-run too
     y = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
     calls = []
 
@@ -551,7 +577,8 @@ def test_recompute_output_is_tracked_exactly_when_the_function_would_be():
     got = y.grad
     y.grad = None
     T.backward(sum_all(T.head_matvec(NO_TRUNK, y, *SMALL_HEAD, 1)))
-    assert calls == [x] and np.array_equal(got, y.grad)
+    assert len(calls) == 2 and calls[0] is x and calls[1].data is x.data
+    assert np.array_equal(got, y.grad)
 
 
 def test_recompute_under_no_grad_is_the_function():
@@ -613,6 +640,23 @@ def test_recompute_restores_the_outer_tape_when_the_rerun_raises():
     fail.clear()
     T.backward(sum_all(T.head_matvec(block, x, *SMALL_HEAD, 1)))  # the tape works on
     assert x.grad is not None
+
+
+def test_recompute_refuses_an_untracked_rerun_of_a_tracked_output():
+    x = T.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    calls = []
+
+    def block(t):
+        calls.append(t)
+        out = T.relu(t @ T.constant(np.ones((2, 2))))
+        return out if len(calls) == 1 else T.constant(out.data)
+
+    out = sum_all(T.head_matvec(block, x, *SMALL_HEAD, 1))
+    outer = T._TAPE
+    with pytest.raises(ContractError, match="re-run is untracked"):
+        T.backward(out)
+    assert len(calls) == 2 and x.grad is None
+    assert T._TAPE is outer and T.tape_size() == 0 and T._GRAD_ENABLED
 
 
 def test_a_tape_node_reads_its_output_while_the_output_lives():
