@@ -32,15 +32,15 @@ def main() -> int:
     args = parser.parse_args()
     rates = [float(r) for r in args.rates.split(",")]
 
-    spec, info = D.synth(args.nodes, args.timesteps, args.seed,
-                         os.path.join(args.out, "data"))
+    values_path, adjacency_path, _ = D.synth(args.nodes, args.timesteps, args.seed,
+                                             os.path.join(args.out, "data"))
     preset = os.path.join(os.path.dirname(graphrde.__file__), "presets", "synth.cfg")
 
     rows = []
     for rate in rates:
         run = load_config(preset, {
-            "values_path": spec.values_path,
-            "adjacency_path": spec.adjacency_path,
+            "values_path": values_path,
+            "adjacency_path": adjacency_path,
             "drop_rate": rate,
         })
         metrics = cli.run_training(run, os.path.join(args.out, f"drop_{rate:g}"))

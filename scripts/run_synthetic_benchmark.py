@@ -35,14 +35,14 @@ def main() -> int:
     args = parser.parse_args()
 
     data_dir = os.path.join(args.out, "data")
-    spec, info = D.synth(args.nodes, args.timesteps, args.seed, data_dir)
-    print(f"dataset: {spec.name} (amplitude {info.amplitude:.3f}, "
+    values_path, adjacency_path, info = D.synth(args.nodes, args.timesteps, args.seed, data_dir)
+    print(f"dataset: synth-ring-{args.nodes}x{args.timesteps} (amplitude {info.amplitude:.3f}, "
           f"noise sigma {info.noise_sigma:.3f})")
 
     preset = os.path.join(os.path.dirname(graphrde.__file__), "presets", "synth.cfg")
     run = load_config(preset, {
-        "values_path": spec.values_path,
-        "adjacency_path": spec.adjacency_path,
+        "values_path": values_path,
+        "adjacency_path": adjacency_path,
         "variant": args.variant,
         "seed": args.seed,
     })
@@ -62,7 +62,7 @@ def main() -> int:
     code = cli.main([
         "predict",
         "--checkpoint", os.path.join(run_dir, "model.ckpt"),
-        "--data", spec.values_path,
+        "--data", values_path,
         "--split", "test",
         "--out", os.path.join(run_dir, "forecasts.csv"),
     ])

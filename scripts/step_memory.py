@@ -5,8 +5,11 @@ The model, solver and optimizer settings come from the bundled
 ``pemsd4.cfg`` preset (307 nodes, dim_h = dim_z = 64, two extra trunk
 layers, RK4 with two steps per window) on a synthetic series; only the
 batch size varies.  Each batch size runs in a fresh child process, which
-takes one step (forward, backward, Adam) and reports its own peak RSS
-from ``getrusage``, so no batch inherits another's high-water mark.
+takes one ``training.train_step`` (forward, L1 loss, backward, Adam) and
+reports the step's loss, its wall time ``step_s`` and the child's own
+peak RSS from ``getrusage``, so no batch inherits another's high-water
+mark.  The step's tape entries are counted by
+``perfbench/run.py --workload pemsd4_step --trace 1`` instead.
 
 Before starting a child, the parent reads MemAvailable from
 /proc/meminfo and skips a batch whose estimated peak does not fit, so
@@ -74,23 +77,15 @@ def one_step(batch: int, seed: int) -> dict:
     idx = np.arange(batch)
 
     start = time.perf_counter()
-    pred = TR.forward_prepared(params, config, solve, prepared, idx)
-    loss = TR.l1_loss(pred, T.constant(prepared.targets_norm[idx]))
-    forward_s = time.perf_counter() - start
-    entries = T.tape_size()
-    start = time.perf_counter()
-    T.backward(loss)
-    backward_s = time.perf_counter() - start
-    adam.step()
+    loss = TR.train_step(params, adam, config, solve, prepared, idx)
+    step_s = time.perf_counter() - start
     return {
         "batch": batch,
         "nproc": len(os.sched_getaffinity(0)),
         # threads that share a multi-tile head_matvec call: one unless BLAS runs one thread
         "head_workers": T._head_pool().workers,
-        "loss": loss.item(),
-        "forward_s": forward_s,
-        "backward_s": backward_s,
-        "tape_entries": entries,
+        "loss": loss,
+        "step_s": step_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 

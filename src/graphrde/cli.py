@@ -261,6 +261,7 @@ def summarize_folds(fold_docs: list[dict]) -> dict:
 
 def run_training(run: RunConfig, out_dir: str) -> dict:
     """Execute a resolved run config; returns the metrics document."""
+    run.validate()  # before anything is read or written
     if not run.values_path:
         raise ConfigError("values_path is not set (pass --data or set it in the config)")
     values = D.load_values(run.values_path, run.channels)
@@ -293,8 +294,8 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec, info = D.synth(args.nodes, args.timesteps, args.seed, args.out)
-    print(f"wrote {spec.values_path} and {spec.adjacency_path}")
+    values_path, adjacency_path, info = D.synth(args.nodes, args.timesteps, args.seed, args.out)
+    print(f"wrote {values_path} and {adjacency_path}")
     print(f"nodes={info.nodes} timesteps={info.timesteps} amplitude={FMT % info.amplitude}")
     return 0
 

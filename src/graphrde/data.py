@@ -28,15 +28,6 @@ FMT = "%.17g"
 
 
 @dataclass
-class DatasetSpec:
-    """Pointer to a dataset on disk plus the metadata needed to read it."""
-
-    values_path: str
-    adjacency_path: str | None = None
-    name: str = ""
-
-
-@dataclass
 class WindowSet:
     """Sliding forecast windows over a series.
 
@@ -418,17 +409,12 @@ def ring_edges(nodes: int) -> list[tuple[int, int, float]]:
     return edges
 
 
-def synth(nodes: int, timesteps: int, seed: int, out_dir: str) -> tuple[DatasetSpec, SynthInfo]:
-    """Generate and write a synthetic dataset; returns its spec and constants."""
+def synth(nodes: int, timesteps: int, seed: int, out_dir: str) -> tuple[str, str, SynthInfo]:
+    """Generate and write a synthetic dataset; returns its two paths and constants."""
     values, info = synth_series(nodes, timesteps, seed)
     os.makedirs(out_dir, exist_ok=True)
     values_path = os.path.join(out_dir, "values.csv")
     adj_path = os.path.join(out_dir, "adjacency.csv")
     save_values(values_path, values)
     save_adjacency(adj_path, ring_edges(nodes))
-    spec = DatasetSpec(
-        values_path=values_path,
-        adjacency_path=adj_path,
-        name=f"synth-ring-{nodes}x{timesteps}",
-    )
-    return spec, info
+    return values_path, adj_path, info

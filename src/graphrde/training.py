@@ -232,6 +232,39 @@ def forward_prepared(
     return readout(final, params, config)
 
 
+def batch_loss(
+    params: ParamStore,
+    config: ModelConfig,
+    solve: SolveSpec,
+    prepared: PreparedSplit,
+    idx: np.ndarray,
+) -> Tensor:
+    """L1 training loss of windows ``idx``, in normalized space."""
+    pred = forward_prepared(params, config, solve, prepared, idx)
+    return l1_loss(pred, T.constant(prepared.targets_norm[idx]))
+
+
+def train_step(
+    params: ParamStore,
+    adam: Adam,
+    config: ModelConfig,
+    solve: SolveSpec,
+    prepared: PreparedSplit,
+    idx: np.ndarray,
+) -> float:
+    """One optimizer step on windows ``idx``; returns the batch loss.
+
+    A forward that raises leaves no tape entries and the parameters and
+    ``adam`` untouched.
+    """
+    params.zero_grad()
+    with T.discard_on_error():
+        loss = batch_loss(params, config, solve, prepared, idx)
+    T.backward(loss)
+    adam.step()
+    return loss.item()
+
+
 def predict_denormalized(
     params: ParamStore,
     config: ModelConfig,
@@ -315,18 +348,11 @@ def fit(
     try:
         for epoch in range(train_cfg.epochs):
             order = np.random.default_rng(train_cfg.seed + epoch).permutation(n)
-            total, count = 0.0, 0
+            total = 0.0
             for start in range(0, n, train_cfg.batch_size):
                 idx = order[start : start + train_cfg.batch_size]
-                params.zero_grad()
-                with T.discard_on_error():  # a failed forward leaves no entries behind
-                    pred = forward_prepared(params, config, solve, train_prep, idx)
-                    loss = l1_loss(pred, T.constant(train_prep.targets_norm[idx]))
-                T.backward(loss)
-                adam.step()
-                total += loss.item() * len(idx)
-                count += len(idx)
-            train_loss = total / count
+                total += train_step(params, adam, config, solve, train_prep, idx) * len(idx)
+            train_loss = total / n
             val_mae = evaluate_prepared(
                 params, config, solve, val_prep, normalizer, train_cfg.batch_size
             ).mae
@@ -396,17 +422,14 @@ def gradcheck(config: ModelConfig, solve: SolveSpec, seed: int = 0) -> GradCheck
     prepared = prepare_split(windows, normalizer, config)
     params = ParamStore(config, seed=seed + 1, propagation=propagation)
     idx = np.arange(min(GRADCHECK_BATCH, len(prepared)))
-    target = T.constant(prepared.targets_norm[idx])
 
     params.zero_grad()
-    loss = l1_loss(forward_prepared(params, config, solve, prepared, idx), target)
-    T.backward(loss)
+    T.backward(batch_loss(params, config, solve, prepared, idx))
     analytic = {name: p.grad.copy() for name, p in params.tracked()}
 
     def loss_value() -> float:
         with T.no_grad():
-            pred = forward_prepared(params, config, solve, prepared, idx)
-            return l1_loss(pred, target).item()
+            return batch_loss(params, config, solve, prepared, idx).item()
 
     worst, worst_name, checked = 0.0, "", 0
     for name, p in params.tracked():

@@ -39,14 +39,14 @@ def _preset_path() -> str:
 def synth_task(tmp_path_factory):
     """Shared synthetic dataset plus a caching runner for training jobs."""
     root = tmp_path_factory.mktemp("acceptance")
-    spec, info = D.synth(8, 600, seed=1, out_dir=str(root / "data"))
+    values_path, adjacency_path, info = D.synth(8, 600, seed=1, out_dir=str(root / "data"))
     cache: dict[str, dict] = {}
 
     def run(tag: str, **overrides) -> dict:
         if tag not in cache:
             merged = {
-                "values_path": spec.values_path,
-                "adjacency_path": spec.adjacency_path,
+                "values_path": values_path,
+                "adjacency_path": adjacency_path,
             }
             merged.update(overrides)
             config = load_config(_preset_path(), merged)

@@ -89,6 +89,25 @@ def test_config_split_plan_and_model_builders(tmp_path):
         cli.run_training(RunConfig(), str(tmp_path / "run"))
 
 
+@pytest.mark.parametrize("fault,match", [
+    ({"gnn_kind": "chebyshev"}, "adjacency"),
+    ({"lr": math.nan}, "lr"),
+    ({"values_path": "a#b/values.csv"}, "#"),
+])
+def test_run_training_checks_its_config_before_writing(tmp_path, fault, match):
+    values, _ = D.synth_series(4, 80, seed=0)
+    for sub in ("data", "a#b"):
+        (tmp_path / sub).mkdir()
+        D.save_values(str(tmp_path / sub / "values.csv"), values)
+    run = RunConfig(values_path=str(tmp_path / "data" / "values.csv"), epochs=1)
+    if "values_path" in fault:
+        fault = {"values_path": str(tmp_path / fault["values_path"])}
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=match):
+        cli.run_training(replace(run, **fault), str(out))
+    assert not out.exists()
+
+
 _OTHER_TEXT = {
     "variant": "temporal_only",
     "gnn_kind": "plain_gcn",

@@ -385,20 +385,20 @@ def test_synth_values_stay_bounded():
 
 
 def test_synth_dataset_is_byte_deterministic(tmp_path):
-    spec1, info1 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "a"))
-    spec2, info2 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "b"))
-    spec3, _ = D.synth(5, 60, seed=12, out_dir=str(tmp_path / "c"))
-    assert Path(spec1.values_path).read_bytes() == Path(spec2.values_path).read_bytes()
-    assert Path(spec1.adjacency_path).read_bytes() == Path(spec2.adjacency_path).read_bytes()
-    assert Path(spec1.values_path).read_bytes() != Path(spec3.values_path).read_bytes()
+    values1, adjacency1, info1 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "a"))
+    values2, adjacency2, info2 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "b"))
+    values3, _, _ = D.synth(5, 60, seed=12, out_dir=str(tmp_path / "c"))
+    assert Path(values1).read_bytes() == Path(values2).read_bytes()
+    assert Path(adjacency1).read_bytes() == Path(adjacency2).read_bytes()
+    assert Path(values1).read_bytes() != Path(values3).read_bytes()
     assert info1.amplitude == info2.amplitude
     # files round-trip into the ring topology
-    adj = D.load_adjacency(spec1.adjacency_path, num_nodes=5)
+    adj = D.load_adjacency(adjacency1, num_nodes=5)
     expected = np.zeros((5, 5))
     for v in range(5):
         expected[v, (v + 1) % 5] = expected[(v + 1) % 5, v] = 1.0
     assert np.array_equal(adj, expected)
-    values = D.load_values(spec1.values_path, channels=1)
+    values = D.load_values(values1, channels=1)
     assert values.shape == (5, 60, 1)
 
 

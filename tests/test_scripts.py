@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,3 +53,4 @@ def test_step_memory_estimate_covers_a_measured_step(tmp_path):
     # an upper line, but not so far above the measured step that it turns batches away
     peak = record["peak_rss_mb"]
     assert peak <= step_memory.estimate_mb(1) <= 1.25 * peak, record
+    assert math.isfinite(record["loss"]) and math.isfinite(record["step_s"]), record

@@ -297,6 +297,40 @@ def test_a_failed_forward_leaves_no_tape_entries(method, error, match):
     assert T.tape_size() == 0
 
 
+@pytest.mark.parametrize("method,error", [("rk4", BlowupError), ("euler", NonFiniteError)])
+def test_a_failed_train_step_changes_nothing(method, error):
+    cfg, train_prep, _, _ = _tiny_problem()
+    train_prep.coords[1] = 1.7e308
+    sspec = SolveSpec(method=method, steps_per_window=1)
+    params = ParamStore(cfg, seed=0)
+    adam = TR.Adam(params.tracked(), lr=1e-2, weight_decay=1e-3)
+    before = params.state_arrays()
+    with np.errstate(over="ignore"), pytest.raises(error):
+        TR.train_step(params, adam, cfg, sspec, train_prep, np.arange(4))
+    assert T.tape_size() == 0
+    assert adam.t == 0
+    assert all(np.array_equal(params[name].data, arr) for name, arr in before.items())
+
+
+def test_train_step_matches_the_step_written_out():
+    cfg, train_prep, _, _ = _tiny_problem()
+    sspec = SolveSpec(method="rk4", steps_per_window=2)
+    idx = np.array([3, 0, 7, 5])
+    stepped, written = ParamStore(cfg, seed=0), ParamStore(cfg, seed=0)
+    adam_stepped = TR.Adam(stepped.tracked(), lr=1e-2, weight_decay=1e-3)
+    adam_written = TR.Adam(written.tracked(), lr=1e-2, weight_decay=1e-3)
+    for _ in range(2):  # the second step reads Adam's moments from the first
+        loss = TR.train_step(stepped, adam_stepped, cfg, sspec, train_prep, idx)
+        written.zero_grad()
+        pred = TR.forward_prepared(written, cfg, sspec, train_prep, idx)
+        expected = TR.l1_loss(pred, T.constant(train_prep.targets_norm[idx]))
+        T.backward(expected)
+        adam_written.step()
+        assert loss == expected.item()
+    for name, arr in written.state_arrays().items():
+        assert np.array_equal(stepped[name].data, arr), name
+
+
 def test_fit_aborts_with_the_last_snapshot_when_adam_overflows(monkeypatch):
     cfg, train_prep, val_prep, norm = _tiny_problem()
     sspec = SolveSpec(method="euler", steps_per_window=1)
