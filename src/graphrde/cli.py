@@ -6,7 +6,8 @@ checkpoint + history + metrics), ``eval`` (metrics for a checkpoint on
 a dataset), ``predict`` (per-window forecast CSV), ``verify`` (built-in
 correctness suites).
 
-Exit codes: 0 success, 1 usage/config, 2 data, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config or an output that cannot be written,
+2 data, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, OSError) as exc:  # only writes get here: reads map OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, DimensionError, ContractError) as exc:

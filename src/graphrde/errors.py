@@ -3,6 +3,7 @@
 Exit-code mapping used by the command line front end:
 
 * :class:`UsageError` / :class:`ConfigError`  -> exit code 1 (bad invocation)
+* :class:`OSError` from writing an output     -> exit code 1 (unwritable path)
 * :class:`DataError`                          -> exit code 2 (bad data)
 * :class:`NumericError` and subclasses        -> exit code 3 (numeric failure)
 """

@@ -280,7 +280,7 @@ def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
     if config.variant == "temporal_only":
         return None
     if config.gnn_kind == "adaptive":
-        return T.eye(config.num_nodes) + adaptive_adjacency(params)
+        return T.constant(np.eye(config.num_nodes)) + adaptive_adjacency(params)
     return params.propagation
 
 

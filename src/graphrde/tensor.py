@@ -63,7 +63,6 @@ __all__ = [
     "transpose_last2",
     "mean_all",
     "constant",
-    "eye",
 ]
 
 # Ambient tape: list of (output's node, backward closure) in execution order.
@@ -248,16 +247,10 @@ class Tensor:
         return matmul(self, other)
 
 
-@contextlib.contextmanager
 def no_grad():
-    """Context manager that suspends tape recording."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+    """Context manager that suspends tape recording: in the block the ambient
+    tape is a fresh one that nothing records onto; the outer one is back after it."""
+    return _own_tape(False)
 
 
 def tape_size() -> int:
@@ -399,23 +392,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "sub")
-    data = a.data - b.data
-    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(na, _unbroadcast(g, sa))
-        _accumulate(nb, _unbroadcast(-g, sb))
-
-    return _make(data, (a, b), backward_fn, "sub")
+    return add(a, scale(b, -1.0))  # x - y and x + (-y) are the same float
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    if not np.isfinite(c):
-        raise NonFiniteError("non-finite scale factor")
     data = a.data * c
     na = a.node
 
@@ -491,12 +473,12 @@ def head_matvec(
 
     The head runs over tiles of head rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
-    gemm, both finiteness checks, the bias, the tanh and the contraction
+    gemm, the bias, one finiteness check, the tanh and the contraction
     each pass over a tile while it is in cache.  Each worker has one tile
     buffer, taped or not, so no call holds a head from its forward to its
     backward.  The backward recomputes the head tile by tile with the
     forward's gemm, bias and tanh calls on the same arrays, so every bit is
-    the forward's, and without its finiteness checks, which those arrays
+    the forward's, and without its finiteness check, which those arrays
     already passed.  It takes ``x``'s gradient from each tile and then
     overwrites the tile with ``g_pre = (g ⊗ x) * (1 - t*t)``.  The tiles land
     in one head-sized buffer, which the gradients of ``a``, ``w`` and ``b``
@@ -548,9 +530,7 @@ def head_matvec(
     def head_tile(a2: np.ndarray, lo: int, hi: int, p: np.ndarray, finite) -> None:
         """The head's rows ``lo:hi`` of ``a2`` into ``p``, checked unless ``finite`` is None."""
         np.matmul(a2[lo:hi], wd, out=p)
-        if finite is not None:
-            _check_finite(p, "head_matvec (a @ w)", finite)
-        p += bd
+        p += bd  # inf and NaN survive the bias, so one check after it sees them
         if finite is not None:  # tanh would hide an overflow
             _check_finite(p, "head_matvec (a @ w + b)", finite)
         np.tanh(p, out=p)
@@ -711,7 +691,3 @@ def mean_all(a: Tensor) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
-
-
-def eye(n: int) -> Tensor:
-    return Tensor(np.eye(n, dtype=np.float64))

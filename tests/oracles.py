@@ -405,7 +405,7 @@ def mixed_features(b0, params, config):
     v = config.num_nodes
     if config.gnn_kind == "adaptive":
         e = params["embed"]
-        prop = T.eye(v) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
+        prop = T.constant(np.eye(v)) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
     else:
         prop = params.propagation
     return (prop @ b0) @ params["w_spatial"]

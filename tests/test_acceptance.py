@@ -5,6 +5,7 @@ Each test prints one ``criterion N: PASS/FAIL`` line (visible with
 one cached set of training runs via the session fixture below.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -184,6 +185,30 @@ def test_criterion_9_determinism(synth_task):
         f"history CSV identical across reruns ({len(a)} bytes, "
         f"{first['epochs_run']} epochs)",
     )
+
+
+# sha256 of model.ckpt, history.csv and metrics.json of two cached runs: a
+# change to training's arithmetic, or to how a file is formatted, moves them
+_SYNTH_SHA256 = {
+    "full": ({}, (
+        "078e246781674f229b86d6863bf396d9f44ef775d026d3f16552e3f9232de401",
+        "1a8661079a6d094e87311971591334bdb10babdf0f161f27b9dc4248b6c41a2a",
+        "9d45c61942cfae4f3b05331fa9737bc8972f54442ddb510eba4ef67084364f87",
+    )),
+    "drop": ({"drop_rate": 0.3}, (
+        "cc0b70dbcf1ff53808d09c6a630a955dc17e08e5edd9ca828fc12db90c94a842",
+        "541dbeaf2b7915e0866927c655b396af8565ce8971591291fa9b4e954e3bae22",
+        "c8e3c549af0a39cc7d4c6ddcd3f2fa24901cf60ed0b9485b2d6bb389da8ab4d1",
+    )),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_SYNTH_SHA256))
+def test_synth_runs_write_the_frozen_bytes(synth_task, tag):
+    overrides, digests = _SYNTH_SHA256[tag]
+    out = Path(synth_task["run"](tag, **overrides)["out_dir"])
+    for name, digest in zip(("model.ckpt", "history.csv", "metrics.json"), digests):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------

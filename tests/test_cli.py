@@ -204,6 +204,20 @@ def test_synth_writes_deterministic_files(workdir):
                      "--out", str(root / "bad")]) == 1
 
 
+# sha256 of the files the workdir run writes: a change to training's
+# arithmetic, or to how a file is formatted, moves them
+_WORKDIR_SHA256 = {
+    "model.ckpt": "6163e5b7e3548be89cf29b97b1d9430056f205ac976d7771b214371b27d8bc8b",
+    "history.csv": "365923dbb8f9e2e3343afbce9fb3a2a298d71c8d90825614c82763e9950eb468",
+    "metrics.json": "b8af9ca57de2de16cad3c64f7ca9699665620300857f2f433fa2c006aab9ca87",
+}
+
+
+def test_train_writes_the_frozen_bytes(workdir):
+    for name, digest in _WORKDIR_SHA256.items():
+        assert hashlib.sha256((workdir["out"] / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_train_writes_all_artifacts(workdir):
     out = workdir["out"]
     for name in ("model.ckpt", "history.csv", "metrics.json", "config.resolved.cfg"):
@@ -654,6 +668,26 @@ def test_exit_codes(tmp_path, workdir):
                      "--data", str(workdir["root"] / "data" / "values.csv")]) == 2
     with pytest.raises(SystemExit):
         cli.main(["--help"])
+
+
+@pytest.mark.parametrize("command", ["synth", "logsig", "train", "predict"])
+def test_an_output_that_cannot_be_written_is_exit_1(workdir, tmp_path, capsys, command):
+    data = str(workdir["root"] / "data" / "values.csv")
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    no_dir = str(tmp_path / "missing" / "x.csv")
+    argv = {
+        "synth": ["synth", "--nodes", "4", "--timesteps", "30", "--out", str(a_file / "sub")],
+        "logsig": ["logsig", "--data", data, "--out", no_dir],
+        "train": ["train", "--config", str(workdir["cfg_path"]), "--out", str(a_file)],
+        "predict": ["predict", "--checkpoint", str(workdir["out"] / "model.ckpt"),
+                    "--data", data, "--split", "test", "--out", no_dir],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_commands_do_not_mutate_inputs(workdir, tmp_path):

@@ -122,7 +122,7 @@ def test_field_head_overflow_is_a_blowup():
     ps["f_head_w"].data[:] = 1e308
     init = init_state(T.constant(np.zeros((2, 1))), ps, cfg)
     coords = np.ones((2, 2, cfg.logsig_dim))
-    with np.errstate(over="ignore"), pytest.raises(BlowupError, match=r"a @ w\)") as err:
+    with np.errstate(over="ignore"), pytest.raises(BlowupError, match=r"a @ w \+ b\)") as err:
         integrate(init, coords, SolveSpec("rk4", 2), model_rhs(ps, cfg))
     assert (err.value.window, err.value.step) == (0, 0)
     clear_tape()

@@ -194,12 +194,21 @@ def test_non_finite_op_output_rejected():
         mul(big, big)
 
 
+@pytest.mark.parametrize("factor", [np.inf, -np.inf, np.nan])
+def test_scale_by_a_non_finite_factor_is_rejected(factor):
+    # the product holds inf or NaN, since 0 * inf is NaN, so the output's check sees it
+    a = T.Tensor([1.0, 0.0], requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        T.scale(a, factor)
+    assert T.tape_size() == 0
+
+
 def test_head_matvec_checks_the_pre_activation():
-    # tanh maps an overflow to a finite +-1, so the op must check a @ w and a @ w + b
+    # tanh maps an overflow to a finite +-1, so the op must check a @ w + b before the tanh
     a = T.constant(np.full((1, 2), 1e200))
     x = T.constant(np.ones((1, 1)))
     w = T.Tensor(np.full((2, 2), 1e200), requires_grad=True)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w\)"):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w \+ b\)"):
         T.head_matvec(NO_TRUNK, a, w, T.constant(np.zeros(2)), x, 1)
     big = T.constant(np.full(2, 1.7e308))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"a @ w \+ b"):
@@ -349,9 +358,9 @@ def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
 
     w, big_b = T.constant(np.full((2, 2), 1e307)), T.constant(np.full(2, 1.7e308))
     cases = [  # head inputs, and the message of the first failing tile
-        ((T.constant(a_rows({5: 1e10})), w, zero_b), r"\(a @ w\)$"),
+        ((T.constant(a_rows({5: 1e10})), w, zero_b), r"\(a @ w \+ b\)$"),
         ((T.Tensor(a_rows({5: 1.0}), requires_grad=True), w, big_b), r"\(a @ w \+ b\)$"),
-        # tile 1 fails at the bias and tile 2 already at the gemm: tile 1's error wins
+        # tiles 1 and 2 both fail: tile 1's error wins
         ((T.constant(a_rows({2: 1.0, 5: 1e10})), w, big_b), r"\(a @ w \+ b\)$"),
     ]
 
@@ -388,7 +397,7 @@ def test_head_matvec_stays_bitwise_equal_under_thread_stress(monkeypatch):
     bad[1] *= 1e200
 
     def overflow():
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"\(a @ w\)$"):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"\(a @ w \+ b\)$"):
             run_head_matvec(bad, None)
 
     with head_workers(1):
@@ -714,6 +723,26 @@ def test_no_grad_suppresses_taping():
         y = sum_all(mul(p, p))
     assert not y.requires_grad
     assert T.tape_size() == 0
+
+
+def test_no_grad_inside_a_taped_forward_adds_nothing_to_the_outer_tape():
+    arrays = [RNG.normal(size=(2, 3)), RNG.normal(size=(3, 3))]
+
+    def grad(block: bool) -> np.ndarray:
+        p, w = T.Tensor(arrays[0], requires_grad=True), T.constant(arrays[1])
+        h = T.relu(p @ w)
+        outer, before = T._TAPE, list(T._TAPE)
+        if block:
+            with T.no_grad():
+                side = T.relu(h @ w) - h
+                assert not side.requires_grad and T.tape_size() == 0
+            assert T._TAPE is outer and T._TAPE == before
+        loss = sum_all(mul(h @ w, h))
+        assert T._TAPE[: len(before)] == before and T.tape_size() > len(before)
+        T.backward(loss)
+        return p.grad
+
+    assert np.array_equal(grad(True), grad(False))
 
 
 def test_backward_is_bit_deterministic():
