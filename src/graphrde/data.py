@@ -105,8 +105,8 @@ class Normalizer:
 def atomic_write(path: str, content: str | bytes | Iterable[str | bytes]) -> None:
     """Write ``content``, one string or an iterable of chunks, to a sibling
     temp file, then rename it over ``path``, so a crash mid-write never
-    leaves a truncated file; if a chunk or a write raises, the temp file
-    is removed and ``path`` keeps its old bytes."""
+    leaves a truncated file; if a chunk or a write raises, the temp file is
+    removed, ``path`` keeps its old bytes and an ``OSError`` names ``path``."""
     tmp = f"{path}.tmp"
     if isinstance(content, (str, bytes)):
         content = [content]
@@ -115,9 +115,11 @@ def atomic_write(path: str, content: str | bytes | Iterable[str | bytes]) -> Non
             for chunk in content:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

@@ -687,6 +687,7 @@ def test_an_output_that_cannot_be_written_is_exit_1(workdir, tmp_path, capsys, c
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert ".tmp" not in err  # the message names the path given, not atomic_write's temp file
     assert not list(tmp_path.rglob("*.tmp"))
 
 

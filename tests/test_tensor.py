@@ -343,9 +343,12 @@ def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
     monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 2 * 2)
     check = T._check_finite
 
-    def slow_check(*args):
+    def slow_check(data, *rest):  # tags its error with the tile's first non-finite value
         time.sleep(0.005)
-        check(*args)
+        try:
+            check(data, *rest)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{data[~np.isfinite(data)][0]}: {exc}") from None
 
     monkeypatch.setattr(T, "_check_finite", slow_check)
     x, zero_b = T.constant(np.ones((6, 1))), T.constant(np.zeros(2))
@@ -358,10 +361,10 @@ def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
 
     w, big_b = T.constant(np.full((2, 2), 1e307)), T.constant(np.full(2, 1.7e308))
     cases = [  # head inputs, and the message of the first failing tile
-        ((T.constant(a_rows({5: 1e10})), w, zero_b), r"\(a @ w \+ b\)$"),
-        ((T.Tensor(a_rows({5: 1.0}), requires_grad=True), w, big_b), r"\(a @ w \+ b\)$"),
-        # tiles 1 and 2 both fail: tile 1's error wins
-        ((T.constant(a_rows({2: 1.0, 5: 1e10})), w, big_b), r"\(a @ w \+ b\)$"),
+        ((T.constant(a_rows({5: 1e10})), w, zero_b), r"^inf: .*\(a @ w \+ b\)$"),
+        ((T.Tensor(a_rows({5: 1.0}), requires_grad=True), w, big_b), r"^inf: .*\(a @ w \+ b\)$"),
+        # tiles 1 and 2 both fail, tile 1 with inf and tile 2 with -inf: tile 1's error wins
+        ((T.constant(a_rows({2: 1.0, 5: -1e10})), w, big_b), r"^inf: .*\(a @ w \+ b\)$"),
     ]
 
     def call(inputs):
