@@ -479,17 +479,16 @@ def head_matvec(
     backward.  The backward recomputes the head tile by tile with the
     forward's gemm, bias and tanh calls on the same arrays, so every bit is
     the forward's, and without its finiteness check, which those arrays
-    already passed.  It takes ``x``'s gradient from each tile and then
-    overwrites the tile with ``g_pre = (g ⊗ x) * (1 - t*t)``.  The tiles land
-    in one head-sized buffer, which the gradients of ``a``, ``w`` and ``b``
-    read.
+    already passed.  It takes ``x``'s gradient from each tile, then writes
+    ``g_pre = (g ⊗ x) * (1 - t*t)`` over the tile.  The tiles land in one
+    head-sized buffer, which the gradients of ``a``, ``w`` and ``b`` read.
 
     A call with more than one tile shares its tiles, in order, among one
     worker thread per CPU, the caller among them (see ``_head_pool``): a
     worker takes the next tile whenever it is free, so one whose CPU is
     busy takes fewer.  The backward's ``a`` gradient, and its ``w`` and
     ``b`` gradients, are two more such pieces of work.  Workers run numpy
-    alone, into buffers the caller allocated, and the caller waits for all
+    alone, into buffers made for the call, and the caller waits for all
     of them before it raises the first error in tile order.  The tiles,
     and every numpy call, are the same whatever the number of workers, so
     every output bit is too.
@@ -522,9 +521,8 @@ def head_matvec(
     step = max(1, HEAD_TILE_BYTES // max(8 * n, 1))
     tiles = -(-total // step)
     pool = _head_pool()
-    tile_shape = (min(pool.workers, tiles), min(step, total))  # one tile per slot
-    buf = np.empty(tile_shape + (n,))
-    scratch = np.empty(tile_shape + (n,), dtype=bool)
+    slots, tile_rows = range(min(pool.workers, tiles)), min(step, total)
+    buf, scratch = [None for _ in slots], [None for _ in slots]  # made in the slot's thread
     out = np.empty((total, rows))
 
     def head_tile(a2: np.ndarray, lo: int, hi: int, p: np.ndarray, finite) -> None:
@@ -537,8 +535,10 @@ def head_matvec(
 
     def forward(slot: int, j: int) -> None:
         lo, hi = j * step, min(j * step + step, total)
-        p = buf[slot, : hi - lo]
-        head_tile(a2, lo, hi, p, scratch[slot, : hi - lo])
+        if buf[slot] is None:  # in its own malloc arena, so peak RSS hangs on no thread timing
+            buf[slot], scratch[slot] = np.empty((tile_rows, n)), np.empty((tile_rows, n), bool)
+        p = buf[slot][: hi - lo]
+        head_tile(a2, lo, hi, p, scratch[slot][: hi - lo])
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
 
     pool.run(forward, tiles)
@@ -553,7 +553,7 @@ def head_matvec(
         a2 = a_again.data.reshape(-1, k)
         g2 = g.reshape(-1, rows)
         gx = np.empty((total, cols)) if nx is not None else None
-        gx_outer = np.empty(tile_shape + (rows, cols))
+        gx_outer = [np.empty((tile_rows, rows, cols)) for _ in slots]
         head = np.empty((total, n))  # the head's gradient reads every g_pre row at once
 
         def to_g_pre(slot: int, j: int) -> None:
@@ -563,7 +563,7 @@ def head_matvec(
             head_tile(a2, lo, hi, tile, None)
             if gx is not None:
                 np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
-            outer = gx_outer[slot, : hi - lo]
+            outer = gx_outer[slot][: hi - lo]
             np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=outer)
             np.multiply(tile, tile, out=tile)
             np.subtract(1.0, tile, out=tile)
