@@ -41,7 +41,7 @@ from .logsig import LyndonBasis, window_logsig
 from .model import ModelConfig, ParamStore, load_checkpoint, normalized_adjacency, save_checkpoint
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec
-from .verification import format_results, run_suites
+from .verification import SUITES, format_results, run_suites
 
 _VARIANT_FLAG = {"full": "full", "temporal": "temporal_only", "spatial": "spatial_only"}
 _CV_FLAG = {"rolling": "rolling_cv", "blocked": "blocked_cv"}
@@ -428,21 +428,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=cmd_train)
 
+    splits = ("all", "train", "val", "test")
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("all", "train", "val", "test"), default="all")
+    p.add_argument("--split", choices=splits, default="all")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="write per-window forecasts as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("all", "train", "val", "test"), default="all")
+    p.add_argument("--split", choices=splits, default="all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="run built-in correctness suites")
-    p.add_argument("--suite", choices=("logsig", "grad", "solver", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(func=cmd_verify)
 
     return parser

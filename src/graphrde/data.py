@@ -123,17 +123,17 @@ def atomic_write(path: str, content: str | bytes | Iterable[str | bytes]) -> Non
         raise
 
 
-def _is_numeric_row(cells: list[str]) -> bool:
+def _is_number(cell: str) -> bool:
     try:
-        for cell in cells:
-            float(cell)
+        float(cell)
         return True
     except ValueError:
         return False
 
 
 def _read_csv_rows(path: str) -> tuple[list[list[str]], int]:
-    """Rows as string cells, skipping one auto-detected header line."""
+    """Rows as string cells, skipping a first row with no numeric cell as a
+    header; a first row that mixes numbers and text is a ``DataError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -142,12 +142,14 @@ def _read_csv_rows(path: str) -> tuple[list[list[str]], int]:
     if not lines:
         raise DataError(f"{path} is empty")
     rows = [ln.split(",") for ln in lines]
-    start = 0
-    if not _is_numeric_row(rows[0]):
-        start = 1
-        if len(rows) == 1:
-            raise DataError(f"{path} has a header but no data rows")
-    return rows[start:], start
+    numeric = [_is_number(cell) for cell in rows[0]]
+    if all(numeric):
+        return rows, 0
+    if any(numeric):
+        raise DataError(f"{path}: row 1 mixes numeric and non-numeric cells")
+    if len(rows) == 1:
+        raise DataError(f"{path} has a header but no data rows")
+    return rows[1:], 1
 
 
 def load_values(path: str, channels: int = 1) -> np.ndarray:

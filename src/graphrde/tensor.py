@@ -22,8 +22,8 @@ the backward.
 Design rules enforced at every operation boundary:
 
 * values are float64 and finite (NaN/Inf raises :class:`NonFiniteError`),
-* elementwise broadcasting is limited to leading-1 extents, i.e. the
-  smaller operand may only broadcast along a prefix of the axes,
+* elementwise broadcasting only adds missing leading axes: the shorter
+  shape must equal the longer one's trailing axes,
 * the tape is single threaded and cleared by :func:`backward`; only the
   tile loops inside :func:`head_matvec` run on worker threads, which call
   numpy alone and never touch the tape.
@@ -99,13 +99,11 @@ class _TilePool:
         is slow or busy takes fewer; no two calls at once share a slot.  A
         thread runs in a copy of the caller's context, so ``np.errstate``
         holds.  Then the error of the lowest ``j`` that raised is raised:
-        every lower ``j`` ran, as in a serial loop.
+        every lower ``j`` ran, as in a serial loop.  With no helper, as
+        with one worker or one ``j``, the caller alone runs every ``j`` in
+        order and no thread is given work.
         """
         helpers = min(self.workers, count) - 1
-        if helpers < 1:
-            for j in range(count):
-                fn(0, j)
-            return
         # next() on an itertools.count is atomic, so each j goes to one thread
         jobs, done = itertools.count(), queue.SimpleQueue()
         # emptied once every j is done: a thread that wakes late holds none of fn's buffers
@@ -342,35 +340,20 @@ def _replay(tape: list[tuple[_Node, Callable[[np.ndarray], None]]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Broadcasting helpers (leading-1 extents only)
+# Broadcasting helpers (missing leading axes only)
 # ---------------------------------------------------------------------------
 
 
 def _check_broadcast(sa: tuple[int, ...], sb: tuple[int, ...], name: str) -> None:
-    ndim = max(len(sa), len(sb))
-    pa = (1,) * (ndim - len(sa)) + sa
-    pb = (1,) * (ndim - len(sb)) + sb
-    diff = [i for i in range(ndim) if pa[i] != pb[i]]
-    for i in diff:
-        if min(pa[i], pb[i]) != 1:
-            raise DimensionError(f"{name}: incompatible shapes {sa} and {sb}")
-    # broadcast axes must lead; axes where both operands are 1 don't count
-    nontrivial = [i for i in range(ndim) if max(pa[i], pb[i]) > 1]
-    if diff != nontrivial[: len(diff)]:
-        raise DimensionError(
-            f"{name}: broadcasting of {sa} with {sb} is not limited to leading axes"
-        )
+    short, long = sorted((sa, sb), key=len)
+    if long[len(long) - len(short) :] != short:
+        raise DimensionError(f"{name}: incompatible shapes {sa} and {sb}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
+    """Sum a broadcast gradient over the leading axes its operand lacks."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (s, gs) in enumerate(zip(shape, g.shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +396,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, with optional stacked leading axes on one operand.
+    """Matrix product, with stacked leading axes on at most one operand.
 
     Supported shapes: ``(m,k) @ (k,n)``, ``(..,m,k) @ (k,n)`` and
-    ``(m,k) @ (..,k,n)``; leading axes must match exactly when both
-    operands carry them.
+    ``(m,k) @ (..,k,n)``.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -425,8 +407,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     la, lb = a.shape[:-2], b.shape[:-2]
-    if la and lb and la != lb:
-        raise DimensionError(f"matmul stacked axes differ: {a.shape} @ {b.shape}")
+    if la and lb:
+        raise DimensionError(f"matmul: both operands are stacked: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
     na, nb, sa, sb = a.node, b.node, a.shape, b.shape
     # each operand's array is read only for the other's gradient

@@ -565,6 +565,18 @@ def test_train_rejects_a_malformed_adjacency_before_writing(workdir, tmp_path, r
     assert not out.exists()
 
 
+def test_train_rejects_a_first_values_row_mixing_numbers_and_text(workdir, tmp_path, capsys):
+    lines = (workdir["root"] / "data" / "values.csv").read_text().splitlines()
+    lines[0] = "abc," + lines[0].split(",", 1)[1]  # once read as a header, losing a timestep
+    values = tmp_path / "values.csv"
+    values.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--data", str(values),
+                     "--out", str(out)]) == 2
+    assert "row 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["values", "adjacency", "config"])
 def test_train_rejects_a_non_utf8_file_before_writing(workdir, tmp_path, capsys, which):
     bad = tmp_path / "bad"

@@ -55,6 +55,17 @@ def test_header_line_is_auto_detected(tmp_path):
     assert a.shape == (2, 2, 1)
 
 
+def test_a_first_row_mixing_numbers_and_text_is_not_a_header(tmp_path):
+    values = tmp_path / "v.csv"
+    values.write_text("1.0,abc,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+    with pytest.raises(DataError, match="row 1"):
+        D.load_values(str(values))
+    adjacency = tmp_path / "adj.csv"
+    adjacency.write_text("0,1,x\n1,2,1.0\n")
+    with pytest.raises(DataError, match="row 1"):
+        D.load_adjacency(str(adjacency), num_nodes=3)
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

@@ -71,7 +71,7 @@ def test_simple_polynomial_gradient():
         ("add_bias", lambda a, b: sum_all(tanh(a + b)), [(3, 4), (4,)]),
         ("sub", lambda a, b: sum_all(tanh(a - b)), [(2, 5), (2, 5)]),
         ("mul", lambda a, b: sum_all(tanh(mul(a, b))), [(4, 2), (4, 2)]),
-        ("mul_broadcast", lambda a, b: sum_all(tanh(mul(a, b))), [(1, 4), (3, 4)]),
+        ("mul_broadcast", lambda a, b: sum_all(tanh(mul(a, b))), [(4,), (3, 4)]),
         ("matmul", lambda a, b: sum_all(tanh(a @ b)), [(3, 4), (4, 2)]),
         ("matmul_stacked_left", lambda a, b: sum_all(tanh(a @ b)), [(2, 3, 4), (4, 2)]),
         ("matmul_stacked_right", lambda a, b: sum_all(tanh(a @ b)), [(3, 4), (2, 4, 2)]),
@@ -153,16 +153,23 @@ def test_broadcast_limited_to_leading_axes():
     b = T.constant(np.ones((3, 4)))
     with pytest.raises(DimensionError):
         T.add(a, b)
-    # leading-1 broadcast is accepted
-    T.add(T.constant(np.ones((1, 4))), b)
+    # an explicit size-1 axis is not a missing one, leading or not
+    with pytest.raises(DimensionError):
+        T.add(T.constant(np.ones((1, 4))), b)
     T.add(T.constant(np.ones(())), b)
-    # axes where both operands are 1 don't block the leading rule
+    # missing leading axes may include size-1 ones
     x = T.Tensor(np.ones((1, 4, 8)), requires_grad=True)
     bias = T.Tensor(np.ones(8), requires_grad=True)
     out = T.add(x, bias)
     T.backward(sum_all(out))
     assert np.array_equal(bias.grad, np.full(8, 4.0))
     assert np.array_equal(x.grad, np.ones((1, 4, 8)))
+
+
+def test_matmul_rejects_two_stacked_operands():
+    a, b = T.constant(np.ones((2, 3, 4))), T.constant(np.ones((2, 4, 5)))
+    with pytest.raises(DimensionError, match="both operands are stacked"):
+        T.matmul(a, b)
 
 
 def test_shape_mismatch_raises():
