@@ -40,11 +40,12 @@ from graphrde.model import ParamStore
 
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
 # Estimated peak of one step: an upper line over the measured peaks on a
-# 2-CPU machine with numpy 2.4: 92, 126, 193, 332 and 618 MB at batch 1,
-# 2, 4, 8 and 16 with two head workers (OPENBLAS_NUM_THREADS=1), and 90,
-# 124, 194, 334 and 617 MB with one head worker and threaded BLAS. A batch
-# is skipped unless MemAvailable exceeds its estimate by SPARE_MB.
-BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 36, 1000
+# 2-CPU machine with numpy 2.4: 82, 107, 157, 262 and 477 MB at batch 1,
+# 2, 4, 8 and 16 with two head workers (OPENBLAS_NUM_THREADS=1), and 80,
+# 105, 155, 257 and 468 MB with one head worker and threaded BLAS; 1717 MB
+# at batch 64 with two head workers. A batch is skipped unless
+# MemAvailable exceeds its estimate by SPARE_MB.
+BASE_MB, PER_WINDOW_MB, SPARE_MB = 62, 27, 1000
 
 
 def estimate_mb(batch: int) -> int:

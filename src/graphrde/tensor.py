@@ -36,6 +36,7 @@ import contextvars
 import itertools
 import os
 import queue
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -68,9 +69,10 @@ __all__ = [
 # Ambient tape: list of (output's node, backward closure) in execution order.
 _TAPE: list[tuple["_Node", Callable[[np.ndarray], None]]] = []
 _GRAD_ENABLED: bool = True
-# Bytes of tanh head per tile in ``head_matvec``: 32 rows of a 4096-wide head,
-# small enough that each pass over a tile hits L2 rather than memory; with
-# fewer rows per tile the per-tile gemm loses more than the cache saves.
+# Bytes of tanh head per forward tile and per backward block in ``head_matvec``:
+# 32 rows of a 4096-wide head, small enough that each pass over a tile hits L2
+# rather than memory; with fewer rows per tile the per-tile gemm loses more
+# than the cache saves, and blocks of 2 or 4 MiB raised a step's peak.
 HEAD_TILE_BYTES = 1 << 20
 
 
@@ -453,37 +455,45 @@ def head_matvec(
     output is untracked where the forward's was raises ``ContractError``.
     Under ``no_grad`` the trunk runs once.
 
-    The head runs over tiles of head rows (a row is one slot of ``a``'s
+    The forward runs over tiles of rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
     gemm, the bias, one finiteness check, the tanh and the contraction
     each pass over a tile while it is in cache.  Each worker has one tile
     buffer, taped or not, so no call holds a head from its forward to its
-    backward.  The backward recomputes the head tile by tile with the
-    forward's gemm, bias and tanh calls on the same arrays, so every bit is
-    the forward's, and without its finiteness check, which those arrays
-    already passed.  It takes ``x``'s gradient from each tile, then writes
-    ``g_pre = (g ⊗ x) * (1 - t*t)`` over the tile.  The tiles land in one
-    head-sized buffer, which the gradients of ``a``, ``w`` and ``b`` read.
+    backward.  The backward runs over blocks of whole head rows ``p``
+    instead, across every row, about ``HEAD_TILE_BYTES`` of head at a time
+    and at least one head row.  It recomputes a block with the forward's
+    gemm, bias and tanh calls on the block's columns of ``w`` and ``b``,
+    without the finiteness check, which those arrays already passed; takes
+    the block's part of ``x``'s gradient; writes ``g_pre = (g ⊗ x) *
+    (1 - t*t)`` over the block; writes the block's columns of ``w``'s and
+    ``b``'s gradients; and takes its part of ``a``'s gradient.  So no array
+    of the head's size exists, and the parts of ``x``'s and ``a``'s
+    gradients are added to their sums in block order.
 
-    A call with more than one tile shares its tiles, in order, among one
-    worker thread per CPU, the caller among them (see ``_head_pool``): a
-    worker takes the next tile whenever it is free, so one whose CPU is
-    busy takes fewer.  The backward's ``a`` gradient, and its ``w`` and
-    ``b`` gradients, are two more such pieces of work.  Workers run numpy
-    alone, into buffers made for the call, and the caller waits for all
-    of them before it raises the first error in tile order.  The tiles,
-    and every numpy call, are the same whatever the number of workers, so
+    A call with more than one tile or block shares them, in order, among
+    one worker thread per CPU, the caller among them (see ``_head_pool``):
+    a worker takes the next one whenever it is free, so one whose CPU is
+    busy takes fewer.  A block adds its parts only after the block before
+    it has, and passes the turn on also when it raises.  Workers run numpy
+    alone, into buffers made for the call, and the caller waits for all of
+    them before it raises the first error in order.  The tiles, the blocks
+    and every numpy call are the same whatever the number of workers, so
     every output bit is too.
 
-    The values and the gradients of ``a``, ``b`` and ``x`` are
-    bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape`` and a
-    per-slot matrix-vector product taped one by one, as long as BLAS gives
-    a row the same bits whatever the number of rows in its gemm.  ``w``'s
-    gradient is one gemm over every leading axis and row at once,
-    ``a.reshape(-1, k).T @ g_pre.reshape(-1, n)``, rather than one gemm per
-    leading index summed afterwards; with leading axes it therefore sums in
-    another order and agrees with the taped chain to rounding, not bit for
-    bit.
+    The values and the gradients of ``w`` and ``b`` are the bits of a
+    head taken whole, as long as BLAS gives an element of a gemm the same
+    bits whatever the gemm's other rows and columns.  With one block, as
+    for every head of at most ``HEAD_TILE_BYTES`` bytes, so are ``a``'s
+    and ``x``'s, and the values and the gradients of ``a``, ``b`` and
+    ``x`` are bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape``
+    and a per-slot matrix-vector product taped one by one.  With more
+    blocks, ``a``'s and ``x``'s gradients are sums of per-block parts,
+    which agree with one block's sums to rounding.  ``w``'s gradient is one gemm
+    over every leading axis and row at once, ``a.reshape(-1, k).T @
+    g_pre.reshape(-1, n)``, rather than one gemm per leading index summed
+    afterwards; with leading axes it therefore sums in another order and
+    agrees with the taped chain to rounding, not bit for bit.
     """
     h, w, b, x = _as_tensor(h), _as_tensor(w), _as_tensor(b), _as_tensor(x)
     with _own_tape(_GRAD_ENABLED):  # dropped, with the trunk's intermediates, before the head runs
@@ -507,10 +517,10 @@ def head_matvec(
     buf, scratch = [None for _ in slots], [None for _ in slots]  # made in the slot's thread
     out = np.empty((total, rows))
 
-    def head_tile(a2: np.ndarray, lo: int, hi: int, p: np.ndarray, finite) -> None:
-        """The head's rows ``lo:hi`` of ``a2`` into ``p``, checked unless ``finite`` is None."""
-        np.matmul(a2[lo:hi], wd, out=p)
-        p += bd  # inf and NaN survive the bias, so one check after it sees them
+    def head_tile(a: np.ndarray, w: np.ndarray, b: np.ndarray, p: np.ndarray, finite) -> None:
+        """``tanh(a @ w + b)`` into ``p``, checked unless ``finite`` is None."""
+        np.matmul(a, w, out=p)
+        p += b  # inf and NaN survive the bias, so one check after it sees them
         if finite is not None:  # tanh would hide an overflow
             _check_finite(p, "head_matvec (a @ w + b)", finite)
         np.tanh(p, out=p)
@@ -520,7 +530,7 @@ def head_matvec(
         if buf[slot] is None:  # in its own malloc arena, so peak RSS hangs on no thread timing
             buf[slot], scratch[slot] = np.empty((tile_rows, n)), np.empty((tile_rows, n), bool)
         p = buf[slot][: hi - lo]
-        head_tile(a2, lo, hi, p, scratch[slot][: hi - lo])
+        head_tile(a2[lo:hi], wd, bd, p, scratch[slot][: hi - lo])
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
 
     pool.run(forward, tiles)
@@ -532,44 +542,57 @@ def head_matvec(
             a_again = _as_tensor(trunk(h))
         if tracked and a_again.node is None:
             raise ContractError("head_matvec: the trunk's re-run is untracked")
-        a2 = a_again.data.reshape(-1, k)
-        g2 = g.reshape(-1, rows)
-        gx = np.empty((total, cols)) if nx is not None else None
-        gx_outer = [np.empty((tile_rows, rows, cols)) for _ in slots]
-        head = np.empty((total, n))  # the head's gradient reads every g_pre row at once
+        a2, g2 = a_again.data.reshape(-1, k), g.reshape(-1, rows)
+        per = max(1, min(rows, HEAD_TILE_BYTES // (8 * total * cols)))  # head rows per block
+        blocks = -(-rows // per)
+        gw, gb = np.empty(wd.shape), np.empty(bd.shape)
+        # x's and a's gradients: block 0 writes them, and every later block adds its parts
+        sums = [np.empty((total, cols)), np.empty((total, k))]
+        own = [None for _ in range(min(pool.workers, blocks))]  # made in the slot's thread
+        turn, passed = threading.Condition(), [0]
 
-        def to_g_pre(slot: int, j: int) -> None:
-            # the forward's head_tile on the arrays it checked, then g_pre in place of the tile
-            lo, hi = j * step, min(j * step + step, total)
-            tile = head[lo:hi]
-            head_tile(a2, lo, hi, tile, None)
-            if gx is not None:
-                np.einsum("rpq,rp->rq", tile.reshape(-1, rows, cols), g2[lo:hi], out=gx[lo:hi])
-            outer = gx_outer[slot][: hi - lo]
-            np.einsum("rp,rq->rpq", g2[lo:hi], x2[lo:hi], out=outer)
+        def block_parts(slot: int, j: int):
+            # the forward's head_tile over every row and the block's columns, on the arrays
+            # it checked, then g_pre in place of the block; returns the parts to add
+            p0, p1 = j * per, min(j * per + per, rows)
+            c0, c1 = p0 * cols, p1 * cols
+            if own[slot] is None:  # a block, g ⊗ x over it, and the parts of x's and a's grads
+                own[slot] = [np.empty(total * per * cols) for _ in range(2)] + [
+                    np.empty(s.shape) for s in sums]
+            flat, flat_outer, *parts = own[slot]
+            tile = flat[: total * (c1 - c0)].reshape(total, c1 - c0)
+            t3 = tile.reshape(total, p1 - p0, cols)
+            outer = flat_outer[: tile.size].reshape(t3.shape)
+            head_tile(a2, wd[:, c0:c1], bd[c0:c1], tile, None)
+            gx, ga = sums if j == 0 else parts
+            np.einsum("rpq,rp->rq", t3, g2[:, p0:p1], out=gx)
+            np.einsum("rp,rq->rpq", g2[:, p0:p1], x2, out=outer)
             np.multiply(tile, tile, out=tile)
             np.subtract(1.0, tile, out=tile)
-            tile *= outer.reshape(hi - lo, n)
+            t3 *= outer
+            np.matmul(a2.T, tile, out=gw[:, c0:c1])
+            np.sum(tile, axis=0, out=gb[c0:c1])
+            np.matmul(tile, wd[:, c0:c1].T, out=ga)
+            return () if j == 0 else zip(sums, parts)
 
-        pool.run(to_g_pre, tiles)
-        if gx is not None:
-            _accumulate(nx, gx.reshape(a_shape[:-1] + (cols,)))
-        t = head.reshape(a_shape[:-1] + (n,))
-        ga, gw, gb = np.empty(a_shape), np.empty(wd.shape), np.empty(bd.shape)
+        def block(slot: int, j: int) -> None:
+            added = ()
+            try:
+                added = block_parts(slot, j)
+            finally:  # also when the block raises, or every later block would wait forever
+                with turn:  # parts are added in block order, so the bits hang on no thread timing
+                    turn.wait_for(lambda: passed[0] == j)
+                    for total_sum, part in added:
+                        total_sum += part
+                    passed[0] += 1
+                    turn.notify_all()
 
-        def weight_grads() -> None:
-            np.sum(head, axis=0, out=gb)
-            np.matmul(a2.T, head, out=gw)
-
-        calls = [weight_grads, lambda: np.matmul(t, wd.T, out=ga)]
-        if tiles > 1:  # a's gradient and w's are gemms of equal size, so two threads can share them
-            pool.run(lambda slot, j: calls[j](), len(calls))
-        else:  # a head of one tile stays on one thread
-            for call in calls:
-                call()
-        for node, grad in ((a_again.node, ga), (nw, gw), (nb, gb)):
+        pool.run(block, blocks)
+        gx, ga = sums
+        for node, grad in ((nx, gx.reshape(a_shape[:-1] + (cols,))),
+                           (a_again.node, ga.reshape(a_shape)), (nw, gw), (nb, gb)):
             _accumulate(node, grad)
-        del head, t, gx, gx_outer, ga, gw, gb  # freed before the trunk's gradients are made
+        del own, sums, gx, ga, gw, gb  # freed before the trunk's gradients are made
         _replay(tape)
 
     return _make(out.reshape(a_shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")

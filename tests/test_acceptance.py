@@ -191,14 +191,14 @@ def test_criterion_9_determinism(synth_task):
 # change to training's arithmetic, or to how a file is formatted, moves them
 _SYNTH_SHA256 = {
     "full": ({}, (
-        "078e246781674f229b86d6863bf396d9f44ef775d026d3f16552e3f9232de401",
-        "1a8661079a6d094e87311971591334bdb10babdf0f161f27b9dc4248b6c41a2a",
-        "9d45c61942cfae4f3b05331fa9737bc8972f54442ddb510eba4ef67084364f87",
+        "a62393d0aa0e880cbd1e223bf2ff3b40c9ab3eecb8581a32c2454afc669d2b12",
+        "b92bb48a0b0fc32d11f8dedbe6191d54f799a68fff062bb59445077417659864",
+        "06333ab76472f4bf53e6b2217aff6bedbcf6b873e4d100acb6fb129940851f8d",
     )),
     "drop": ({"drop_rate": 0.3}, (
-        "cc0b70dbcf1ff53808d09c6a630a955dc17e08e5edd9ca828fc12db90c94a842",
-        "541dbeaf2b7915e0866927c655b396af8565ce8971591291fa9b4e954e3bae22",
-        "c8e3c549af0a39cc7d4c6ddcd3f2fa24901cf60ed0b9485b2d6bb389da8ab4d1",
+        "66b5229f9751464f10974d3e0aa92b7482d5736ef0756d1f94671258b577145f",
+        "c3f8b34b3a4e5442615f100e8ed60b1957dc716567a8317bde43030244feb131",
+        "b36193cc27872b0a650cc9cbb0d787d93820384ec27123f249128368566551f6",
     )),
 }
 

@@ -207,9 +207,9 @@ def test_synth_writes_deterministic_files(workdir):
 # sha256 of the files the workdir run writes: a change to training's
 # arithmetic, or to how a file is formatted, moves them
 _WORKDIR_SHA256 = {
-    "model.ckpt": "6163e5b7e3548be89cf29b97b1d9430056f205ac976d7771b214371b27d8bc8b",
+    "model.ckpt": "00f8677620a45aecdaf72e8254ec17c495ba6ad53cfb24dba7d75e60dd850b62",
     "history.csv": "365923dbb8f9e2e3343afbce9fb3a2a298d71c8d90825614c82763e9950eb468",
-    "metrics.json": "b8af9ca57de2de16cad3c64f7ca9699665620300857f2f433fa2c006aab9ca87",
+    "metrics.json": "55940c0572cda8adfbf7ce42afba239bbd2e9990522ef34fb4778f06da2b7ab6",
 }
 
 
