@@ -32,17 +32,12 @@ def main() -> int:
     args = parser.parse_args()
     rates = [float(r) for r in args.rates.split(",")]
 
-    values_path, adjacency_path, _ = D.synth(args.nodes, args.timesteps, args.seed,
-                                             os.path.join(args.out, "data"))
+    values_path, _ = D.synth(args.nodes, args.timesteps, args.seed, os.path.join(args.out, "data"))
     preset = os.path.join(os.path.dirname(graphrde.__file__), "presets", "synth.cfg")
 
     rows = []
     for rate in rates:
-        run = load_config(preset, {
-            "values_path": values_path,
-            "adjacency_path": adjacency_path,
-            "drop_rate": rate,
-        })
+        run = load_config(preset, {"values_path": values_path, "drop_rate": rate})
         metrics = cli.run_training(run, os.path.join(args.out, f"drop_{rate:g}"))
         rows.append((rate, metrics["test"]["mae"], metrics["test"]["rmse"],
                      metrics["ha_test"]["mae"]))

@@ -35,14 +35,13 @@ def main() -> int:
     args = parser.parse_args()
 
     data_dir = os.path.join(args.out, "data")
-    values_path, adjacency_path, info = D.synth(args.nodes, args.timesteps, args.seed, data_dir)
+    values_path, info = D.synth(args.nodes, args.timesteps, args.seed, data_dir)
     print(f"dataset: synth-ring-{args.nodes}x{args.timesteps} (amplitude {info.amplitude:.3f}, "
           f"noise sigma {info.noise_sigma:.3f})")
 
     preset = os.path.join(os.path.dirname(graphrde.__file__), "presets", "synth.cfg")
     run = load_config(preset, {
         "values_path": values_path,
-        "adjacency_path": adjacency_path,
         "variant": args.variant,
         "seed": args.seed,
     })

@@ -38,7 +38,7 @@ from .errors import (
     UsageError,
 )
 from .logsig import LyndonBasis, window_logsig
-from .model import ModelConfig, ParamStore, load_checkpoint, normalized_adjacency, save_checkpoint
+from .model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec
 from .verification import SUITES, format_results, run_suites
@@ -180,7 +180,6 @@ def _fold_seeds(base_seed: int, fold: int) -> dict[str, int]:
 def run_fold(
     run: RunConfig,
     config: ModelConfig,
-    propagation: np.ndarray | None,
     values: np.ndarray,
     parts: tuple[D.WindowSet, D.WindowSet, D.WindowSet],
     out_dir: str,
@@ -201,7 +200,7 @@ def run_fold(
     prep_val = TR.prepare_split(val_w, normalizer, config, basis=basis)
     prep_test = TR.prepare_split(test_w, normalizer, config, basis=basis)
 
-    params = ParamStore(config, seed=run.seed, propagation=propagation)
+    params = ParamStore(config, seed=run.seed)
     solve = run.solve_spec()
     history_path = os.path.join(out_dir, f"history{suffix}.csv")
     try:
@@ -267,11 +266,6 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
         raise ConfigError("values_path is not set (pass --data or set it in the config)")
     values = D.load_values(run.values_path, run.channels)
     config = run.model_config(values.shape[0])
-    propagation = None
-    if run.adjacency_path:
-        adjacency = D.load_adjacency(run.adjacency_path, values.shape[0])
-        if config.needs_adjacency:
-            propagation = normalized_adjacency(adjacency, config.gnn_kind)
     windows = D.make_windows(values, run.input_len, run.horizon, run.out_channels)
     folds = D.split(windows, run.split_plan())
 
@@ -282,7 +276,7 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
     fold_docs = []
     for k, parts in enumerate(folds):
         suffix = f"_fold{k}" if len(folds) > 1 else ""
-        fold_docs.append(run_fold(run, config, propagation, values, parts, out_dir, k, suffix))
+        fold_docs.append(run_fold(run, config, values, parts, out_dir, k, suffix))
 
     metrics = fold_docs[0] if len(fold_docs) == 1 else summarize_folds(fold_docs)
     atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
@@ -295,8 +289,8 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_synth(args) -> int:
-    values_path, adjacency_path, info = D.synth(args.nodes, args.timesteps, args.seed, args.out)
-    print(f"wrote {values_path} and {adjacency_path}")
+    values_path, info = D.synth(args.nodes, args.timesteps, args.seed, args.out)
+    print(f"wrote {values_path}")
     print(f"nodes={info.nodes} timesteps={info.timesteps} amplitude={FMT % info.amplitude}")
     return 0
 
@@ -332,8 +326,6 @@ def cmd_train(args) -> int:
     overrides: dict = {}
     if args.data:
         overrides["values_path"] = args.data
-    if args.adjacency:
-        overrides["adjacency_path"] = args.adjacency
     if args.variant:
         overrides["variant"] = _VARIANT_FLAG[args.variant]
     if args.drop_rate is not None:
@@ -421,7 +413,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model from a run config")
     p.add_argument("--config", required=True, help="key=value run config file")
     p.add_argument("--data", help="override values_path")
-    p.add_argument("--adjacency", help="override adjacency_path")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAG))
     p.add_argument("--drop-rate", type=float, default=None, dest="drop_rate")
     p.add_argument("--cv", choices=sorted(_CV_FLAG))

@@ -67,10 +67,7 @@ class _Sections:
                                   "or a blank at an end would not be read back")
         if not (0.0 <= self.drop_rate < 1.0):
             raise ConfigError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.model_config(self.num_nodes or 1).needs_adjacency and not self.adjacency_path:
-            raise ConfigError(
-                f"gnn_kind {self.gnn_kind!r} requires an external adjacency (--adjacency)"
-            )
+        self.model_config(self.num_nodes or 1)
         self.train_config()
         self.solve_spec()
         self.split_plan()
@@ -81,7 +78,6 @@ RunConfig = make_dataclass(
     [
         # dataset
         ("values_path", "str", field(default="")),
-        ("adjacency_path", "str", field(default="")),
         ("channels", "int", field(default=1)),  # reader width and ModelConfig.in_channels
         ("num_nodes", "int", field(default=0)),  # 0: inferred from the data
         *_section_keys(ModelConfig, skip=("num_nodes", "in_channels")),

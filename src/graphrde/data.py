@@ -1,11 +1,9 @@
 """Dataset ingestion, windowing, splits, irregular masking and synthesis.
 
-Canonical on-disk formats (all CSV, numbers printed with 17 significant
-digits so float64 round-trips exactly):
-
-* values: one row per timestep, columns are channel-blocked node groups
-  (column index = channel * nodes + node), optional one-line header;
-* adjacency: edge list ``src,dst,weight`` with an optional header.
+The on-disk format is a values CSV, numbers printed with 17 significant
+digits so float64 round-trips exactly: one row per timestep, columns are
+channel-blocked node groups (column index = channel * nodes + node), and
+an optional one-line header.
 
 Splits operate on forecasting windows, not raw timesteps; a fractional
 ratio boundary falling inside a window assigns that window to the
@@ -185,37 +183,6 @@ def save_values(path: str, values: np.ndarray) -> None:
     nodes, steps, channels = values.shape
     flat = values.transpose(1, 2, 0).reshape(steps, channels * nodes)
     lines = [",".join(FMT % x for x in row) for row in flat]
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_adjacency(path: str, num_nodes: int) -> np.ndarray:
-    """Read an edge-list CSV ``src,dst,weight`` into a dense
-    (num_nodes, num_nodes) matrix; node ids must lie in 0..num_nodes-1."""
-    rows, header = _read_csv_rows(path)
-    edges = []
-    for i, cells in enumerate(rows):
-        row_no = i + header + 1
-        if len(cells) != 3:
-            raise DataError(f"{path}: row {row_no} has {len(cells)} cells, expected 3")
-        try:
-            src, dst, w = float(cells[0]), float(cells[1]), float(cells[2])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_no} is not src,dst,weight: {exc}") from exc
-        if not all(math.isfinite(x) and x.is_integer() for x in (src, dst)):
-            raise DataError(f"{path}: row {row_no} has a node id that is not an integer")
-        if not math.isfinite(w):
-            raise DataError(f"{path}: row {row_no} contains a non-finite value")
-        edges.append((int(src), int(dst), w))
-    adj = np.zeros((num_nodes, num_nodes))
-    for src, dst, w in edges:
-        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-            raise DataError(f"{path}: edge ({src}, {dst}) outside 0..{num_nodes - 1}")
-        adj[src, dst] = w
-    return adj
-
-
-def save_adjacency(path: str, edges: list[tuple[int, int, float]]) -> None:
-    lines = ["src,dst,weight"] + [f"{s},{d},{FMT % w}" for s, d, w in edges]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -405,20 +372,10 @@ def synth_series(
     return (signal + noise)[:, :, None], info
 
 
-def ring_edges(nodes: int) -> list[tuple[int, int, float]]:
-    edges = []
-    for v in range(nodes):
-        edges.append((v, (v + 1) % nodes, 1.0))
-        edges.append(((v + 1) % nodes, v, 1.0))
-    return edges
-
-
-def synth(nodes: int, timesteps: int, seed: int, out_dir: str) -> tuple[str, str, SynthInfo]:
-    """Generate and write a synthetic dataset; returns its two paths and constants."""
+def synth(nodes: int, timesteps: int, seed: int, out_dir: str) -> tuple[str, SynthInfo]:
+    """Generate and write a synthetic dataset; returns its values path and constants."""
     values, info = synth_series(nodes, timesteps, seed)
     os.makedirs(out_dir, exist_ok=True)
     values_path = os.path.join(out_dir, "values.csv")
-    adj_path = os.path.join(out_dir, "adjacency.csv")
     save_values(values_path, values)
-    save_adjacency(adj_path, ring_edges(nodes))
-    return values_path, adj_path, info
+    return values_path, info

@@ -15,9 +15,8 @@ Variants:
 * ``spatial_only``   drives Z directly from the log-signature control
                      (its field head widens accordingly).
 
-Graph mixers (``gnn_kind``): ``adaptive`` learns the adjacency from node
-embeddings; ``chebyshev`` and ``plain_gcn`` use an externally supplied
-adjacency.  Each mixes with one graph operator built once per forward.
+The spatial field mixes over the node-adaptive graph I + softmax(relu(E E^T))
+learned from node embeddings E, built once per forward.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .logsig import lyndon_dimension
 from .tensor import Tensor
 
 VARIANTS = ("full", "temporal_only", "spatial_only")
-GNN_KINDS = ("adaptive", "chebyshev", "plain_gcn")
 
 CHECKPOINT_MAGIC = b"STGNRDE1"
 CHECKPOINT_VERSION = 1
@@ -59,13 +57,10 @@ class ModelConfig:
     sig_depth: int = 2        # log-signature truncation depth
     subpath_len: int = 2      # knot intervals per log-signature window (P)
     variant: str = "full"
-    gnn_kind: str = "adaptive"
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.gnn_kind not in GNN_KINDS:
-            raise ConfigError(f"unknown gnn_kind {self.gnn_kind!r}; expected one of {GNN_KINDS}")
         for name in (
             "num_nodes",
             "in_channels",
@@ -105,11 +100,6 @@ class ModelConfig:
     def readout_dim(self) -> int:
         return self.dim_h if self.variant == "temporal_only" else self.dim_z
 
-    @property
-    def needs_adjacency(self) -> bool:
-        """Whether the graph mixer runs on an externally supplied adjacency."""
-        return self.variant != "temporal_only" and self.gnn_kind in ("chebyshev", "plain_gcn")
-
 
 def _param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Ordered (name, shape, fan_in) triples for every trainable tensor."""
@@ -119,7 +109,7 @@ def _param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     spec: list[tuple[str, tuple[int, ...], int]] = []
     has_temporal = config.variant in ("full", "temporal_only")
     has_spatial = config.variant in ("full", "spatial_only")
-    if has_spatial and config.gnn_kind == "adaptive":
+    if has_spatial:
         spec.append(("embed", (v, c), c))
     if has_temporal:
         for k in range(config.num_layers + 1):
@@ -145,32 +135,6 @@ def _param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return spec
 
 
-def normalized_adjacency(adj: np.ndarray, kind: str) -> np.ndarray:
-    """Constant propagation matrix for the external-adjacency mixers.
-
-    ``chebyshev``: I + D^-1/2 A D^-1/2 (first-order expansion on the
-    symmetrized adjacency); ``plain_gcn``: D~^-1/2 (A + I) D~^-1/2 (the
-    renormalization trick).  Zero-degree nodes keep only their self term.
-    """
-    a = np.asarray(adj, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError(f"adjacency must be square, got shape {a.shape}")
-    if np.any(a < 0):
-        raise DataError("adjacency weights must be non-negative")
-    a = np.maximum(a, a.T)  # undirected view
-    np.fill_diagonal(a, 0.0)
-    if kind == "chebyshev":
-        deg = a.sum(axis=1)
-        inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        return np.eye(len(a)) + inv[:, None] * a * inv[None, :]
-    if kind == "plain_gcn":
-        a_tilde = a + np.eye(len(a))
-        deg = a_tilde.sum(axis=1)
-        inv = 1.0 / np.sqrt(deg)
-        return inv[:, None] * a_tilde * inv[None, :]
-    raise ConfigError(f"no external propagation matrix for gnn_kind {kind!r}")
-
-
 def _stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
     """``arrays[name]`` as float64, checked to exist with the given shape."""
     if name not in arrays:
@@ -182,35 +146,21 @@ def _stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) ->
 
 
 class ParamStore:
-    """Named trainable tensors plus an untracked graph operator for one model.
+    """Named trainable tensors for one model.
 
     Weights and biases are initialized uniform(-1/sqrt(fan_in),
     +1/sqrt(fan_in)) with a seeded generator, in a fixed name order, so
     a seed fully determines the initial parameters.  Given ``arrays``, the
     store holds those arrays instead, without copying them or drawing.
-    ``propagation`` is the constant graph operator of the
-    external-adjacency mixers (see ``normalized_adjacency``), and None for
-    ``adaptive`` and for the ``temporal_only`` variant.
     """
 
     def __init__(
         self,
         config: ModelConfig,
         seed: int = 0,
-        propagation: np.ndarray | None = None,
         arrays: dict[str, np.ndarray] | None = None,
     ):
         self.config = config
-        self.propagation: Tensor | None = None
-        if config.needs_adjacency:
-            if propagation is None:
-                raise ConfigError(f"gnn_kind {config.gnn_kind!r} requires an external adjacency")
-            prop = np.asarray(propagation, dtype=np.float64)
-            if prop.shape != (config.num_nodes, config.num_nodes):
-                raise DataError(
-                    f"adjacency is {prop.shape}, model has {config.num_nodes} nodes"
-                )
-            self.propagation = T.constant(prop)
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape, fan_in in _param_spec(config):
@@ -272,16 +222,12 @@ def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Te
 def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
     """The graph operator the spatial field mixes with, built once per forward.
 
-    ``I + adaptive_adjacency`` for ``adaptive`` (a function of the node
-    embeddings alone), the stored propagation matrix for ``chebyshev`` and
-    ``plain_gcn``; None for the ``temporal_only`` variant, which has no
-    graph.
+    ``I + adaptive_adjacency``, a function of the node embeddings alone;
+    None for the ``temporal_only`` variant, which has no graph.
     """
     if config.variant == "temporal_only":
         return None
-    if config.gnn_kind == "adaptive":
-        return T.constant(np.eye(config.num_nodes)) + adaptive_adjacency(params)
-    return params.propagation
+    return T.constant(np.eye(config.num_nodes)) + adaptive_adjacency(params)
 
 
 def field_g(z: Tensor, x: Tensor, prop: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
@@ -365,12 +311,9 @@ def save_checkpoint(path: str, params: ParamStore, extra: dict | None = None) ->
     ``extra`` metadata), then raw little-endian float64 blobs at the
     manifest offsets (relative to the end of the header).
     """
-    named = params.state_arrays()
-    if params.propagation is not None:
-        named = {**named, "const/propagation": params.propagation.data}
     manifest = []
     blob = io.BytesIO()
-    for name, arr in named.items():
+    for name, arr in params.state_arrays().items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": blob.tell()})
         blob.write(arr.tobytes())
@@ -469,7 +412,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParamStore, dict]:
             or sum(math.prod(shape) for _, shape, _ in _param_spec(config)) > floats
         ):
             raise DataError(f"{path}: the model config does not fit the stored tensors")
-        store = ParamStore(config, propagation=arrays.get("const/propagation"), arrays=arrays)
+        store = ParamStore(config, arrays=arrays)
     except (ConfigError, NonFiniteError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     return config, store, extra

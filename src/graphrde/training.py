@@ -19,8 +19,7 @@ from .data import Normalizer, WindowSet, atomic_write, make_windows
 from .errors import ConfigError, ContractError, NonFiniteError, NumericError, TrainingAbort
 from .logsig import LyndonBasis, window_logsig
 from .model import (
-    ModelConfig, ParamStore, augmented_rhs, graph_operator, init_state, normalized_adjacency,
-    readout,
+    ModelConfig, ParamStore, augmented_rhs, graph_operator, init_state, readout,
 )
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec, integrate
@@ -408,19 +407,15 @@ def gradcheck(config: ModelConfig, solve: SolveSpec, seed: int = 0) -> GradCheck
     Builds a small random batch through the real spline/log-signature
     path, takes the L1 training loss, and checks each parameter entry:
     relative error |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-6) must stay below 1e-4 in float64.  A mixer that runs on an
-    external adjacency gets a random non-negative one from the same seed.
+    1e-6) must stay below 1e-4 in float64.
     """
     rng = np.random.default_rng(seed)
     v, d = config.num_nodes, config.in_channels
     values = rng.normal(size=(v, config.input_len + config.horizon + GRADCHECK_BATCH - 1, d))
-    propagation = None
-    if config.needs_adjacency:
-        propagation = normalized_adjacency(rng.uniform(size=(v, v)), config.gnn_kind)
     windows = make_windows(values, config.input_len, config.horizon, config.out_channels)
     normalizer = Normalizer(mean=np.zeros(d), std=np.ones(d))
     prepared = prepare_split(windows, normalizer, config)
-    params = ParamStore(config, seed=seed + 1, propagation=propagation)
+    params = ParamStore(config, seed=seed + 1)
     idx = np.arange(min(GRADCHECK_BATCH, len(prepared)))
 
     params.zero_grad()

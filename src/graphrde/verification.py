@@ -21,7 +21,7 @@ from .logsig import (
     sig_polyline,
     tensor_log,
 )
-from .model import GNN_KINDS, VARIANTS, ModelConfig
+from .model import VARIANTS, ModelConfig
 from .solver import METHODS, SolveSpec, convergence_order
 from .training import gradcheck
 
@@ -142,36 +142,31 @@ def suite_logsig() -> list[CheckResult]:
 
 
 def suite_grad() -> list[CheckResult]:
-    """End-to-end gradient checks over every variant x gnn_kind x method;
-    ``temporal_only`` has no mixer, so it runs once per method: 14 checks
-    with three mixers and two methods."""
+    """End-to-end gradient checks over every variant x method: 6 checks
+    with three variants and two methods."""
     results = []
-    for variant in VARIANTS:
-        kinds = GNN_KINDS[:1] if variant == "temporal_only" else GNN_KINDS
-        for gnn_kind, method in ((k, m) for k in kinds for m in METHODS):
-            cfg = ModelConfig(
-                num_nodes=4,
-                input_len=6,
-                horizon=2,
-                dim_h=4,
-                dim_z=4,
-                num_layers=1,
-                embed_dim=2,
-                sig_depth=2,
-                subpath_len=2,
-                variant=variant,
-                gnn_kind=gnn_kind,
+    for variant, method in ((v, m) for v in VARIANTS for m in METHODS):
+        cfg = ModelConfig(
+            num_nodes=4,
+            input_len=6,
+            horizon=2,
+            dim_h=4,
+            dim_z=4,
+            num_layers=1,
+            embed_dim=2,
+            sig_depth=2,
+            subpath_len=2,
+            variant=variant,
+        )
+        rep = gradcheck(cfg, SolveSpec(method=method, steps_per_window=2), seed=7)
+        results.append(
+            CheckResult(
+                f"gradcheck {variant}/{method}",
+                rep.passed,
+                f"max rel err {rep.max_rel_err:.2e} over {rep.entries_checked} entries "
+                f"(worst {rep.worst_param}, tol 1e-4)",
             )
-            rep = gradcheck(cfg, SolveSpec(method=method, steps_per_window=2), seed=7)
-            mixer = "" if variant == "temporal_only" else f"/{gnn_kind}"
-            results.append(
-                CheckResult(
-                    f"gradcheck {variant}{mixer}/{method}",
-                    rep.passed,
-                    f"max rel err {rep.max_rel_err:.2e} over {rep.entries_checked} entries "
-                    f"(worst {rep.worst_param}, tol 1e-4)",
-                )
-            )
+        )
     return results
 
 

@@ -402,12 +402,8 @@ def field_f(h, params, config):
 
 def mixed_features(b0, params, config):
     """Graph mixing with the operator built afresh on every call."""
-    v = config.num_nodes
-    if config.gnn_kind == "adaptive":
-        e = params["embed"]
-        prop = T.constant(np.eye(v)) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
-    else:
-        prop = params.propagation
+    e = params["embed"]
+    prop = T.constant(np.eye(config.num_nodes)) + T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
     return (prop @ b0) @ params["w_spatial"]
 
 

@@ -40,16 +40,12 @@ def _preset_path() -> str:
 def synth_task(tmp_path_factory):
     """Shared synthetic dataset plus a caching runner for training jobs."""
     root = tmp_path_factory.mktemp("acceptance")
-    values_path, adjacency_path, info = D.synth(8, 600, seed=1, out_dir=str(root / "data"))
+    values_path, info = D.synth(8, 600, seed=1, out_dir=str(root / "data"))
     cache: dict[str, dict] = {}
 
     def run(tag: str, **overrides) -> dict:
         if tag not in cache:
-            merged = {
-                "values_path": values_path,
-                "adjacency_path": adjacency_path,
-            }
-            merged.update(overrides)
+            merged = {"values_path": values_path, **overrides}
             config = load_config(_preset_path(), merged)
             metrics = run_training(config, str(root / tag))
             metrics["out_dir"] = str(root / tag)
@@ -191,12 +187,12 @@ def test_criterion_9_determinism(synth_task):
 # change to training's arithmetic, or to how a file is formatted, moves them
 _SYNTH_SHA256 = {
     "full": ({}, (
-        "a62393d0aa0e880cbd1e223bf2ff3b40c9ab3eecb8581a32c2454afc669d2b12",
+        "b0e3fde7a13747ded9ba9b9188cda77a332f6a8fb2e676b71afcfed04aa19866",
         "b92bb48a0b0fc32d11f8dedbe6191d54f799a68fff062bb59445077417659864",
         "06333ab76472f4bf53e6b2217aff6bedbcf6b873e4d100acb6fb129940851f8d",
     )),
     "drop": ({"drop_rate": 0.3}, (
-        "66b5229f9751464f10974d3e0aa92b7482d5736ef0756d1f94671258b577145f",
+        "62d0b177e17e9051803d511cfac66c983ac84be09e0f715a33fc6307338f98f2",
         "c3f8b34b3a4e5442615f100e8ed60b1957dc716567a8317bde43030244feb131",
         "b36193cc27872b0a650cc9cbb0d787d93820384ec27123f249128368566551f6",
     )),

@@ -16,7 +16,6 @@ from graphrde import data as D
 from graphrde.config import RunConfig, load_config, parse_config_text, render_config
 from graphrde.errors import ConfigError, DataError
 from graphrde.model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
-from test_data import BAD_ADJACENCY_ROWS
 from test_model import _with_header
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_config_split_plan_and_model_builders(tmp_path):
 
 
 @pytest.mark.parametrize("fault,match", [
-    ({"gnn_kind": "chebyshev"}, "adjacency"),
+    ({"variant": "spooky"}, "variant"),
     ({"lr": math.nan}, "lr"),
     ({"values_path": "a#b/values.csv"}, "#"),
 ])
@@ -110,7 +109,6 @@ def test_run_training_checks_its_config_before_writing(tmp_path, fault, match):
 
 _OTHER_TEXT = {
     "variant": "temporal_only",
-    "gnn_kind": "plain_gcn",
     "method": "euler",
     "split": "rolling_cv",
     "ratios": "7:2:1",
@@ -147,19 +145,19 @@ def test_every_section_field_has_exactly_one_config_key():
         if not changed:
             unused.append(f.name)
     assert {field: keys for field, keys in reached.items() if len(keys) != 1} == {}
-    assert unused == ["values_path", "adjacency_path", "drop_rate"]  # read by the run itself
+    assert unused == ["values_path", "drop_rate"]  # read by the run itself
 
 
 # A rendering change rewrites every run's config.resolved.cfg: update these
 # only on purpose, and say so in CHANGES.md.
 _PRESET_SHA256 = {
-    "pemsd3.cfg": "bef5ecf78ed0b72d7c29c381a58eff39dbe99d0062cc9f0b89de1bbd61377bcf",
-    "pemsd4.cfg": "3701441186ffccfc694a0d8991075c095ce4b8f0bd29d9a930f7ef1ee70072b4",
-    "pemsd7.cfg": "80759feb122aee4ba61b1efcfd47b586708585fbdc4a11fb8049dc253fbf3e88",
-    "pemsd7l.cfg": "aee1e3179ee1206ea08aa82b20cb223c3e87f00cebc90800b111726311d2e78b",
-    "pemsd7m.cfg": "8f8cdcc863f8b5143696560affb4b2983e7e0e320e66b7fa9213d6fdc7ebed88",
-    "pemsd8.cfg": "76bb8c0a24658f6970fef0b728ffa8b6780d394cf4601236b1d746c78ef766c2",
-    "synth.cfg": "f4c4804ecc3a01861b9c36e124397506885bc2f013d61957d70f724dbc60747a",
+    "pemsd3.cfg": "770398bfff48c26039198d2af94e6d85804cd2a9a9bb9fa3d2a0e35a345bf9aa",
+    "pemsd4.cfg": "185a976529c92fa988d324b8b01f0c905e3dc6d15ee69c15815cd6a9e31c819a",
+    "pemsd7.cfg": "46e767bee49a76ea2e5cd99035ee53b9563ae08a8435808eff060684541556f6",
+    "pemsd7l.cfg": "5cf9bfb424de7f792ab820bf43959faef633b659c4bb63272d757ca221fab701",
+    "pemsd7m.cfg": "1ed7a8735a4be9a92ca375be7e76827f2f0e648d0882813d415dbcf4219040f7",
+    "pemsd8.cfg": "b824a7081c0d84d46e677d76c9a6196e81199e2e4df46f760e1dbd42a2d4b79c",
+    "synth.cfg": "fe228f4d0aa223188bbe875d68e2df42be1dafcc3e1862365cbbb664c01ac917",
 }
 
 
@@ -182,7 +180,6 @@ def workdir(tmp_path_factory):
                      "--out", str(root / "data")]) == 0
     cfg = RunConfig(
         values_path=str(root / "data" / "values.csv"),
-        adjacency_path=str(root / "data" / "adjacency.csv"),
         dim_h=8, dim_z=8, epochs=2, batch_size=32, lr=1e-2, weight_decay=0.0,
         patience=5, seed=0, method="euler", steps_per_window=1,
     )
@@ -207,7 +204,7 @@ def test_synth_writes_deterministic_files(workdir):
 # sha256 of the files the workdir run writes: a change to training's
 # arithmetic, or to how a file is formatted, moves them
 _WORKDIR_SHA256 = {
-    "model.ckpt": "00f8677620a45aecdaf72e8254ec17c495ba6ad53cfb24dba7d75e60dd850b62",
+    "model.ckpt": "f37266f81549a6dc61a93db480e74d706e09e4c3810a5bf5579275e7bd97881d",
     "history.csv": "365923dbb8f9e2e3343afbce9fb3a2a298d71c8d90825614c82763e9950eb468",
     "metrics.json": "55940c0572cda8adfbf7ce42afba239bbd2e9990522ef34fb4778f06da2b7ab6",
 }
@@ -262,25 +259,31 @@ def test_eval_rejects_mismatched_data(workdir, tmp_path):
 
 
 def test_eval_rejects_a_checkpoint_naming_the_removed_attention_mixer(workdir, tmp_path, capsys):
-    # an adaptive checkpoint rewritten as the attention mixer once stored it
+    # the workdir checkpoint rewritten as the attention mixer once stored it,
+    # and as it was stored while the config named its graph mixer
     raw = (workdir["out"] / "model.ckpt").read_bytes()
     (n,) = struct.unpack("<Q", raw[8:16])
     blob = raw[16 + n :]
     extra = np.random.default_rng(0).normal(size=(2, 8))  # attn_self, attn_neigh: (dim_z, 1)
 
-    def mutate(header):
+    def attention(header):
         header["config"]["gnn_kind"] = "attention"
         for k, name in enumerate(("attn_self", "attn_neigh")):
             header["tensors"].append({"name": name, "shape": [8, 1], "offset": len(blob) + 64 * k})
 
-    path = tmp_path / "attention.ckpt"
-    path.write_bytes(_with_header(raw, mutate) + extra.astype("<f8").tobytes())
-    code = cli.main(["eval", "--checkpoint", str(path),
-                     "--data", str(workdir["root"] / "data" / "values.csv"), "--split", "test"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "unknown gnn_kind 'attention'" in err
-    assert "Traceback" not in err
+    forged = {
+        "attention": _with_header(raw, attention) + extra.astype("<f8").tobytes(),
+        "adaptive": _with_header(raw, lambda header: header["config"].update(gnn_kind="adaptive")),
+    }
+    for kind, body in forged.items():
+        path = tmp_path / f"{kind}.ckpt"
+        path.write_bytes(body)
+        code = cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(workdir["root"] / "data" / "values.csv"), "--split", "test"])
+        assert code == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "keys: ['gnn_kind']" in err, err
+        assert "Traceback" not in err
 
 
 def _set_extra(*keys, value):
@@ -555,13 +558,13 @@ def test_logsig_constant_data_has_null_data_coordinates(tmp_path):
     assert np.abs(time_coord).min() > 0.0
 
 
-@pytest.mark.parametrize("row", BAD_ADJACENCY_ROWS)
-def test_train_rejects_a_malformed_adjacency_before_writing(workdir, tmp_path, row):
+def test_train_rejects_the_removed_adjacency_flag_before_writing(workdir, tmp_path, capsys):
     adjacency = tmp_path / "adj.csv"
-    adjacency.write_text(f"src,dst,weight\n1,2,0.5\n{row}\n")
+    adjacency.write_text("src,dst,weight\n0,1,0.5\n")
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--adjacency",
-                     str(adjacency), "--out", str(out)]) == 2
+                     str(adjacency), "--out", str(out)]) == 1
+    assert "--adjacency" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -577,11 +580,11 @@ def test_train_rejects_a_first_values_row_mixing_numbers_and_text(workdir, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("which", ["values", "adjacency", "config"])
+@pytest.mark.parametrize("which", ["values", "config"])
 def test_train_rejects_a_non_utf8_file_before_writing(workdir, tmp_path, capsys, which):
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\xfe1,2\n")
-    flag = {"values": "--data", "adjacency": "--adjacency", "config": "--config"}[which]
+    flag = {"values": "--data", "config": "--config"}[which]
     out = tmp_path / "run"  # a repeated --config takes the last one
     code = cli.main(["train", "--config", str(workdir["cfg_path"]), flag, str(bad),
                      "--out", str(out)])
@@ -600,30 +603,16 @@ def test_train_rejects_a_negative_seed_before_writing(workdir, tmp_path):
     assert not out.exists()
 
 
-def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_path, capsys):
+# keys of removed graph mixers: an old config stops before anything is written
+@pytest.mark.parametrize("line", ["gnn_kind = adaptive", "gnn_kind = chebyshev",
+                                  "gnn_kind = attention", "adjacency_path = x"])
+def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_path, capsys, line):
+    key = line.split(" = ")[0]
     cfg = tmp_path / "run.cfg"
-    text = workdir["cfg_path"].read_text()
-    assert "\ngnn_kind = adaptive\n" in text
-    cfg.write_text(text.replace("\ngnn_kind = adaptive\n", "\ngnn_kind = attention\n"))
+    cfg.write_text(workdir["cfg_path"].read_text() + line + "\n")
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "('adaptive', 'chebyshev', 'plain_gcn')" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("kind", ["chebyshev", "plain_gcn"])
-def test_train_rejects_a_graph_mixer_without_an_adjacency_before_writing(
-    workdir, tmp_path, capsys, kind
-):
-    cfg = tmp_path / "run.cfg"
-    lines = workdir["cfg_path"].read_text().split("\n")
-    assert "gnn_kind = adaptive" in lines
-    lines = [f"gnn_kind = {kind}" if ln == "gnn_kind = adaptive" else ln
-             for ln in lines if not ln.startswith("adjacency_path = ")]
-    cfg.write_text("\n".join(lines))
-    out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "requires an external adjacency" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

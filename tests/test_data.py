@@ -60,10 +60,6 @@ def test_a_first_row_mixing_numbers_and_text_is_not_a_header(tmp_path):
     values.write_text("1.0,abc,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
     with pytest.raises(DataError, match="row 1"):
         D.load_values(str(values))
-    adjacency = tmp_path / "adj.csv"
-    adjacency.write_text("0,1,x\n1,2,1.0\n")
-    with pytest.raises(DataError, match="row 1"):
-        D.load_adjacency(str(adjacency), num_nodes=3)
 
 
 @pytest.mark.parametrize(
@@ -100,41 +96,6 @@ def test_width_must_divide_by_channels(tmp_path):
     path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
     with pytest.raises(DataError, match="not divisible"):
         D.load_values(str(path), channels=2)
-
-
-def test_adjacency_round_trip_and_inference(tmp_path):
-    path = str(tmp_path / "adj.csv")
-    edges = [(0, 1, 0.5), (1, 2, 2.0), (2, 0, 1.0)]
-    D.save_adjacency(path, edges)
-    assert Path(path).read_text().splitlines()[0] == "src,dst,weight"
-    adj = D.load_adjacency(path, num_nodes=3)
-    assert adj.shape == (3, 3)
-    assert adj[0, 1] == 0.5 and adj[1, 2] == 2.0 and adj[2, 0] == 1.0
-    assert adj.sum() == 3.5
-    padded = D.load_adjacency(path, num_nodes=5)
-    assert padded.shape == (5, 5)
-    with pytest.raises(DataError, match="outside"):
-        D.load_adjacency(path, num_nodes=2)
-
-
-# non-finite weights (1e309 overflows to inf) and node ids that are not integers
-BAD_ADJACENCY_ROWS = ["0,1,nan", "0,1,inf", "0,1,1e309", "inf,1,1.0", "0.5,1,1.0"]
-
-
-@pytest.mark.parametrize("row", BAD_ADJACENCY_ROWS)
-def test_adjacency_rejects_malformed_rows(tmp_path, row):
-    path = tmp_path / "adj.csv"
-    path.write_text(f"src,dst,weight\n1,2,0.5\n{row}\n")
-    with pytest.raises(DataError, match="row 3"):
-        D.load_adjacency(str(path), num_nodes=3)
-
-
-def test_adjacency_accepts_integer_valued_float_ids(tmp_path):
-    path = tmp_path / "adj.csv"
-    path.write_text("3.0,1,0.5\n1.0,-0.0,2.0\n")
-    adj = D.load_adjacency(str(path), num_nodes=4)
-    assert adj.shape == (4, 4)
-    assert adj[3, 1] == 0.5 and adj[1, 0] == 2.0
 
 
 def test_atomic_write_failure_keeps_the_target_and_leaves_no_temp_file(tmp_path):
@@ -396,19 +357,13 @@ def test_synth_values_stay_bounded():
 
 
 def test_synth_dataset_is_byte_deterministic(tmp_path):
-    values1, adjacency1, info1 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "a"))
-    values2, adjacency2, info2 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "b"))
-    values3, _, _ = D.synth(5, 60, seed=12, out_dir=str(tmp_path / "c"))
+    values1, info1 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "a"))
+    values2, info2 = D.synth(5, 60, seed=11, out_dir=str(tmp_path / "b"))
+    values3, _ = D.synth(5, 60, seed=12, out_dir=str(tmp_path / "c"))
     assert Path(values1).read_bytes() == Path(values2).read_bytes()
-    assert Path(adjacency1).read_bytes() == Path(adjacency2).read_bytes()
     assert Path(values1).read_bytes() != Path(values3).read_bytes()
     assert info1.amplitude == info2.amplitude
-    # files round-trip into the ring topology
-    adj = D.load_adjacency(adjacency1, num_nodes=5)
-    expected = np.zeros((5, 5))
-    for v in range(5):
-        expected[v, (v + 1) % 5] = expected[(v + 1) % 5, v] = 1.0
-    assert np.array_equal(adj, expected)
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["values.csv"]
     values = D.load_values(values1, channels=1)
     assert values.shape == (5, 60, 1)
 

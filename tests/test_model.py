@@ -15,7 +15,6 @@ from graphrde import cli
 from graphrde import tensor as T
 from graphrde.errors import ConfigError, ContractError, DataError, DimensionError
 from graphrde.model import (
-    GNN_KINDS,
     VARIANTS,
     ModelConfig,
     ParamStore,
@@ -26,7 +25,6 @@ from graphrde.model import (
     graph_operator,
     init_state,
     load_checkpoint,
-    normalized_adjacency,
     readout,
     save_checkpoint,
 )
@@ -66,8 +64,6 @@ def tiny_config(**overrides):
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(variant="both")
-    with pytest.raises(ConfigError):
-        tiny_config(gnn_kind="mlp")
     with pytest.raises(ConfigError):
         tiny_config(out_channels=2)  # exceeds in_channels
     with pytest.raises(ConfigError):
@@ -130,28 +126,6 @@ def test_adaptive_adjacency_with_large_orthogonal_embeddings_is_near_identity():
     ps["embed"].data = np.eye(3) * 40.0
     adj = adaptive_adjacency(ps).data
     assert np.allclose(adj, np.eye(3), atol=1e-9)
-
-
-def test_normalized_adjacency_formulas():
-    a = np.array([[0.0, 2.0], [2.0, 0.0]])
-    cheb = normalized_adjacency(a, "chebyshev")
-    assert np.allclose(cheb, np.eye(2) + np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
-    gcn = normalized_adjacency(a, "plain_gcn")
-    # A~ = A + I has uniform degree 3
-    assert np.allclose(gcn, (a + np.eye(2)) / 3.0, atol=1e-12)
-    with pytest.raises(DataError):
-        normalized_adjacency(np.array([[0.0, -1.0], [1.0, 0.0]]), "chebyshev")
-    with pytest.raises(DataError):
-        normalized_adjacency(np.zeros((2, 3)), "chebyshev")
-
-
-def test_external_adjacency_required_for_fixed_graph_kinds():
-    with pytest.raises(ConfigError):
-        ParamStore(tiny_config(gnn_kind="chebyshev"), seed=0)
-    with pytest.raises(DataError, match="model has 3 nodes"):
-        ParamStore(tiny_config(gnn_kind="plain_gcn"), seed=0, propagation=np.eye(2))
-    # temporal-only ignores the graph entirely
-    ParamStore(tiny_config(gnn_kind="chebyshev", variant="temporal_only"), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +223,11 @@ def test_field_g_shapes_by_variant_and_kind():
     assert field_g(z, dh, graph_operator(ps, full), ps, full).shape == (3, 3)
     sp = tiny_config(variant="spatial_only")
     ell = T.constant(RNG.normal(size=(3, sp.logsig_dim)))
-    ps = ParamStore(sp, seed=0)
-    assert field_g(z, ell, graph_operator(ps, sp), ps, sp).shape == (3, 3)
-    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    cheb = tiny_config(gnn_kind="chebyshev")
-    ps2 = ParamStore(cheb, seed=0, propagation=normalized_adjacency(adj, "chebyshev"))
-    assert graph_operator(ps2, cheb) is ps2.propagation
-    assert field_g(z, dh, ps2.propagation, ps2, cheb).shape == (3, 3)
+    sp_ps = ParamStore(sp, seed=0)
+    assert field_g(z, ell, graph_operator(sp_ps, sp), sp_ps, sp).shape == (3, 3)
     with pytest.raises(DimensionError):
         # the full variant's control is dH, not the log-signature
-        field_g(z, ell, ps2.propagation, ps2, cheb)
+        field_g(z, ell, graph_operator(ps, full), ps, full)
 
 
 def test_batched_fields_match_per_sample():
@@ -283,10 +252,7 @@ def fused_and_oracle_runs(cfg, method, divisors):
     fused heads on unit-time windows, then through the unfused oracle on
     windows of length ``divisors``."""
     rng = np.random.default_rng(31)
-    prop = None
-    if cfg.needs_adjacency:
-        prop = normalized_adjacency(rng.uniform(size=(4, 4)), cfg.gnn_kind)
-    ps = ParamStore(cfg, seed=5, propagation=prop)
+    ps = ParamStore(cfg, seed=5)
     # windows, batch, nodes, L
     coords = rng.normal(size=(len(divisors), 2, 4, cfg.logsig_dim)) * 0.5
     f0 = T.constant(rng.normal(size=(2, 4, 2)))
@@ -309,12 +275,11 @@ def fused_and_oracle_runs(cfg, method, divisors):
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
-@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, gnn_kind, method):
+def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, method):
     # window lengths 2, 2, 1 (subpath_len 2): unit time rescales by powers of two, exactly
     cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
-                      variant=variant, gnn_kind=gnn_kind)
+                      variant=variant)
     (pred, grads), (pred_ref, grads_ref) = fused_and_oracle_runs(cfg, method, [2.0, 2.0, 1.0])
     assert np.array_equal(pred, pred_ref)
     assert grads.keys() == grads_ref.keys()
@@ -342,12 +307,10 @@ def test_unit_time_windows_match_real_time_windows_of_length_three(variant):
         assert err <= 1e-12 * np.abs(grads_ref[name]).max(), name
 
 
-@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_each_field_is_one_tape_entry(variant, gnn_kind):
-    cfg = tiny_config(num_layers=2, variant=variant, gnn_kind=gnn_kind)
-    prop = normalized_adjacency(RNG.uniform(size=(3, 3)), gnn_kind) if cfg.needs_adjacency else None
-    ps = ParamStore(cfg, seed=3, propagation=prop)
+def test_each_field_is_one_tape_entry(variant):
+    cfg = tiny_config(num_layers=2, variant=variant)
+    ps = ParamStore(cfg, seed=3)
     op = graph_operator(ps, cfg)
     h, z = (T.constant(RNG.normal(size=(2, 3, width))) for width in (cfg.dim_h, cfg.dim_z))
     state = {"full": [h, z], "temporal_only": [h], "spatial_only": [z]}[variant]
@@ -358,14 +321,12 @@ def test_each_field_is_one_tape_entry(variant, gnn_kind):
     clear_tape()
 
 
-@pytest.mark.parametrize("gnn_kind", GNN_KINDS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_each_field_is_one_trunk_entry_and_one_head_entry(monkeypatch, variant, gnn_kind):
+def test_each_field_is_one_trunk_entry_and_one_head_entry(monkeypatch, variant):
     # the field's one entry holds one trunk and one head: the trunk runs once
     # in the forward and once more in the backward, never per head tile
-    cfg = tiny_config(num_layers=2, variant=variant, gnn_kind=gnn_kind)
-    prop = normalized_adjacency(RNG.uniform(size=(3, 3)), gnn_kind) if cfg.needs_adjacency else None
-    ps = ParamStore(cfg, seed=3, propagation=prop)
+    cfg = tiny_config(num_layers=2, variant=variant)
+    ps = ParamStore(cfg, seed=3)
     op = graph_operator(ps, cfg)
     heads, trunk_runs = [], []
 
@@ -544,18 +505,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert raw[:8] == b"STGNRDE1"
 
 
-def test_checkpoint_keeps_propagation_constant(tmp_path):
-    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    cfg = tiny_config(gnn_kind="plain_gcn")
-    ps = ParamStore(cfg, seed=0, propagation=normalized_adjacency(adj, "plain_gcn"))
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), ps)
-    _, ps2, _ = load_checkpoint(str(path))
-    assert np.array_equal(ps.propagation.data, ps2.propagation.data)
-    assert b'"name": "const/propagation"' in path.read_bytes()
-    assert ParamStore(tiny_config(), seed=0).propagation is None
-
-
 def test_checkpoint_corruption_errors(tmp_path):
     cfg = tiny_config()
     ps = ParamStore(cfg, seed=0)
@@ -687,10 +636,7 @@ _JSON = st.recursive(
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    cfg = tiny_config(gnn_kind="chebyshev")
-    propagation = normalized_adjacency(adj, "chebyshev")
-    save_checkpoint(str(path), ParamStore(cfg, seed=0, propagation=propagation))
+    save_checkpoint(str(path), ParamStore(tiny_config(), seed=0))
     return path
 
 

@@ -31,7 +31,7 @@ def run_script(name, *args):
 def test_synthetic_benchmark_script_writes_its_artifacts(tmp_path):
     out = run_script("run_synthetic_benchmark.py", "--out", str(tmp_path), *SMALL)
     assert "test MAE" in out
-    assert {"values.csv", "adjacency.csv"} <= set(os.listdir(tmp_path / "data"))
+    assert os.listdir(tmp_path / "data") == ["values.csv"]  # no adjacency.csv
     run = set(os.listdir(tmp_path / "run_full"))
     assert {"model.ckpt", "history.csv", "metrics.json", "config.resolved.cfg",
             "forecasts.csv"} <= run

@@ -17,6 +17,7 @@ from graphrde.model import ModelConfig, ParamStore
 from graphrde.solver import SolveSpec
 from graphrde.tensor import Tensor
 from oracles import clear_tape
+from test_tensor import head_workers
 
 # ---------------------------------------------------------------------------
 # Loss and metrics
@@ -403,3 +404,27 @@ def test_gradcheck_report_fields():
     assert rep.entries_checked > 0
     assert rep.worst_param != ""
     assert rep.passed and rep.max_rel_err < 1e-4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_gradcheck_passes_across_multi_tile_and_multi_block_heads(monkeypatch, variant, method):
+    # verify --suite grad's model: its batch of 2 windows x 4 nodes is 8 head rows of a
+    # (dim 4) x (3 or 4 columns) head, so 256 bytes cut every head into 4 forward tiles
+    # of 2 rows and 4 backward blocks of one head row, shared between two workers
+    runs = []
+    run = T._TilePool.run
+
+    def counted(pool, fn, count):
+        runs.append((fn.__name__, count))
+        return run(pool, fn, count)
+
+    monkeypatch.setattr(T._TilePool, "run", counted)
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 256)
+    cfg = ModelConfig(num_nodes=4, input_len=6, horizon=2, dim_h=4, dim_z=4, num_layers=1,
+                      embed_dim=2, sig_depth=2, subpath_len=2, variant=variant)
+    with head_workers(2):
+        rep = TR.gradcheck(cfg, SolveSpec(method=method, steps_per_window=2), seed=7)
+    assert set(runs) == {("forward", 4), ("block", 4)}
+    assert rep.passed, rep
