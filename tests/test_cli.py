@@ -558,9 +558,12 @@ def test_logsig_constant_data_has_null_data_coordinates(tmp_path):
     assert np.abs(time_coord).min() > 0.0
 
 
-def test_train_rejects_the_removed_adjacency_flag_before_writing(workdir, tmp_path, capsys):
+# rows the adjacency reader rejected: the flag is gone with it, so train stops
+# at its arguments, whatever the file holds
+@pytest.mark.parametrize("row", ["0,1,nan", "0,1,inf", "0,1,1e309", "inf,1,1.0", "0.5,1,1.0"])
+def test_train_rejects_a_malformed_adjacency_before_writing(workdir, tmp_path, capsys, row):
     adjacency = tmp_path / "adj.csv"
-    adjacency.write_text("src,dst,weight\n0,1,0.5\n")
+    adjacency.write_text(f"src,dst,weight\n1,2,0.5\n{row}\n")
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--adjacency",
                      str(adjacency), "--out", str(out)]) == 1
@@ -603,10 +606,9 @@ def test_train_rejects_a_negative_seed_before_writing(workdir, tmp_path):
     assert not out.exists()
 
 
-# keys of removed graph mixers: an old config stops before anything is written
-@pytest.mark.parametrize("line", ["gnn_kind = adaptive", "gnn_kind = chebyshev",
-                                  "gnn_kind = attention", "adjacency_path = x"])
-def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_path, capsys, line):
+def _train_stops_on_a_removed_key(workdir, tmp_path, capsys, line):
+    """train on the workdir config plus ``line``, whose key is gone: it stops
+    before anything is written"""
     key = line.split(" = ")[0]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(workdir["cfg_path"].read_text() + line + "\n")
@@ -614,6 +616,23 @@ def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_p
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# keys of the removed graph mixers in an old config
+@pytest.mark.parametrize("line", ["gnn_kind = adaptive", "adjacency_path = x"])
+def test_train_rejects_a_removed_graph_key_before_writing(workdir, tmp_path, capsys, line):
+    _train_stops_on_a_removed_key(workdir, tmp_path, capsys, line)
+
+
+def test_train_rejects_the_removed_attention_mixer_before_writing(workdir, tmp_path, capsys):
+    _train_stops_on_a_removed_key(workdir, tmp_path, capsys, "gnn_kind = attention")
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "plain_gcn"])
+def test_train_rejects_a_graph_mixer_without_an_adjacency_before_writing(
+    workdir, tmp_path, capsys, kind
+):
+    _train_stops_on_a_removed_key(workdir, tmp_path, capsys, f"gnn_kind = {kind}")
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "weight_decay = nan",

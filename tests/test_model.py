@@ -274,8 +274,13 @@ def fused_and_oracle_runs(cfg, method, divisors):
     return fused, oracle
 
 
+# these cases' ids also name the graph mixer, the node-adaptive one, as they
+# did while the given-graph mixers were there too
+_MIXER_IDS = [f"{variant}-adaptive" for variant in VARIANTS]
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=_MIXER_IDS)
 def test_fused_heads_match_unfused_oracle_bit_for_bit(variant, method):
     # window lengths 2, 2, 1 (subpath_len 2): unit time rescales by powers of two, exactly
     cfg = tiny_config(num_nodes=4, in_channels=2, out_channels=2, dim_z=4, sig_depth=3,
@@ -307,7 +312,7 @@ def test_unit_time_windows_match_real_time_windows_of_length_three(variant):
         assert err <= 1e-12 * np.abs(grads_ref[name]).max(), name
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=_MIXER_IDS)
 def test_each_field_is_one_tape_entry(variant):
     cfg = tiny_config(num_layers=2, variant=variant)
     ps = ParamStore(cfg, seed=3)
@@ -321,7 +326,7 @@ def test_each_field_is_one_tape_entry(variant):
     clear_tape()
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=_MIXER_IDS)
 def test_each_field_is_one_trunk_entry_and_one_head_entry(monkeypatch, variant):
     # the field's one entry holds one trunk and one head: the trunk runs once
     # in the forward and once more in the backward, never per head tile
