@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -38,13 +38,12 @@ from .errors import (
     UsageError,
 )
 from .logsig import LyndonBasis, window_logsig
-from .model import ModelConfig, ParamStore, load_checkpoint, save_checkpoint
+from .model import ParamStore, load_checkpoint, save_checkpoint
 from .paths import RawSeries, fit_spline
 from .solver import SolveSpec
 from .verification import SUITES, format_results, run_suites
 
 _VARIANT_FLAG = {"full": "full", "temporal": "temporal_only", "spatial": "spatial_only"}
-_CV_FLAG = {"rolling": "rolling_cv", "blocked": "blocked_cv"}
 # forecast CSV rows ``predict`` formats per write: whole windows, about this many
 FORECAST_CHUNK_ROWS = 1 << 16
 
@@ -172,24 +171,24 @@ def _load_eval_inputs(args, which: str):
     return config, params, prepared, normalizer, solve
 
 
-def _fold_seeds(base_seed: int, fold: int) -> dict[str, int]:
-    root = base_seed + 1000 * fold
-    return {"train": root + 101, "val": root + 202, "test": root + 303}
+def run_training(run: RunConfig, out_dir: str) -> dict:
+    """Execute a resolved run config end to end: split the windows
+    chronologically, train, write the artifacts; returns the metrics document."""
+    run.validate()  # before anything is read or written
+    if not run.values_path:
+        raise ConfigError("values_path is not set (pass --data or set it in the config)")
+    values = D.load_values(run.values_path, run.channels)
+    config = run.model_config(values.shape[0])
+    windows = D.make_windows(values, run.input_len, run.horizon, run.out_channels)
+    train_w, val_w, test_w = D.chronological_split(windows, run.split_plan())
 
+    os.makedirs(out_dir, exist_ok=True)
+    # num_nodes resolved for exact reproduction, on a copy: ``run`` is the caller's
+    save_config(os.path.join(out_dir, "config.resolved.cfg"),
+                replace(run, num_nodes=config.num_nodes))
 
-def run_fold(
-    run: RunConfig,
-    config: ModelConfig,
-    values: np.ndarray,
-    parts: tuple[D.WindowSet, D.WindowSet, D.WindowSet],
-    out_dir: str,
-    fold: int,
-    suffix: str,
-) -> dict:
-    """Train one fold end to end and write its artifacts."""
-    train_w, val_w, test_w = parts
     normalizer = D.fit_normalizer(values, D.train_range_end(train_w))
-    seeds = _fold_seeds(run.seed, fold)
+    seeds = {"train": run.seed + 101, "val": run.seed + 202, "test": run.seed + 303}
     if run.drop_rate > 0.0:
         train_w = D.drop_observations(train_w, run.drop_rate, seeds["train"])
         val_w = D.drop_observations(val_w, run.drop_rate, seeds["val"])
@@ -202,7 +201,7 @@ def run_fold(
 
     params = ParamStore(config, seed=run.seed)
     solve = run.solve_spec()
-    history_path = os.path.join(out_dir, f"history{suffix}.csv")
+    history_path = os.path.join(out_dir, "history.csv")
     try:
         result = TR.fit(
             params, config, prep_train, prep_val, run.train_config(), solve, normalizer
@@ -228,11 +227,10 @@ def run_fold(
         "solve": asdict(solve),
         "split_offsets": {"train": span(train_w), "val": span(val_w), "test": span(test_w)},
         "drop": {"rate": run.drop_rate, "seeds": seeds},
-        "fold": fold,
         "best_epoch": result.best_epoch,
     }
-    save_checkpoint(os.path.join(out_dir, f"model{suffix}.ckpt"), params, extra=extra)
-    return {
+    save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, extra=extra)
+    metrics = {
         "train": reports["train"].to_dict(),
         "val": reports["val"].to_dict(),
         "test": reports["test"].to_dict(),
@@ -241,44 +239,6 @@ def run_fold(
         "epochs_run": len(result.history),
         "stopped_early": result.stopped_early,
     }
-
-
-def summarize_folds(fold_docs: list[dict]) -> dict:
-    """Cross-validation metrics: every fold, plus mean and std of the test
-    MAE, RMSE and MAPE.  A fold whose metric is null (an undefined MAPE)
-    is left out of that metric's mean and std, which are null if no fold
-    defines it."""
-    table = {
-        key: [doc["test"][key] for doc in fold_docs if doc["test"][key] is not None]
-        for key in ("mae", "rmse", "mape")
-    }
-    return {
-        "folds": fold_docs,
-        "mean": {k: float(np.mean(v)) if v else None for k, v in table.items()},
-        "std": {k: float(np.std(v)) if v else None for k, v in table.items()},
-    }
-
-
-def run_training(run: RunConfig, out_dir: str) -> dict:
-    """Execute a resolved run config; returns the metrics document."""
-    run.validate()  # before anything is read or written
-    if not run.values_path:
-        raise ConfigError("values_path is not set (pass --data or set it in the config)")
-    values = D.load_values(run.values_path, run.channels)
-    config = run.model_config(values.shape[0])
-    windows = D.make_windows(values, run.input_len, run.horizon, run.out_channels)
-    folds = D.split(windows, run.split_plan())
-
-    os.makedirs(out_dir, exist_ok=True)
-    run.num_nodes = config.num_nodes  # resolved for exact reproduction
-    save_config(os.path.join(out_dir, "config.resolved.cfg"), run)
-
-    fold_docs = []
-    for k, parts in enumerate(folds):
-        suffix = f"_fold{k}" if len(folds) > 1 else ""
-        fold_docs.append(run_fold(run, config, values, parts, out_dir, k, suffix))
-
-    metrics = fold_docs[0] if len(fold_docs) == 1 else summarize_folds(fold_docs)
     atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
     return metrics
 
@@ -330,15 +290,9 @@ def cmd_train(args) -> int:
         overrides["variant"] = _VARIANT_FLAG[args.variant]
     if args.drop_rate is not None:
         overrides["drop_rate"] = args.drop_rate
-    if args.cv:
-        overrides["split"] = _CV_FLAG[args.cv]
     run = load_config(args.config, overrides)
     metrics = run_training(run, args.out)
-    if "folds" in metrics:
-        mae = metrics["mean"]["mae"]
-    else:
-        mae = metrics["test"]["mae"]
-    print(json.dumps({"out_dir": args.out, "test_mae": mae}, indent=2))
+    print(json.dumps({"out_dir": args.out, "test_mae": metrics["test"]["mae"]}, indent=2))
     return 0
 
 
@@ -415,7 +369,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", help="override values_path")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAG))
     p.add_argument("--drop-rate", type=float, default=None, dest="drop_rate")
-    p.add_argument("--cv", choices=sorted(_CV_FLAG))
     p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=cmd_train)
 

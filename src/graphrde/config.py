@@ -1,23 +1,23 @@
 """Flat key=value run configuration.
 
 One file describes a full run: dataset location, model shape, training
-hyperparameters, solver, and split plan.  The format is a plain text
-file of ``key = value`` lines with ``#`` comments; unknown keys are
-rejected so typos fail loudly.  Every run writes its fully resolved
-configuration next to its outputs, and that file alone reproduces the
-run bit-for-bit.
+hyperparameters, solver, split ratios and observation drop.  The format
+is a plain text file of ``key = value`` lines with ``#`` comments;
+unknown keys are rejected so typos fail loudly.  Every run writes its
+fully resolved configuration next to its outputs, and that file alone
+reproduces the run bit-for-bit.
 
-Only the dataset and split keys are declared here.  Every other key is
-a field of ``ModelConfig``, ``TrainConfig`` or ``SolveSpec`` with that
-field's name, type and default, and the section's ``__post_init__`` is
-the one place its rules are checked.
+Only the dataset, ``ratios`` and ``drop_rate`` keys are declared here.
+Every other key is a field of ``ModelConfig``, ``TrainConfig`` or
+``SolveSpec`` with that field's name, type and default, and the
+section's ``__post_init__`` is the one place its rules are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import field, fields, make_dataclass
 
-from .data import SplitPlan, atomic_write
+from .data import atomic_write
 from .errors import ConfigError
 from .model import ModelConfig
 from .solver import SolveSpec
@@ -48,7 +48,8 @@ class _Sections:
     def solve_spec(self) -> SolveSpec:
         return self._section(SolveSpec)
 
-    def split_plan(self) -> SplitPlan:
+    def split_plan(self) -> tuple[int, int, int]:
+        """The train:val:test ratios of the chronological split, e.g. (6, 2, 2)."""
         parts = self.ratios.split(":")
         if len(parts) != 3:
             raise ConfigError(f"ratios must look like 6:2:2, got {self.ratios!r}")
@@ -56,7 +57,9 @@ class _Sections:
             ratios = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"ratios must be integers, got {self.ratios!r}") from exc
-        return SplitPlan(kind=self.split, ratios=ratios, folds=self.folds)
+        if any(r <= 0 for r in ratios):
+            raise ConfigError(f"ratios must be three positive integers, got {self.ratios!r}")
+        return ratios
 
     def validate(self) -> None:
         """Cheap checks that don't need the data: build every section."""
@@ -83,10 +86,8 @@ RunConfig = make_dataclass(
         *_section_keys(ModelConfig, skip=("num_nodes", "in_channels")),
         *_section_keys(TrainConfig),
         *_section_keys(SolveSpec),
-        # split plan and input irregularity
-        ("split", "str", field(default="chronological")),
+        # chronological split and input irregularity
         ("ratios", "str", field(default="6:2:2")),
-        ("folds", "int", field(default=4)),
         ("drop_rate", "float", field(default=0.0)),
     ],
     bases=(_Sections,),

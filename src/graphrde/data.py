@@ -19,6 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -63,23 +64,6 @@ class WindowSet:
 
 
 @dataclass
-class SplitPlan:
-    """How to carve windows into train/val/test (optionally per fold)."""
-
-    kind: str = "chronological"
-    ratios: tuple[int, int, int] = (6, 2, 2)
-    folds: int = 4
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("chronological", "rolling_cv", "blocked_cv"):
-            raise ConfigError(f"unknown split kind {self.kind!r}")
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise ConfigError(f"ratios must be three positive integers, got {self.ratios}")
-        if self.kind != "chronological" and self.folds < 2:
-            raise ConfigError(f"cross-validation needs folds >= 2, got {self.folds}")
-
-
-@dataclass
 class Normalizer:
     """Per-channel z-score transform fitted on the training range only."""
 
@@ -87,8 +71,12 @@ class Normalizer:
     std: np.ndarray
 
     def apply(self, x: np.ndarray, channels: int | None = None) -> np.ndarray:
+        """``(x - mean) / std`` as a new C-contiguous array, whatever the
+        layout of ``x`` (a window view, say)."""
         c = x.shape[-1] if channels is None else channels
-        return (x - self.mean[:c]) / self.std[:c]
+        out = np.subtract(x, self.mean[:c], order="C")
+        out /= self.std[:c]
+        return out
 
     def invert(self, x: np.ndarray) -> np.ndarray:
         c = x.shape[-1]
@@ -194,7 +182,11 @@ def save_values(path: str, values: np.ndarray) -> None:
 def make_windows(
     values: np.ndarray, input_len: int = 12, horizon: int = 12, out_channels: int = 1
 ) -> WindowSet:
-    """Every chronological (input, target) pair at unit stride."""
+    """Every chronological (input, target) pair at unit stride.
+
+    ``inputs`` and ``targets`` are read-only views of ``values``, not one
+    copy per window.
+    """
     values = np.asarray(values, dtype=np.float64)
     nodes, steps, channels = values.shape
     if out_channels > channels:
@@ -204,10 +196,10 @@ def make_windows(
         raise DataError(
             f"series of {steps} timesteps is too short for input {input_len} + horizon {horizon}"
         )
-    inputs = np.stack([values[:, o : o + input_len, :] for o in range(count)])
-    targets = np.stack(
-        [values[:, o + input_len : o + input_len + horizon, :out_channels] for o in range(count)]
-    )
+    # (count, nodes, input_len + horizon, channels)
+    spans = sliding_window_view(values, input_len + horizon, axis=1).transpose(1, 0, 3, 2)
+    inputs = spans[:, :, :input_len]
+    targets = spans[:, :, input_len:, :out_channels]
     masks = np.ones((count, nodes, input_len), dtype=bool)
     return WindowSet(inputs=inputs, masks=masks, targets=targets, offsets=np.arange(count))
 
@@ -229,46 +221,11 @@ def chronological_split(windows: WindowSet, ratios=(6, 2, 2)) -> tuple[WindowSet
     return train, val, test
 
 
-def split(windows: WindowSet, plan: SplitPlan) -> list[tuple[WindowSet, WindowSet, WindowSet]]:
-    """Carve windows according to the plan; one (train, val, test) per fold.
-
-    ``chronological`` is a single fold.  ``rolling_cv`` gives fold k the
-    prefix of floor(n*(k+1)/folds) windows, split 6:2:2 internally, so
-    training data expands and each fold's test block starts strictly
-    later.  ``blocked_cv`` cuts n into ``folds`` equal disjoint blocks,
-    each split 6:2:2 internally (a remainder shorter than a block is
-    dropped).
-    """
-    n = len(windows)
-    if plan.kind == "chronological":
-        return [chronological_split(windows, plan.ratios)]
-    folds: list[tuple[WindowSet, WindowSet, WindowSet]] = []
-    if plan.kind == "rolling_cv":
-        prev_test_start = -1
-        for k in range(plan.folds):
-            end = (n * (k + 1)) // plan.folds
-            try:
-                fold = chronological_split(windows.take(slice(0, end)), plan.ratios)
-            except DataError as exc:
-                raise DataError(f"rolling fold {k}: {exc}") from exc
-            test_start = int(fold[2].offsets[0])
-            if test_start <= prev_test_start:
-                raise DataError(f"rolling fold {k}: test block does not advance")
-            prev_test_start = test_start
-            folds.append(fold)
-        return folds
-    # blocked_cv
-    block = n // plan.folds
-    if block < 1:
-        raise DataError(f"blocked CV needs at least {plan.folds} windows, got {n}")
-    for k in range(plan.folds):
-        try:
-            folds.append(
-                chronological_split(windows.take(slice(k * block, (k + 1) * block)), plan.ratios)
-            )
-        except DataError as exc:
-            raise DataError(f"blocked fold {k}: {exc}") from exc
-    return folds
+def split(windows: WindowSet, ratios) -> list[tuple[WindowSet, WindowSet, WindowSet]]:
+    """``[chronological_split(windows, ratios)]``: a one-element list, kept
+    for perfbench's ``split(windows, run.split_plan())[0]`` until its next
+    change (ROADMAP item 0)."""
+    return [chronological_split(windows, ratios)]
 
 
 def fit_normalizer(values: np.ndarray, train_end: int) -> Normalizer:

@@ -184,6 +184,9 @@ def prepare_split(
 
     Every (window, node) cell is checked once, then the front end runs
     over chunks of ``CHUNK_CELLS`` cells, which bounds its working memory.
+    The normalized inputs are one C-contiguous array, so that a chunk of
+    cells is a slice of it and not a copy; ``targets_raw`` and ``offsets``
+    are the windows' own arrays.
     """
     if len(windows) == 0:
         raise ContractError("cannot prepare an empty window set")
@@ -205,8 +208,8 @@ def prepare_split(
         f0=normalizer.apply(windows.inputs[:, :, 0, :]),
         coords=coords,
         targets_norm=targets_norm,
-        targets_raw=windows.targets.copy(),
-        offsets=windows.offsets.copy(),
+        targets_raw=windows.targets,
+        offsets=windows.offsets,
     )
 
 

@@ -187,12 +187,12 @@ def test_criterion_9_determinism(synth_task):
 # change to training's arithmetic, or to how a file is formatted, moves them
 _SYNTH_SHA256 = {
     "full": ({}, (
-        "b0e3fde7a13747ded9ba9b9188cda77a332f6a8fb2e676b71afcfed04aa19866",
+        "019c900e2498120cb9f2f8084e70919900ead2cfb724b956da7eb401e25b4342",
         "b92bb48a0b0fc32d11f8dedbe6191d54f799a68fff062bb59445077417659864",
         "06333ab76472f4bf53e6b2217aff6bedbcf6b873e4d100acb6fb129940851f8d",
     )),
     "drop": ({"drop_rate": 0.3}, (
-        "62d0b177e17e9051803d511cfac66c983ac84be09e0f715a33fc6307338f98f2",
+        "ffe0627097b00a8f5a9f240ee2fa51a578c3a3022d797637aef1ad1ed2713b21",
         "c3f8b34b3a4e5442615f100e8ed60b1957dc716567a8317bde43030244feb131",
         "b36193cc27872b0a650cc9cbb0d787d93820384ec27123f249128368566551f6",
     )),

@@ -76,9 +76,8 @@ def test_config_validation_catches_bad_enums(tmp_path):
 
 
 def test_config_split_plan_and_model_builders(tmp_path):
-    cfg = RunConfig(values_path="v.csv", split="blocked_cv", ratios="6:2:2", folds=3)
-    plan = cfg.split_plan()
-    assert plan.kind == "blocked_cv" and plan.ratios == (6, 2, 2) and plan.folds == 3
+    cfg = RunConfig(values_path="v.csv", ratios="7:2:1")
+    assert cfg.split_plan() == (7, 2, 1)
     model = cfg.model_config(num_nodes=5)
     assert model.num_nodes == 5 and model.in_channels == cfg.channels
     cfg.num_nodes = 7
@@ -107,10 +106,27 @@ def test_run_training_checks_its_config_before_writing(tmp_path, fault, match):
     assert not out.exists()
 
 
+def test_run_training_leaves_its_config_as_given(tmp_path):
+    # num_nodes = 0 infers the nodes from the data, so one config serves both series
+    paths = {}
+    for nodes in (5, 6):
+        values, _ = D.synth_series(nodes, 60, seed=0)
+        paths[nodes] = tmp_path / f"values{nodes}.csv"
+        D.save_values(str(paths[nodes]), values)
+    run = RunConfig(values_path=str(paths[5]), dim_h=4, dim_z=4, epochs=1, method="euler")
+    given = replace(run)
+    for nodes in (5, 6):
+        run.values_path = str(paths[nodes])
+        given.values_path = run.values_path
+        out = tmp_path / f"run{nodes}"
+        cli.run_training(run, str(out))
+        assert run == given
+        assert f"\nnum_nodes = {nodes}\n" in (out / "config.resolved.cfg").read_text()
+
+
 _OTHER_TEXT = {
     "variant": "temporal_only",
     "method": "euler",
-    "split": "rolling_cv",
     "ratios": "7:2:1",
 }
 
@@ -120,9 +136,9 @@ def _sections(run: RunConfig) -> dict:
         "ModelConfig": run.model_config(run.num_nodes or 3),
         "TrainConfig": run.train_config(),
         "SolveSpec": run.solve_spec(),
-        "SplitPlan": run.split_plan(),
     }
-    return {(cls, k): v for cls, obj in built.items() for k, v in asdict(obj).items()}
+    found = {(cls, k): v for cls, obj in built.items() for k, v in asdict(obj).items()}
+    return {**found, ("split_plan", "ratios"): run.split_plan()}
 
 
 def test_every_section_field_has_exactly_one_config_key():
@@ -151,13 +167,13 @@ def test_every_section_field_has_exactly_one_config_key():
 # A rendering change rewrites every run's config.resolved.cfg: update these
 # only on purpose, and say so in CHANGES.md.
 _PRESET_SHA256 = {
-    "pemsd3.cfg": "770398bfff48c26039198d2af94e6d85804cd2a9a9bb9fa3d2a0e35a345bf9aa",
-    "pemsd4.cfg": "185a976529c92fa988d324b8b01f0c905e3dc6d15ee69c15815cd6a9e31c819a",
-    "pemsd7.cfg": "46e767bee49a76ea2e5cd99035ee53b9563ae08a8435808eff060684541556f6",
-    "pemsd7l.cfg": "5cf9bfb424de7f792ab820bf43959faef633b659c4bb63272d757ca221fab701",
-    "pemsd7m.cfg": "1ed7a8735a4be9a92ca375be7e76827f2f0e648d0882813d415dbcf4219040f7",
-    "pemsd8.cfg": "b824a7081c0d84d46e677d76c9a6196e81199e2e4df46f760e1dbd42a2d4b79c",
-    "synth.cfg": "fe228f4d0aa223188bbe875d68e2df42be1dafcc3e1862365cbbb664c01ac917",
+    "pemsd3.cfg": "7c2a0d37b41b1cbd0cf9737ffea1367984c43995463a14567b4ab5d952ac92a3",
+    "pemsd4.cfg": "95207daedd17a3aa726a09343c4060da9daff6f34eaf081731e0e148accdcbc9",
+    "pemsd7.cfg": "781b29e7223c1041f4147d2fbaa740e1c9a2b4abb7c0a2df9cb6c3c421774863",
+    "pemsd7l.cfg": "60516326799e5b6b2c347f9de745b35b16d29fcea1d50048f1b46d19e059a002",
+    "pemsd7m.cfg": "2372b112ba0f797f5820bf416d412880db0a1a1c3c60c6d11d4da7cd7dc0c618",
+    "pemsd8.cfg": "9ee49c1d95df79c00044752b0081bf04599e3f034fb697c28ce5c6c36e79b036",
+    "synth.cfg": "5ba8e8a285ca6c124771fde8705a09a300a2b19383c1da6427ba0c01b4978e2a",
 }
 
 
@@ -204,7 +220,7 @@ def test_synth_writes_deterministic_files(workdir):
 # sha256 of the files the workdir run writes: a change to training's
 # arithmetic, or to how a file is formatted, moves them
 _WORKDIR_SHA256 = {
-    "model.ckpt": "f37266f81549a6dc61a93db480e74d706e09e4c3810a5bf5579275e7bd97881d",
+    "model.ckpt": "685fd61957c3a7f333148894c04f7a34ae420fa16d5e0b7a8da0f4c08176c35e",
     "history.csv": "365923dbb8f9e2e3343afbce9fb3a2a298d71c8d90825614c82763e9950eb468",
     "metrics.json": "55940c0572cda8adfbf7ce42afba239bbd2e9990522ef34fb4778f06da2b7ab6",
 }
@@ -284,6 +300,26 @@ def test_eval_rejects_a_checkpoint_naming_the_removed_attention_mixer(workdir, t
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "keys: ['gnn_kind']" in err, err
         assert "Traceback" not in err
+
+
+def test_a_checkpoint_with_the_old_fold_key_gives_the_same_output(workdir, tmp_path, capsys):
+    # checkpoints written while training had cross-validation folds store "fold": 0
+    new = workdir["out"] / "model.ckpt"
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_with_header(new.read_bytes(), lambda h: h["extra"].update(fold=0)))
+    assert load_checkpoint(str(old))[2]["fold"] == 0
+    data = str(workdir["root"] / "data" / "values.csv")
+    outputs = []
+    for ckpt in (new, old):
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", data,
+                         "--split", "test"]) == 0
+        report = capsys.readouterr().out
+        forecasts = tmp_path / f"{ckpt.stem}.csv"
+        assert cli.main(["predict", "--checkpoint", str(ckpt), "--data", data,
+                         "--split", "all", "--out", str(forecasts)]) == 0
+        outputs.append((report, forecasts.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _set_extra(*keys, value):
@@ -457,7 +493,7 @@ def test_select_split_takes_a_view_of_the_windows():
         cli._select_split(windows, {"split_offsets": ranges}, "none")
 
 
-def test_undefined_mape_is_null_in_json_and_skipped_in_fold_stats():
+def test_undefined_mape_is_null_in_json():
     from graphrde import training as TR
 
     target = np.zeros((1, 1, 2, 1))
@@ -466,13 +502,6 @@ def test_undefined_mape_is_null_in_json_and_skipped_in_fold_stats():
     doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
     assert doc["mape"] is None and doc["per_horizon"]["mape"] == [None, None]
     assert doc["mae"] == 1.0
-    folds = [{"test": {"mae": m, "rmse": m, "mape": p}} for m, p in ((1.0, None), (3.0, 0.5))]
-    summary = cli.summarize_folds(folds)
-    assert summary["mean"] == {"mae": 2.0, "rmse": 2.0, "mape": 0.5}
-    assert summary["std"]["mape"] == 0.0
-    none = cli.summarize_folds([{"test": {"mae": 1.0, "rmse": 1.0, "mape": None}}] * 2)
-    assert none["mean"]["mape"] is None and none["std"]["mape"] is None
-    json.dumps(none, allow_nan=False)
 
 
 def test_variant_flag_maps_to_config(workdir):
@@ -482,22 +511,6 @@ def test_variant_flag_maps_to_config(workdir):
                      "--variant", "spatial", "--out", str(out)]) == 0
     resolved = (out / "config.resolved.cfg").read_text()
     assert "variant = spatial_only" in resolved
-
-
-def test_cv_mode_writes_fold_artifacts(workdir):
-    root = workdir["root"]
-    out = root / "cv"
-    assert cli.main(["train", "--config", str(workdir["cfg_path"]),
-                     "--cv", "blocked", "--out", str(out)]) == 0
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert len(metrics["folds"]) == 4
-    assert set(metrics["mean"]) == {"mae", "rmse", "mape"}
-    assert set(metrics["std"]) == {"mae", "rmse", "mape"}
-    for k in range(4):
-        assert (out / f"model_fold{k}.ckpt").exists()
-        assert (out / f"history_fold{k}.csv").exists()
-    mean = np.mean([f["test"]["mae"] for f in metrics["folds"]])
-    assert metrics["mean"]["mae"] == pytest.approx(mean, rel=1e-12)
 
 
 def test_logsig_dump_column_count(workdir, tmp_path):
@@ -633,6 +646,20 @@ def test_train_rejects_a_graph_mixer_without_an_adjacency_before_writing(
     workdir, tmp_path, capsys, kind
 ):
     _train_stops_on_a_removed_key(workdir, tmp_path, capsys, f"gnn_kind = {kind}")
+
+
+# keys of the removed cross-validation in an old config
+@pytest.mark.parametrize("line", ["split = chronological", "split = rolling_cv", "folds = 4"])
+def test_train_rejects_a_removed_split_key_before_writing(workdir, tmp_path, capsys, line):
+    _train_stops_on_a_removed_key(workdir, tmp_path, capsys, line)
+
+
+def test_train_rejects_the_removed_cv_flag_before_writing(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(workdir["cfg_path"]), "--cv", "rolling",
+                     "--out", str(out)]) == 1
+    assert "--cv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "weight_decay = nan",

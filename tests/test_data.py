@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrde import data as D
+from graphrde.config import RunConfig
 from graphrde.errors import ConfigError, DataError
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,19 @@ def test_atomic_write_failure_keeps_the_target_and_leaves_no_temp_file(tmp_path)
 # ---------------------------------------------------------------------------
 
 
+def test_windows_are_read_only_views_of_the_series():
+    values = np.random.default_rng(5).normal(size=(3, 30, 2))
+    windows = D.make_windows(values, input_len=6, horizon=4, out_channels=1)
+    count = 30 - 6 - 4 + 1
+    inputs = np.stack([values[:, o : o + 6] for o in range(count)])
+    targets = np.stack([values[:, o + 6 : o + 10, :1] for o in range(count)])
+    assert np.array_equal(windows.inputs, inputs) and np.array_equal(windows.targets, targets)
+    for view in (windows.inputs, windows.targets):
+        assert np.shares_memory(view, values)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0] = 1.0
+
+
 def test_window_count_and_contents():
     values = np.arange(40, dtype=float).reshape(1, 40, 1)
     windows = D.make_windows(values, input_len=12, horizon=12)
@@ -202,49 +216,12 @@ def test_chronological_split_partitions_everything(n):
 
 def test_split_dispatch_and_plan_validation():
     windows = _toy_windows(40)
-    assert len(D.split(windows, D.SplitPlan(kind="chronological"))) == 1
-    assert len(D.split(windows, D.SplitPlan(kind="rolling_cv", folds=4))) == 4
-    assert len(D.split(windows, D.SplitPlan(kind="blocked_cv", folds=4))) == 4
-    with pytest.raises(ConfigError, match="unknown split kind"):
-        D.SplitPlan(kind="bootstrap")
-    with pytest.raises(ConfigError, match="ratios"):
-        D.SplitPlan(ratios=(6, 2))
-    with pytest.raises(ConfigError, match="folds"):
-        D.SplitPlan(kind="rolling_cv", folds=1)
-
-
-def test_rolling_cv_prefixes_expand_and_tests_advance():
-    windows = _toy_windows(80)
-    folds = D.split(windows, D.SplitPlan(kind="rolling_cv", folds=4))
-    prev_end, prev_test_start = 0, -1
-    for k, (train, val, test) in enumerate(folds):
-        end = int(test.offsets[-1]) + 1
-        assert end == (80 * (k + 1)) // 4  # expanding prefix
-        assert end > prev_end
-        assert train.offsets[0] == 0  # every fold trains from the start
-        assert train.offsets[-1] < val.offsets[0] < test.offsets[0]
-        assert test.offsets[0] > prev_test_start
-        prev_end, prev_test_start = end, int(test.offsets[0])
-
-
-def test_rolling_cv_rejects_thin_prefixes():
-    with pytest.raises(DataError, match="rolling fold 0"):
-        D.split(_toy_windows(12), D.SplitPlan(kind="rolling_cv", folds=4))
-
-
-def test_blocked_cv_blocks_are_equal_and_disjoint():
-    windows = _toy_windows(43)  # remainder 3 dropped
-    folds = D.split(windows, D.SplitPlan(kind="blocked_cv", folds=4))
-    seen = []
-    for train, val, test in folds:
-        offsets = np.concatenate([train.offsets, val.offsets, test.offsets])
-        assert len(offsets) == 43 // 4
-        assert np.array_equal(offsets, np.arange(offsets[0], offsets[0] + len(offsets)))
-        seen.append(set(offsets.tolist()))
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            assert not (seen[i] & seen[j])
-    assert len(set().union(*seen)) == 4 * (43 // 4)
+    (parts,) = D.split(windows, RunConfig(ratios="7:2:1").split_plan())
+    for got, want in zip(parts, D.chronological_split(windows, (7, 2, 1))):
+        assert np.array_equal(got.offsets, want.offsets)
+    for ratios in ("6:2", "6:2:2:1", "6:0:2", "6:-2:2"):
+        with pytest.raises(ConfigError, match="ratios"):
+            RunConfig(ratios=ratios).split_plan()
 
 
 # ---------------------------------------------------------------------------

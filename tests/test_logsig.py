@@ -393,6 +393,8 @@ def test_prepare_split_is_chunk_invariant(monkeypatch):
 
 def test_non_finite_observation_names_window_and_node():
     windows = irregular_windows()
+    # make_windows' inputs are a read-only view of the series; write into a copy
+    windows = D.WindowSet(windows.inputs.copy(), windows.masks, windows.targets, windows.offsets)
     windows.masks[2, 1, 5] = True
     windows.inputs[2, 1, 5, 0] = np.inf
     norm = D.Normalizer(mean=np.zeros(1), std=np.ones(1))
