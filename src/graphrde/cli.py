@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/config or an output that cannot be written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from .verification import SUITES, format_results, run_suites
 _VARIANT_FLAG = {"full": "full", "temporal": "temporal_only", "spatial": "spatial_only"}
 # forecast CSV rows ``predict`` formats per write: whole windows, about this many
 FORECAST_CHUNK_ROWS = 1 << 16
+_SPLITS = ("train", "val", "test")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,27 +68,22 @@ def _stored_slice(windows: D.WindowSet, span: list[int]) -> slice:
     return slice(*np.searchsorted(windows.offsets, span))
 
 
-def _select_split(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
-    """Reconstruct a training-time split subset from checkpoint metadata."""
-    if which == "all":
-        return windows
-    stored = extra.get("split_offsets")
-    if not stored or which not in stored:
-        raise DataError(f"checkpoint does not record a {which!r} split")
-    lo, hi = stored[which]
-    keep = _stored_slice(windows, stored[which])
-    if keep.start == keep.stop:
-        raise DataError(f"no windows fall in the stored {which!r} range [{lo}, {hi})")
-    return windows.take(keep)
-
-
-def _apply_stored_drop(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
-    """Hide the observations training hid: each stored split's drop, with
-    that split's seed, over the windows inside the split's stored range."""
+def _stored_split(windows: D.WindowSet, extra: dict, which: str) -> D.WindowSet:
+    """A split as training took it, from checkpoint metadata: the windows in
+    its stored range (``"all"``: every window), each stored split's drop
+    redrawn with that split's seed over the windows inside its range."""
+    ranges = extra.get("split_offsets") or {}
+    if which != "all":
+        if which not in ranges:
+            raise DataError(f"checkpoint does not record a {which!r} split")
+        keep = _stored_slice(windows, ranges[which])
+        if keep.start == keep.stop:
+            lo, hi = ranges[which]
+            raise DataError(f"no windows fall in the stored {which!r} range [{lo}, {hi})")
+        windows = windows.take(keep)
     drop = extra.get("drop")
     if not drop or drop.get("rate", 0.0) <= 0.0:
         return windows
-    ranges = extra.get("split_offsets", {})
     masks = windows.masks.copy()
     for name in ranges if which == "all" else [which]:
         keep = _stored_slice(windows, ranges[name])
@@ -162,7 +159,7 @@ def _load_eval_inputs(args, which: str):
             f"checkpoint was trained on {config.num_nodes} nodes, data has {values.shape[0]}"
         )
     windows = D.make_windows(values, config.input_len, config.horizon, config.out_channels)
-    windows = _apply_stored_drop(_select_split(windows, extra, which), extra, which)
+    windows = _stored_split(windows, extra, which)
     normalizer = D.Normalizer(
         mean=np.asarray(extra["normalizer"]["mean"]),
         std=np.asarray(extra["normalizer"]["std"]),
@@ -172,40 +169,43 @@ def _load_eval_inputs(args, which: str):
 
 
 def run_training(run: RunConfig, out_dir: str) -> dict:
-    """Execute a resolved run config end to end: split the windows
-    chronologically, train, write the artifacts; returns the metrics document."""
+    """Execute a resolved run config end to end: split the windows chronologically,
+    take each split through the checkpoint's plan as eval and predict do, and only
+    then write; train, write the artifacts and return the metrics document."""
     run.validate()  # before anything is read or written
     if not run.values_path:
         raise ConfigError("values_path is not set (pass --data or set it in the config)")
     values = D.load_values(run.values_path, run.channels)
     config = run.model_config(values.shape[0])
     windows = D.make_windows(values, run.input_len, run.horizon, run.out_channels)
-    train_w, val_w, test_w = D.chronological_split(windows, run.split_plan())
+    cut = dict(zip(_SPLITS, D.chronological_split(windows, run.split_plan())))
+    normalizer = D.fit_normalizer(values, D.train_range_end(cut["train"]))
+    solve = run.solve_spec()
+    extra = {
+        "normalizer": {"mean": normalizer.mean.tolist(), "std": normalizer.std.tolist()},
+        "solve": asdict(solve),
+        "split_offsets": {k: [int(w.offsets[0]), int(w.offsets[-1]) + 1] for k, w in cut.items()},
+        "drop": {"rate": run.drop_rate,
+                 "seeds": {k: run.seed + 101 * i for i, k in enumerate(_SPLITS, 1)}},
+    }
+    basis = LyndonBasis(config.path_channels, config.sig_depth)
+    splits = {k: _stored_split(windows, extra, k) for k in _SPLITS}
+    prepared = {k: TR.prepare_split(w, normalizer, config, basis=basis) for k, w in splits.items()}
 
+    # the one write point: an earlier run's outputs go, so none sits beside this run's
     os.makedirs(out_dir, exist_ok=True)
+    for name in ("model.ckpt", "metrics.json", "history.csv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     # num_nodes resolved for exact reproduction, on a copy: ``run`` is the caller's
     save_config(os.path.join(out_dir, "config.resolved.cfg"),
                 replace(run, num_nodes=config.num_nodes))
 
-    normalizer = D.fit_normalizer(values, D.train_range_end(train_w))
-    seeds = {"train": run.seed + 101, "val": run.seed + 202, "test": run.seed + 303}
-    if run.drop_rate > 0.0:
-        train_w = D.drop_observations(train_w, run.drop_rate, seeds["train"])
-        val_w = D.drop_observations(val_w, run.drop_rate, seeds["val"])
-        test_w = D.drop_observations(test_w, run.drop_rate, seeds["test"])
-
-    basis = LyndonBasis(config.path_channels, config.sig_depth)
-    prep_train = TR.prepare_split(train_w, normalizer, config, basis=basis)
-    prep_val = TR.prepare_split(val_w, normalizer, config, basis=basis)
-    prep_test = TR.prepare_split(test_w, normalizer, config, basis=basis)
-
     params = ParamStore(config, seed=run.seed)
-    solve = run.solve_spec()
     history_path = os.path.join(out_dir, "history.csv")
     try:
-        result = TR.fit(
-            params, config, prep_train, prep_val, run.train_config(), solve, normalizer
-        )
+        result = TR.fit(params, config, prepared["train"], prepared["val"],
+                        run.train_config(), solve, normalizer)
     except GraphRDEError as exc:
         partial = getattr(exc, "history", None)
         if partial:
@@ -213,32 +213,16 @@ def run_training(run: RunConfig, out_dir: str) -> dict:
         raise
     TR.write_history(history_path, result.history)
 
-    reports = {
-        name: TR.evaluate_prepared(params, config, solve, prep, normalizer, run.batch_size)
-        for name, prep in (("train", prep_train), ("val", prep_val), ("test", prep_test))
-    }
-    ha = TR.compute_metrics(TR.historical_average(test_w), test_w.targets)
-
-    def span(w: D.WindowSet) -> list[int]:
-        return [int(w.offsets[0]), int(w.offsets[-1]) + 1]
-
-    extra = {
-        "normalizer": {"mean": normalizer.mean.tolist(), "std": normalizer.std.tolist()},
-        "solve": asdict(solve),
-        "split_offsets": {"train": span(train_w), "val": span(val_w), "test": span(test_w)},
-        "drop": {"rate": run.drop_rate, "seeds": seeds},
-        "best_epoch": result.best_epoch,
-    }
-    save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, extra=extra)
     metrics = {
-        "train": reports["train"].to_dict(),
-        "val": reports["val"].to_dict(),
-        "test": reports["test"].to_dict(),
-        "ha_test": ha.to_dict(),
-        "best_epoch": result.best_epoch,
-        "epochs_run": len(result.history),
-        "stopped_early": result.stopped_early,
+        k: TR.evaluate_prepared(params, config, solve, prep, normalizer, run.batch_size).to_dict()
+        for k, prep in prepared.items()
     }
+    test = splits["test"]
+    metrics["ha_test"] = TR.compute_metrics(TR.historical_average(test), test.targets).to_dict()
+    metrics.update(best_epoch=result.best_epoch, epochs_run=len(result.history),
+                   stopped_early=result.stopped_early)
+    extra["best_epoch"] = result.best_epoch
+    save_checkpoint(os.path.join(out_dir, "model.ckpt"), params, extra=extra)
     atomic_write(os.path.join(out_dir, "metrics.json"), json.dumps(metrics, indent=2) + "\n")
     return metrics
 
@@ -372,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=cmd_train)
 
-    splits = ("all", "train", "val", "test")
+    splits = ("all", *_SPLITS)
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -397,7 +381,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every op checks its output and raises NonFiniteError (exit 3), so numpy's
+        # warnings are noise, or under -W error a traceback; head workers copy this context
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, ConfigError, OSError) as exc:  # only writes get here: reads map OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -103,6 +105,17 @@ def test_run_training_checks_its_config_before_writing(tmp_path, fault, match):
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match=match):
         cli.run_training(replace(run, **fault), str(out))
+    assert not out.exists()
+
+
+def test_run_training_checks_its_data_before_writing(tmp_path):
+    values, _ = D.synth_series(4, 80, seed=0)
+    values[:, :60] = 1.0  # channel 0 is constant over the training range only
+    D.save_values(str(tmp_path / "values.csv"), values)
+    run = RunConfig(values_path=str(tmp_path / "values.csv"), epochs=1)
+    out = tmp_path / "run"
+    with pytest.raises(DataError, match="constant over the training range"):
+        cli.run_training(run, str(out))
     assert not out.exists()
 
 
@@ -248,6 +261,7 @@ def test_rerun_is_bit_identical(workdir):
                      "--out", str(root / "rerun")]) == 0
     assert (out / "history.csv").read_bytes() == (root / "rerun" / "history.csv").read_bytes()
     assert (out / "metrics.json").read_bytes() == (root / "rerun" / "metrics.json").read_bytes()
+    assert (out / "model.ckpt").read_bytes() == (root / "rerun" / "model.ckpt").read_bytes()
     # the resolved config alone reproduces the run
     assert cli.main(["train", "--config", str(out / "config.resolved.cfg"),
                      "--out", str(root / "rerun2")]) == 0
@@ -436,16 +450,31 @@ def test_predict_rejects_a_multi_channel_checkpoint(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
 
 
-def test_split_all_applies_each_stored_drop(workdir, tmp_path):
-    root = workdir["root"]
-    out = root / "drop"
+@pytest.fixture(scope="module")
+def drop_out(workdir):
+    """The workdir run again at drop rate 0.3."""
+    out = workdir["root"] / "drop"
     assert cli.main(["train", "--config", str(workdir["cfg_path"]),
                      "--drop-rate", "0.3", "--out", str(out)]) == 0
-    data = str(root / "data" / "values.csv")
+    return out
+
+
+def test_eval_reproduces_each_split_of_a_run_with_drop(workdir, drop_out, capsys):
+    metrics = json.loads((drop_out / "metrics.json").read_text())
+    for split in ("train", "val", "test"):
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(drop_out / "model.ckpt"),
+                         "--data", str(workdir["root"] / "data" / "values.csv"),
+                         "--split", split]) == 0
+        assert json.loads(capsys.readouterr().out) == metrics[split], split
+
+
+def test_split_all_applies_each_stored_drop(workdir, drop_out, tmp_path):
+    data = str(workdir["root"] / "data" / "values.csv")
     forecasts = {}
     for split in ("all", "test"):
         path = tmp_path / f"{split}.csv"
-        assert cli.main(["predict", "--checkpoint", str(out / "model.ckpt"), "--data", data,
+        assert cli.main(["predict", "--checkpoint", str(drop_out / "model.ckpt"), "--data", data,
                          "--split", split, "--out", str(path)]) == 0
         forecasts[split] = path.read_text().strip().split("\n")[1:]
     first_test = forecasts["test"][0].split(",")[0]
@@ -467,13 +496,14 @@ def test_stored_drop_draws_masks_from_views_of_the_windows(monkeypatch):
 
     monkeypatch.setattr(D, "drop_observations", spy)
     for which in ("all", "test"):
-        got = cli._apply_stored_drop(windows, extra, which)
+        got = cli._stored_split(windows, extra, which)
         # the masks a boolean subset (a copy) of each stored range draws
         want = windows.masks.copy()
         for name in ranges if which == "all" else [which]:
             keep = (windows.offsets >= ranges[name][0]) & (windows.offsets < ranges[name][1])
             want[keep] = draw(windows.take(keep), 0.3, extra["drop"]["seeds"][name]).masks
-        assert np.array_equal(got.masks, want), which
+        # a named split keeps only the windows in its range
+        assert np.array_equal(got.masks, want if which == "all" else want[keep]), which
     assert len(drawn_from) == 4
     for result in drawn_from + [got]:
         assert np.shares_memory(result.inputs, windows.inputs)
@@ -484,13 +514,13 @@ def test_select_split_takes_a_view_of_the_windows():
     windows = D.make_windows(np.random.default_rng(0).normal(size=(3, 40, 1)), 6, 3)
     ranges = {"train": [0, 10], "val": [10, 20], "test": [20, 40], "none": [100, 200]}
     for which in ("train", "val", "test"):
-        got = cli._select_split(windows, {"split_offsets": ranges}, which)
+        got = cli._stored_split(windows, {"split_offsets": ranges}, which)
         lo, hi = ranges[which]
         assert np.array_equal(got.offsets, windows.offsets[(windows.offsets >= lo)
                                                             & (windows.offsets < hi)])
         assert np.shares_memory(got.inputs, windows.inputs)
     with pytest.raises(DataError, match="no windows fall"):
-        cli._select_split(windows, {"split_offsets": ranges}, "none")
+        cli._stored_split(windows, {"split_offsets": ranges}, "none")
 
 
 def test_undefined_mape_is_null_in_json():
@@ -691,6 +721,35 @@ def test_train_rejects_a_path_the_resolved_config_cannot_hold_before_writing(
     assert code == 1
     assert "config key 'values_path' cannot hold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _diverging_config(workdir, tmp_path) -> Path:
+    """The workdir config at a step size that overflows in the first step."""
+    cfg = tmp_path / "diverge.cfg"
+    text = workdir["cfg_path"].read_text()
+    assert "\nlr = 0.01\n" in text
+    cfg.write_text(text.replace("\nlr = 0.01\n", "\nlr = 1e300\n"))
+    return cfg
+
+
+def test_an_aborted_run_leaves_no_earlier_run_files(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(workdir["out"], out)  # an earlier run's outputs
+    assert cli.main(["train", "--config", str(_diverging_config(workdir, tmp_path)),
+                     "--out", str(out)]) == 3
+    assert "training aborted at epoch 0" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["config.resolved.cfg"]
+    assert "\nlr = 1.0000000000000001e+300\n" in (out / "config.resolved.cfg").read_text()
+
+
+def test_a_diverging_run_is_exit_3_with_warnings_as_errors(workdir, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", "--config", str(_diverging_config(workdir, tmp_path)),
+                         "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_synth_rejects_a_negative_seed(tmp_path):
