@@ -8,7 +8,8 @@ batch size varies.  Each batch size runs in a fresh child process, which
 takes one ``training.train_step`` (forward, L1 loss, backward, Adam) and
 reports the step's loss, its wall time ``step_s`` and the child's own
 peak RSS from ``getrusage``, so no batch inherits another's high-water
-mark.  The step's tape entries are counted by
+mark, beside the machine: CPUs, MemTotal, the numpy version and the BLAS
+thread variables the child saw.  The step's tape entries are counted by
 ``perfbench/run.py --workload pemsd4_step --trace 1`` instead.
 
 Before starting a child, the parent reads MemAvailable from
@@ -52,12 +53,12 @@ def estimate_mb(batch: int) -> int:
     return BASE_MB + PER_WINDOW_MB * batch
 
 
-def mem_available_mb() -> float | None:
-    """MemAvailable from /proc/meminfo (read only), or None if unknown."""
+def meminfo_mb(key: str) -> float | None:
+    """``key``, such as MemTotal, from /proc/meminfo (read only), or None if unknown."""
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(key + ":"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
@@ -83,6 +84,11 @@ def one_step(batch: int, seed: int) -> dict:
     return {
         "batch": batch,
         "nproc": len(os.sched_getaffinity(0)),
+        "mem_total_mb": meminfo_mb("MemTotal"),
+        "numpy": np.__version__,
+        # the BLAS settings this process started with, None when unset
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         # threads that share a multi-tile head_matvec call: one unless BLAS runs one thread
         "head_workers": T._head_pool().workers,
         "loss": loss,
@@ -104,7 +110,7 @@ def main() -> int:
 
     records = []
     for batch in (int(b) for b in args.batches.split(",")):
-        available, need = mem_available_mb(), estimate_mb(batch)
+        available, need = meminfo_mb("MemAvailable"), estimate_mb(batch)
         if available is not None and available < need + SPARE_MB:
             record = {"batch": batch, "skipped": f"MemAvailable {available:.0f} MB < "
                       f"estimated {need} MB + {SPARE_MB} MB spare"}

@@ -152,6 +152,11 @@ def _check_extra(extra: dict, channels: int) -> SolveSpec:
 def _load_eval_inputs(args, which: str):
     """Checkpoint + windows + normalizer for ``eval`` and ``predict``."""
     config, params, extra = load_checkpoint(args.checkpoint)
+    if args.command == "predict" and config.out_channels != 1:  # before --data is read
+        raise ConfigError(
+            f"predict writes one value per forecast row, but the checkpoint has "
+            f"out_channels = {config.out_channels}; use eval for multi-channel models"
+        )
     solve = _check_extra(extra, config.in_channels)
     values = D.load_values(args.data, config.in_channels)
     if values.shape[0] != config.num_nodes:
@@ -289,11 +294,6 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     config, params, prepared, normalizer, solve = _load_eval_inputs(args, args.split)
-    if config.out_channels != 1:
-        raise ConfigError(
-            f"predict writes one value per forecast row, but the checkpoint has "
-            f"out_channels = {config.out_channels}; use eval for multi-channel models"
-        )
     preds = TR.predict_denormalized(params, config, solve, prepared, normalizer)[..., 0]
     atomic_write(args.out, _forecast_csv(prepared.offsets, preds))
     print(f"wrote {args.out}: {preds.size} forecasts")

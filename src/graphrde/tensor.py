@@ -35,11 +35,9 @@ import contextlib
 import contextvars
 import itertools
 import os
-import queue
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,40 +98,30 @@ class _TilePool:
         1, 2, ..., each take the next ``j`` in turn, so a thread whose CPU
         is slow or busy takes fewer; no two calls at once share a slot.  A
         thread runs in a copy of the caller's context, so ``np.errstate``
-        holds.  Then the error of the lowest ``j`` that raised is raised:
-        every lower ``j`` ran, as in a serial loop.  With no helper, as
-        with one worker or one ``j``, the caller alone runs every ``j`` in
-        order and no thread is given work.
+        holds.  The caller waits for every thread it gave work, then raises
+        the error of the lowest ``j`` that raised: every lower ``j`` ran, as
+        in a serial loop.  With no helper, as with one worker or one ``j``,
+        the caller alone runs every ``j`` in order and no thread gets work.
         """
-        helpers = min(self.workers, count) - 1
         # next() on an itertools.count is atomic, so each j goes to one thread
-        jobs, done = itertools.count(), queue.SimpleQueue()
-        # emptied once every j is done: a thread that wakes late holds none of fn's buffers
-        work = [fn]
-        share = partial(self._share, work, count, jobs, done)
-        for slot in range(1, helpers + 1):  # _share reports every error, so no future holds one
-            self.executor.submit(contextvars.copy_context().run, share, slot)
+        jobs, errors = itertools.count(), {}
+
+        def share(slot: int) -> None:
+            for j in jobs:
+                if j >= count:
+                    return
+                try:
+                    fn(slot, j)
+                except BaseException as exc:  # kept, so no future holds an error
+                    errors[j] = exc
+
+        helpers = [self.executor.submit(contextvars.copy_context().run, share, slot)
+                   for slot in range(1, min(self.workers, count))]
         share(0)
-        errors = {}
-        for _ in range(count):  # every j is taken and reported once
-            j, exc = done.get()
-            if exc is not None:
-                errors[j] = exc
-        work.clear()
+        for helper in helpers:
+            helper.result()
         if errors:
             raise errors[min(errors)]
-
-    @staticmethod
-    def _share(work: list, count: int, jobs, done: queue.SimpleQueue, slot: int) -> None:
-        for j in jobs:
-            if j >= count:
-                return
-            try:
-                work[0](slot, j)
-            except BaseException as exc:  # handed to the caller, which raises it
-                done.put((j, exc))
-            else:
-                done.put((j, None))
 
 
 # Made by the first ``head_matvec`` call, never at import.
@@ -546,8 +534,8 @@ def head_matvec(
         per = max(1, min(rows, HEAD_TILE_BYTES // (8 * total * cols)))  # head rows per block
         blocks = -(-rows // per)
         gw, gb = np.empty(wd.shape), np.empty(bd.shape)
-        # x's and a's gradients: block 0 writes them, and every later block adds its parts
-        sums = [np.empty((total, cols)), np.empty((total, k))]
+        # x's and a's gradients, to which every block adds its parts
+        sums = [np.zeros((total, cols)), np.zeros((total, k))]
         own = [None for _ in range(min(pool.workers, blocks))]  # made in the slot's thread
         turn, passed = threading.Condition(), [0]
 
@@ -564,7 +552,7 @@ def head_matvec(
             t3 = tile.reshape(total, p1 - p0, cols)
             outer = flat_outer[: tile.size].reshape(t3.shape)
             head_tile(a2, wd[:, c0:c1], bd[c0:c1], tile, None)
-            gx, ga = sums if j == 0 else parts
+            gx, ga = parts
             np.einsum("rpq,rp->rq", t3, g2[:, p0:p1], out=gx)
             np.einsum("rp,rq->rpq", g2[:, p0:p1], x2, out=outer)
             np.multiply(tile, tile, out=tile)
@@ -573,7 +561,7 @@ def head_matvec(
             np.matmul(a2.T, tile, out=gw[:, c0:c1])
             np.sum(tile, axis=0, out=gb[c0:c1])
             np.matmul(tile, wd[:, c0:c1].T, out=ga)
-            return () if j == 0 else zip(sums, parts)
+            return zip(sums, parts)
 
         def block(slot: int, j: int) -> None:
             added = ()

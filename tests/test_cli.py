@@ -447,6 +447,12 @@ def test_predict_rejects_a_multi_channel_checkpoint(tmp_path, capsys):
     assert code == 1
     assert "out_channels = 2" in capsys.readouterr().err
     assert not out_csv.exists()
+    # refused before --data is read, so a path that does not exist changes nothing
+    code = cli.main(["predict", "--checkpoint", str(ckpt), "--data", str(tmp_path / "missing.csv"),
+                     "--out", str(out_csv)])
+    assert code == 1
+    assert "out_channels = 2" in capsys.readouterr().err
+    assert not out_csv.exists()
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +55,7 @@ def test_step_memory_estimate_covers_a_measured_step(tmp_path):
     peak = record["peak_rss_mb"]
     assert peak <= step_memory.estimate_mb(1) <= 1.25 * peak, record
     assert math.isfinite(record["loss"]) and math.isfinite(record["step_s"]), record
+    # and the machine: the child inherits this process's environment and numpy
+    assert record["mem_total_mb"] > 0 and record["numpy"] == numpy.__version__, record
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert record[var] == os.environ.get(var), record

@@ -404,6 +404,37 @@ def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
     assert T.tape_size() == 0
 
 
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 8])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tile_pool_run_returns_only_after_every_thread_it_gave_work(workers, count, fails):
+    pool, futures, ran = T._TilePool(workers), [], []
+    submit = pool.executor.submit
+
+    def late_submit(call, *args):  # each helper wakes late, so the caller may take every j
+        futures.append(submit(lambda: (time.sleep(0.02), call(*args))))
+        return futures[-1]
+
+    pool.executor.submit = late_submit
+
+    def fn(slot, j):
+        time.sleep(0.005)
+        ran.append((slot, j))
+        if fails and j == count - 1:
+            raise RuntimeError(f"j {j} failed")
+
+    try:
+        raised = pytest.raises(RuntimeError, match=f"^j {count - 1} failed$")
+        with raised if fails else contextlib.nullcontext():
+            within(60, lambda: pool.run(fn, count))
+        assert all(future.done() for future in futures)
+        assert len(futures) == min(workers, count) - 1
+        assert sorted(j for _, j in ran) == list(range(count))
+        assert {slot for slot, _ in ran} <= set(range(workers))
+    finally:
+        within(60, pool.executor.shutdown)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_head_matvec_backward_block_that_raises_neither_hangs_nor_writes(monkeypatch, workers):
     # 2 x 40 rows of a 12-wide head, in 4 backward blocks of one head row.  Each block adds
