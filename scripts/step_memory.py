@@ -41,11 +41,10 @@ from graphrde.model import ParamStore
 
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
 # Estimated peak of one step: an upper line over the measured peaks on a
-# 2-CPU machine with numpy 2.4: 82, 107, 157, 262 and 477 MB at batch 1,
-# 2, 4, 8 and 16 with two head workers (OPENBLAS_NUM_THREADS=1), and 80,
-# 105, 155, 257 and 468 MB with one head worker and threaded BLAS; 1717 MB
-# at batch 64 with two head workers. A batch is skipped unless
-# MemAvailable exceeds its estimate by SPARE_MB.
+# 2-CPU machine with numpy 2.4, two head workers and BLAS on one thread:
+# 82, 107, 157, 262 and 477 MB at batch 1, 2, 4, 8 and 16, and 1717 MB at
+# batch 64. A batch is skipped unless MemAvailable exceeds its estimate by
+# SPARE_MB.
 BASE_MB, PER_WINDOW_MB, SPARE_MB = 62, 27, 1000
 
 
@@ -89,7 +88,8 @@ def one_step(batch: int, seed: int) -> dict:
         # the BLAS settings this process started with, None when unset
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-        # threads that share a multi-tile head_matvec call: one unless BLAS runs one thread
+        # threads that share a multi-tile head_matvec call: one per CPU when numpy's OpenBLAS
+        # was set to one thread, whatever the variables above say, and one without it
         "head_workers": T._head_pool().workers,
         "loss": loss,
         "step_s": step_s,

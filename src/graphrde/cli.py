@@ -251,6 +251,9 @@ def cmd_logsig(args) -> int:
         raise UsageError(f"--subpath must be >= 1, got {args.subpath}")
     if args.input_len < 2:
         raise UsageError(f"--input-len must be >= 2, got {args.input_len}")
+    if args.input_len - 1 < args.subpath:
+        raise UsageError(f"--input-len {args.input_len} gives {args.input_len - 1} knot "
+                         f"intervals, fewer than --subpath {args.subpath}")
     values = D.load_values(args.data, args.channels)
     if values.shape[1] < args.input_len:
         raise DataError(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import itertools
 import os
 import threading
@@ -128,21 +129,31 @@ class _TilePool:
 _HEAD_POOL: _TilePool | None = None
 
 
+def _openblas_set_threads() -> Callable[[int], object] | None:
+    """``set_num_threads`` of the OpenBLAS numpy loaded, or None if numpy loaded none."""
+    # dlsym on numpy's core extension also searches the libraries it links, BLAS among them
+    core = ctypes.CDLL(np.empty.__self__.__file__)
+    # numpy 2 wheels, then numpy 1.x wheels
+    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+    return next((getattr(core, name) for name in names if hasattr(core, name)), None)
+
+
 def _head_pool() -> _TilePool:
     """One worker per CPU this process may run on, the caller among them.
 
     Every ``head_matvec`` call runs its tiles on it; a call of one tile runs
     on the caller alone, since ``_TilePool.run`` hands no thread work for it.
 
-    When the inherited BLAS setting is not one thread (``OPENBLAS_NUM_THREADS``,
-    or else ``OMP_NUM_THREADS``, unset or above 1), each gemm already spreads
-    over the CPUs and more workers would oversubscribe them, so there is one.
+    Making the pool sets the OpenBLAS that numpy loaded to one thread, for
+    the whole process and whatever thread count it started with, so the
+    workers do not oversubscribe the CPUs with BLAS threads of their own.
+    Without such an OpenBLAS there is one worker, and BLAS is left alone.
     """
     global _HEAD_POOL
     if _HEAD_POOL is None:
-        blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-        workers = 1
-        if blas is not None and blas.strip() == "1":
+        set_threads, workers = _openblas_set_threads(), 1
+        if set_threads is not None:
+            set_threads(1)
             if hasattr(os, "sched_getaffinity"):
                 workers = len(os.sched_getaffinity(0))
             else:
@@ -460,8 +471,9 @@ def head_matvec(
     gradients are added to their sums in block order.
 
     A call with more than one tile or block shares them, in order, among
-    one worker thread per CPU, the caller among them (see ``_head_pool``):
-    a worker takes the next one whenever it is free, so one whose CPU is
+    one worker thread per CPU, the caller among them; from the first call
+    on, the process's numpy BLAS runs one thread (see ``_head_pool``).  A
+    worker takes the next one whenever it is free, so one whose CPU is
     busy takes fewer.  A block adds its parts only after the block before
     it has, and passes the turn on also when it raises.  Workers run numpy
     alone, into buffers made for the call, and the caller waits for all of

@@ -573,6 +573,18 @@ def test_logsig_input_len_below_two_is_a_usage_error(workdir, tmp_path, input_le
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data", ["values", "missing"])
+def test_logsig_subpath_longer_than_the_window_is_a_usage_error(workdir, tmp_path, capsys, data):
+    # 12 timesteps give 11 knot intervals, as train's config check counts them; the flags
+    # are checked before --data is read, so a missing file does not turn this into exit 2
+    path = workdir["root"] / "data" / "values.csv" if data == "values" else tmp_path / "no.csv"
+    out = tmp_path / "dump.csv"
+    assert cli.main(["logsig", "--data", str(path), "--subpath", "12", "--input-len", "12",
+                     "--out", str(out)]) == 1
+    assert "--subpath 12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_logsig_dump_is_byte_stable(tmp_path):
     # digests of the dump written by the original per-cell front end
     cases = [

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -350,6 +351,56 @@ def test_head_matvec_starts_its_workers_with_the_first_multi_tile_call(monkeypat
         # threads start on demand, for helpers that find none idle, up to workers - 1
         assert 1 <= workers_alive() <= 2
     assert workers_alive() == 0
+
+
+# Run in a child, whose BLAS starts as the environment set it.  Prints the OpenBLAS thread
+# count before and after importing graphrde, the head workers, the count once the pool is
+# made, and the CPUs this process may run on; with "missing", the OpenBLAS lookup finds none.
+BLAS_POLICY_CHILD = """
+import ctypes, json, os, sys
+import numpy as np
+core = ctypes.CDLL(np.empty.__self__.__file__)
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+get = next((getattr(core, name) for name in names if hasattr(core, name)), None)
+if get is None:
+    sys.exit(77)
+before = get()
+import graphrde.cli
+from graphrde import tensor as T
+imported = get()
+if sys.argv[1] == "missing":
+    T._openblas_set_threads = lambda: None
+workers = T._head_pool().workers
+print(json.dumps([before, imported, workers, get(), len(os.sched_getaffinity(0))]))
+"""
+
+
+def blas_policy(threads, lookup):
+    """``BLAS_POLICY_CHILD``'s record, with both BLAS variables set to ``threads`` or unset."""
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    if threads is not None:
+        env.update(dict.fromkeys(variables, threads))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(T.__file__))
+    done = subprocess.run([sys.executable, "-c", BLAS_POLICY_CHILD, lookup], env=env,
+                          capture_output=True, text=True, timeout=60)
+    if done.returncode == 77:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its thread count")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("threads", [None, "1", "3"])
+def test_head_pool_has_a_worker_per_cpu_and_blas_one_thread_whatever_the_environment(threads):
+    before, imported, workers, after, cpus = blas_policy(threads, "found")
+    assert imported == before  # importing graphrde sets no BLAS thread count
+    assert workers == cpus and after == 1
+
+
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_head_pool_without_numpys_openblas_has_one_worker_and_leaves_blas_alone(threads):
+    before, imported, workers, after, _ = blas_policy(threads, "missing")
+    assert workers == 1 and after == imported == before
 
 
 def test_head_matvec_raises_the_first_error_in_tile_order(monkeypatch):
