@@ -9,7 +9,10 @@ takes one ``training.train_step`` (forward, L1 loss, backward, Adam) and
 reports the step's loss, its wall time ``step_s`` and the child's own
 peak RSS from ``getrusage``, so no batch inherits another's high-water
 mark, beside the machine: CPUs, MemTotal, the numpy version and the BLAS
-thread variables the child saw.  The step's tape entries are counted by
+thread variables the child saw.  Most of a window's share of the peak is
+the state-sized arrays the tape keeps: 9 per RK4 step, since each field
+rebuilds its stage state inside its own entry.  The step's tape entries
+(279 at batch 1) are counted by
 ``perfbench/run.py --workload pemsd4_step --trace 1`` instead.
 
 Before starting a child, the parent reads MemAvailable from
@@ -42,10 +45,10 @@ from graphrde.model import ParamStore
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
 # Estimated peak of one step: an upper line over the measured peaks on a
 # 2-CPU machine with numpy 2.4, two head workers and BLAS on one thread:
-# 82, 107, 157, 262 and 477 MB at batch 1, 2, 4, 8 and 16, and 1717 MB at
-# batch 64. A batch is skipped unless MemAvailable exceeds its estimate by
-# SPARE_MB.
-BASE_MB, PER_WINDOW_MB, SPARE_MB = 62, 27, 1000
+# 77, 96, 135, 217 and 387 MB at batch 1, 2, 4, 8 and 16, and 1357 MB at
+# batch 64, with each RK4 stage state rebuilt inside its field's entry. A
+# batch is skipped unless MemAvailable exceeds its estimate by SPARE_MB.
+BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 21, 1000
 
 
 def estimate_mb(batch: int) -> int:

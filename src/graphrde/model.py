@@ -201,19 +201,23 @@ def adaptive_adjacency(params: ParamStore) -> Tensor:
     return T.softmax_rows(T.relu(e @ T.transpose_last2(e)))
 
 
-def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Temporal vector field applied to a control.
+def field_f(h: Tensor, x: Tensor, params: ParamStore, config: ModelConfig,
+            k: Tensor | None = None, c: float = 0.0) -> Tensor:
+    """Temporal vector field at ``h + c k`` (at ``h`` when ``k`` is None) applied to a control.
 
     (.., nodes, dim_h) with the control (.., nodes, L) -> (.., nodes, dim_h):
     the (dim_h, L) head of each node contracted against its control.  The
-    relu trunk and the head are one tape entry (``tensor.head_matvec``) that
-    keeps ``h`` and runs both again in the backward, so each runs once per
-    forward and once per backward.
+    stage sum ``h + c k``, the relu trunk and the head are one tape entry
+    (``tensor.head_matvec``) that keeps ``h`` and ``k`` and runs all three
+    again in the backward, so each runs once per forward and once per
+    backward, and no stage state is kept.
     """
 
     def trunk(a: Tensor) -> Tensor:
-        for k in range(config.num_layers + 1):
-            a = T.relu(a @ params[f"f_w{k}"] + params[f"f_b{k}"])
+        if k is not None:
+            a = a + c * k
+        for layer in range(config.num_layers + 1):
+            a = T.relu(a @ params[f"f_w{layer}"] + params[f"f_b{layer}"])
         return a
 
     return T.head_matvec(trunk, h, params["f_head_w"], params["f_head_b"], x, config.logsig_dim)
@@ -230,18 +234,21 @@ def graph_operator(params: ParamStore, config: ModelConfig) -> Tensor | None:
     return T.constant(np.eye(config.num_nodes)) + adaptive_adjacency(params)
 
 
-def field_g(z: Tensor, x: Tensor, prop: Tensor, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Spatial vector field applied to a control.
+def field_g(z: Tensor, x: Tensor, prop: Tensor, params: ParamStore, config: ModelConfig,
+            k: Tensor | None = None, c: float = 0.0) -> Tensor:
+    """Spatial vector field at ``z + c k`` (at ``z`` when ``k`` is None) applied to a control.
 
     (.., nodes, dim_z) with the control (.., nodes, cols) -> (.., nodes, dim_z).
     The control is dH, with ``cols`` = dim_h (full variant), or the
     window's log-signature, with ``cols`` = L (spatial-only variant).
-    ``prop`` is the forward's ``graph_operator``.  The relu layer, the
-    graph mixing and the head are one tape entry that keeps ``z`` and runs
-    them again in the backward, as in ``field_f``.
+    ``prop`` is the forward's ``graph_operator``.  The stage sum, the relu
+    layer, the graph mixing and the head are one tape entry that keeps ``z``
+    and ``k`` and runs them again in the backward, as in ``field_f``.
     """
 
     def trunk(z: Tensor) -> Tensor:
+        if k is not None:
+            z = z + c * k
         b0 = T.relu(z @ params["g_w0"] + params["g_b0"])
         return (prop @ b0) @ params["w_spatial"]
 
@@ -275,20 +282,26 @@ def augmented_rhs(
     prop: Tensor | None,
     params: ParamStore,
     config: ModelConfig,
+    k: list[Tensor] | None = None,
+    c: float = 0.0,
 ) -> list[Tensor]:
-    """Derivative of the augmented state on one log-signature window.
+    """Derivative of the augmented state at ``state + c k`` on one log-signature window.
 
     ``ell`` holds the window's log-signature coordinates (.., nodes, L),
     the constant control over the window's unit time.  ``prop`` is
-    ``graph_operator(params, config)``, built once per forward pass.
+    ``graph_operator(params, config)``, built once per forward pass.  The
+    derivative is taken at ``state`` when ``k`` is None; otherwise each
+    field adds its component of ``c k`` to its state inside its own entry
+    (an RK4 stage), so no stage state is kept for the backward.
     """
+    ks = [None] * len(state) if k is None else k
     if config.variant == "temporal_only":
-        return [field_f(state[0], ell, params, config)]
+        return [field_f(state[0], ell, params, config, ks[0], c)]
     if config.variant == "spatial_only":
-        return [field_g(state[0], ell, prop, params, config)]
+        return [field_g(state[0], ell, prop, params, config, ks[0], c)]
     h, z = state
-    dh = field_f(h, ell, params, config)
-    return [dh, field_g(z, dh, prop, params, config)]
+    dh = field_f(h, ell, params, config, ks[0], c)
+    return [dh, field_g(z, dh, prop, params, config, ks[1], c)]
 
 
 def readout(state: list[Tensor], params: ParamStore, config: ModelConfig) -> Tensor:

@@ -5,8 +5,11 @@ so integration proceeds window by window.  Each window is stepped over
 unit time, as in the log-ODE method: on a window of length L,
 dX/dt = f(X) ell / L over [0, L] is the same map as dX/ds = f(X) ell over
 [0, 1].  ``steps_per_window`` equal steps of Euler or classical
-Runge-Kutta 4 per window land exactly on its end.  All state
-updates go through the taped tensor ops, so gradients flow through the
+Runge-Kutta 4 per window land exactly on its end.  The solver never builds
+an RK4 stage state ``state + c k``: it hands ``k`` and ``c`` to the
+right-hand side, which adds them where it reads the state, so the model's
+fields rebuild the stage inside their trunks and keep only the step's base
+state.  Every update is a taped tensor op, so gradients flow through the
 unrolled solver (discretize-then-optimize).
 """
 
@@ -25,7 +28,8 @@ from .tensor import Tensor
 METHODS = ("euler", "rk4")
 CONVERGENCE_EXPONENTS = range(2, 7)  # ``convergence_order`` steps by 2^-k for these k
 
-RhsFn = Callable[[list[Tensor]], list[Tensor]]
+# rhs(state, k, c) is the derivative at state + c k, or at state when k is None
+RhsFn = Callable[[list[Tensor], list[Tensor] | None, float], list[Tensor]]
 
 
 @dataclass
@@ -45,13 +49,13 @@ class SolveSpec:
 def step(method: str, rhs: RhsFn, state: list[Tensor], h: float) -> list[Tensor]:
     """One fixed step of the chosen method on a list-of-tensors state."""
     if method == "euler":
-        k1 = rhs(state)
+        k1 = rhs(state, None, 0.0)
         return [s + h * d for s, d in zip(state, k1)]
     if method == "rk4":
-        k1 = rhs(state)
-        k2 = rhs([s + (h / 2.0) * d for s, d in zip(state, k1)])
-        k3 = rhs([s + (h / 2.0) * d for s, d in zip(state, k2)])
-        k4 = rhs([s + h * d for s, d in zip(state, k3)])
+        k1 = rhs(state, None, 0.0)
+        k2 = rhs(state, k1, h / 2.0)
+        k3 = rhs(state, k2, h / 2.0)
+        k4 = rhs(state, k3, h)
         return [
             s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -63,21 +67,22 @@ def integrate(
     state: list[Tensor],
     coords: np.ndarray,
     spec: SolveSpec,
-    rhs: Callable[[list[Tensor], Tensor], list[Tensor]],
+    rhs: Callable[[list[Tensor], Tensor, list[Tensor] | None, float], list[Tensor]],
 ) -> list[Tensor]:
     """March a list-of-tensors state across every log-signature window.
 
     Window ``w`` has log-signature ``coords[w]``, which must
     broadcast-match the state's leading axes, shape (.., nodes, L);
-    ``rhs(state, ell)`` is the state's derivative on the window, which
-    spans unit time.
+    ``rhs(state, ell, k, c)`` is the derivative on the window, which spans
+    unit time, at ``state + c k`` (at ``state`` when ``k`` is None).
     """
     h = 1.0 / spec.steps_per_window
     for w in range(len(coords)):
-        ell = T.constant(coords[w])
+        # one contiguous copy of a batch's strided coords, so no field entry makes and keeps its own
+        ell = T.constant(np.ascontiguousarray(coords[w]))
 
-        def window_rhs(tensors: list[Tensor]) -> list[Tensor]:
-            return rhs(tensors, ell)
+        def window_rhs(tensors: list[Tensor], k: list[Tensor] | None, c: float) -> list[Tensor]:
+            return rhs(tensors, ell, k, c)
 
         for k in range(spec.steps_per_window):
             try:
@@ -96,12 +101,14 @@ def convergence_order(method: str) -> float:
     ``CONVERGENCE_EXPONENTS`` and returns the slope of log(error) against
     log(h); Euler should measure close to 1, RK4 close to 4.
     """
+    def rhs(ts: list[Tensor], k: list[Tensor] | None, c: float) -> list[Tensor]:
+        return [-1.0 * (ts[0] if k is None else ts[0] + c * k[0])]
+
     hs, errs = [], []
     for k in CONVERGENCE_EXPONENTS:
         h = 2.0**-k
         n = round(1.0 / h)
         state = [T.constant(1.0)]
-        rhs: RhsFn = lambda ts: [-1.0 * ts[0]]
         for _ in range(n):
             state = step(method, rhs, state, h)
         hs.append(h)

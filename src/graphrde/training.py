@@ -229,7 +229,7 @@ def forward_prepared(
         solve,
         # looks ``augmented_rhs`` up by name at each call, so a wrapper
         # rebound over the module attribute sees every evaluation
-        lambda s, ell: augmented_rhs(s, ell, prop, params, config),
+        lambda s, ell, k, c: augmented_rhs(s, ell, prop, params, config, k, c),
     )
     return readout(final, params, config)
 

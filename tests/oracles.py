@@ -13,7 +13,9 @@ once-per-forward operator must reproduce: predictions bit for bit,
 gradients bit for bit or, where the sum order differs, to rounding.
 Those heads take each window's length and scale by its inverse, and
 ``integrate``, the solver's earlier form, steps each window over its real
-length: the reference for the library's unit-time windows.  The tape ops that only
+length: the reference for the library's unit-time windows.  Its ``step``
+builds each RK4 stage state as a tensor of its own, the reference for the
+stages the library folds into its fields.  The tape ops that only
 those heads and the tests use (``tanh``, ``mul``, ``neg``, ``sum_all``,
 ``matvec``) live beside them, on the library's tape.
 """
@@ -28,7 +30,6 @@ import numpy as np
 from graphrde import tensor as T
 from graphrde.errors import ContractError, DimensionError
 from graphrde.logsig import LyndonBasis, TruncatedTensor, chen_mul, identity_tensor, zero_tensor
-from graphrde.solver import step
 from graphrde.tensor import _accumulate, _as_tensor, _check_broadcast, _make, _unbroadcast
 
 
@@ -426,6 +427,22 @@ def augmented_rhs(state, ell, divisor, params, config):
     h, z = state
     dh = matvec(field_f(h, params, config), ell) * (1.0 / divisor)
     return [dh, matvec(field_g(z, params, config), dh)]
+
+
+def step(method, rhs, state, h):
+    """One Euler or RK4 step that builds each RK4 stage state whole and hands
+    it to ``rhs(state)``, the solver's earlier form: the reference for the
+    stages the library's fields rebuild inside their own entries."""
+    if method == "euler":
+        return [s + h * d for s, d in zip(state, rhs(state))]
+    k1 = rhs(state)
+    k2 = rhs([s + (h / 2.0) * d for s, d in zip(state, k1)])
+    k3 = rhs([s + (h / 2.0) * d for s, d in zip(state, k2)])
+    k4 = rhs([s + h * d for s, d in zip(state, k3)])
+    return [
+        s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
 
 
 def integrate(state, coords, divisors, spec, rhs):

@@ -244,6 +244,28 @@ def test_train_writes_the_frozen_bytes(workdir):
         assert hashlib.sha256((workdir["out"] / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the files a full-variant RK4 run on the workdir data writes: the
+# pins above train with Euler, which takes no RK4 stage
+_RK4_SHA256 = {
+    "model.ckpt": "bca538ab377feb212d2d23a43c9b2bc2216eddd5cd1fb3e92672bad00c704313",
+    "history.csv": "88155c783bc79571307b6e559e06df035bf508030c2e3af6929aca18b3182e09",
+    "metrics.json": "2ddb80a4412553d722a79b856db677017b165ddc79ea0416a1b25a5aa996bb43",
+}
+
+
+def test_rk4_train_writes_the_frozen_bytes(workdir, tmp_path):
+    cfg = RunConfig(
+        values_path=str(workdir["root"] / "data" / "values.csv"),
+        dim_h=8, dim_z=8, epochs=2, batch_size=32, lr=1e-2, weight_decay=0.0,
+        patience=5, seed=0, variant="full", method="rk4", steps_per_window=2,
+    )
+    cfg_path = tmp_path / "rk4.cfg"
+    cfg_path.write_text(render_config(cfg))
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    for name, digest in _RK4_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_train_writes_all_artifacts(workdir):
     out = workdir["out"]
     for name in ("model.ckpt", "history.csv", "metrics.json", "config.resolved.cfg"):

@@ -249,8 +249,9 @@ def test_batched_fields_match_per_sample():
 
 def fused_and_oracle_runs(cfg, method, divisors):
     """Predictions and gradients of a forward and backward through the
-    fused heads on unit-time windows, then through the unfused oracle on
-    windows of length ``divisors``."""
+    fused heads on unit-time windows, each RK4 stage rebuilt inside its
+    field, then through the unfused oracle on windows of length
+    ``divisors``, each stage state built whole."""
     rng = np.random.default_rng(31)
     ps = ParamStore(cfg, seed=5)
     # windows, batch, nodes, L
@@ -266,7 +267,7 @@ def fused_and_oracle_runs(cfg, method, divisors):
         return pred.data, {name: p.grad.copy() for name, p in ps.tracked()}
 
     op = graph_operator(ps, cfg)  # once per forward, as in forward_prepared
-    fused_rhs = lambda state, ell: augmented_rhs(state, ell, op, ps, cfg)
+    fused_rhs = lambda state, ell, k, c: augmented_rhs(state, ell, op, ps, cfg, k, c)
     # the oracle rebuilds the graph operator in every RHS evaluation
     oracle_rhs = lambda state, ell, divisor: unfused_augmented_rhs(state, ell, divisor, ps, cfg)
     fused = run(lambda state: integrate(state, coords, spec, fused_rhs))

@@ -51,8 +51,9 @@ def test_tracer_finds_every_layer_and_counts_rhs_evaluations():
     assert metrics["solver.rhs_evals"] == 2 * 4  # log-signature windows x RK4 stages
     assert metrics["logsig.cells"] == 2 * 2  # forecasting windows x nodes
     # the tape probe ran at backward and read the live taped outputs: 2 per
-    # RHS evaluation (one head_matvec per field) x 8, 52 RK4 state updates,
-    # 5 for the adaptive graph operator, 4 for the initial state and 6 for
-    # the readout and loss
-    assert metrics["tensor.tape_entries"] == 2 * 8 + 52 + 5 + 4 + 6
+    # RHS evaluation (one head_matvec per field) x 8, 14 per RK4 step for the
+    # two components' updates x 2 steps (each stage's scale and add run in
+    # its field's trunk, on the trunk's own tape), 5 for the adaptive graph
+    # operator, 4 for the initial state and 6 for the readout and loss
+    assert metrics["tensor.tape_entries"] == 2 * 8 + 14 * 2 + 5 + 4 + 6
     assert 0 < metrics["tensor.tape_bytes"]

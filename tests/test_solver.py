@@ -22,8 +22,13 @@ def test_solve_spec_validation():
         SolveSpec(steps_per_window=0)
 
 
-def decay_rhs(ts):
-    return [-1.0 * t for t in ts]
+def stage(state, k, c):
+    """``state + c k``, where ``rhs(state, k, c)`` takes its derivative."""
+    return state if k is None else [s + c * d for s, d in zip(state, k)]
+
+
+def decay_rhs(ts, k, c):
+    return [-1.0 * t for t in stage(ts, k, c)]
 
 
 def test_euler_single_unit_step_annihilates_linear_decay():
@@ -45,6 +50,21 @@ def test_rk4_single_step_matches_stability_polynomial():
     assert abs(out[0].item() - want) < 1e-15
 
 
+def test_rk4_hands_each_stage_its_base_state_and_the_previous_derivative():
+    state, calls = [T.constant(1.0)], []
+
+    def rhs(ts, k, c):
+        calls.append((ts, k, c))
+        return decay_rhs(ts, k, c)
+
+    step("rk4", rhs, state, 0.5)
+    assert all(ts is state for ts, _, _ in calls)  # no stage state is built
+    assert [c for _, _, c in calls] == [0.0, 0.25, 0.25, 0.5]
+    assert calls[0][1] is None
+    for (_, k, _), (ts, k_prev, c_prev) in zip(calls[1:], calls):
+        assert k[0].item() == decay_rhs(ts, k_prev, c_prev)[0].item()
+
+
 def test_measured_convergence_orders():
     assert abs(convergence_order("euler") - 1.0) < 0.2
     assert abs(convergence_order("rk4") - 4.0) < 0.5
@@ -56,7 +76,7 @@ def test_integrate_covers_every_window_exactly():
     coords = np.zeros((3, 1, 2))
     init = [T.constant(np.zeros((1, 2)))]
 
-    def rhs(state, ell):
+    def rhs(state, ell, k, c):
         return [T.constant(np.ones((1, 2)))]
 
     for method in ("euler", "rk4"):
@@ -69,7 +89,7 @@ def test_integrate_passes_each_window_its_control():
     coords = RNG.normal(size=(3, 1, 2))
     seen = []
 
-    def rhs(state, ell):
+    def rhs(state, ell, k, c):
         seen.append(ell.data)
         return [0.0 * state[0]]
 
@@ -84,8 +104,8 @@ def test_integrate_linear_ode_against_closed_form():
     coords = np.zeros((2, 1, 2))
     init = [T.constant(np.full((1, 2), 3.0))]
 
-    def rhs(state, ell):
-        return [lam * state[0]]
+    def rhs(state, ell, k, c):
+        return [lam * stage(state, k, c)[0]]
 
     out = integrate(init, coords, SolveSpec("rk4", 8), rhs)
     assert np.allclose(out[0].data, 3.0 * np.exp(lam * 2.0), atol=1e-7)
@@ -97,9 +117,9 @@ def test_integrate_detects_blowup_with_location():
     coords = np.zeros((2, 1, 2))
     init = [T.constant(np.full((1, 2), 10.0))]
 
-    def rhs(state, ell):
+    def rhs(state, ell, k, c):
         with np.errstate(over="ignore"):
-            return [1e308 * state[0]]
+            return [1e308 * stage(state, k, c)[0]]
 
     with pytest.raises(BlowupError) as err:
         integrate(init, coords, SolveSpec("euler", 1), rhs)
@@ -109,7 +129,7 @@ def test_integrate_detects_blowup_with_location():
 
 def model_rhs(ps, cfg):
     prop = graph_operator(ps, cfg)
-    return lambda state, ell: augmented_rhs(state, ell, prop, ps, cfg)
+    return lambda state, ell, k, c: augmented_rhs(state, ell, prop, ps, cfg, k, c)
 
 
 def test_field_head_overflow_is_a_blowup():

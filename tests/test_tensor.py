@@ -326,12 +326,21 @@ def test_head_matvec_is_tile_invariant(monkeypatch, tracked):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), (tile_bytes, name)
 
 
+def child_env(threads=None):
+    """This environment for a child that imports graphrde, with both BLAS variables set to
+    ``threads`` or unset."""
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    if threads is not None:
+        env.update(dict.fromkeys(variables, threads))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(T.__file__))
+    return env
+
+
 def test_head_matvec_starts_its_workers_with_the_first_multi_tile_call(monkeypatch):
-    src = os.path.dirname(os.path.dirname(T.__file__))
     imported = subprocess.run(
         [sys.executable, "-c", "import threading, graphrde.cli; print(threading.active_count())"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, env=child_env(),
     )
     assert imported.stdout.split() == ["1"], imported.stderr
     monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * 8)  # 8 rows per tile
@@ -377,13 +386,8 @@ print(json.dumps([before, imported, workers, get(), len(os.sched_getaffinity(0))
 
 def blas_policy(threads, lookup):
     """``BLAS_POLICY_CHILD``'s record, with both BLAS variables set to ``threads`` or unset."""
-    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in variables}
-    if threads is not None:
-        env.update(dict.fromkeys(variables, threads))
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(T.__file__))
-    done = subprocess.run([sys.executable, "-c", BLAS_POLICY_CHILD, lookup], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", BLAS_POLICY_CHILD, lookup],
+                          env=child_env(threads), capture_output=True, text=True, timeout=60)
     if done.returncode == 77:
         pytest.skip("numpy's BLAS is not an OpenBLAS that reports its thread count")
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Loss, optimizer, metrics, baseline, and the fit loop."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,6 +196,45 @@ def _tiny_problem(seed=0):
     train_prep = TR.prepare_split(train.take(slice(0, 16)), norm, cfg)
     val_prep = TR.prepare_split(val.take(slice(0, 8)), norm, cfg)
     return cfg, train_prep, val_prep, norm
+
+
+def test_a_taped_rk4_step_keeps_nine_state_arrays():
+    # Per full-variant RK4 step the tape keeps the base h and z, dh_1..dh_4 and
+    # dz_1..dz_3: each field rebuilds its stage state h + c k inside its own
+    # entry, so no stage state is kept.  Taken as the slope between forwards
+    # over 1 and 3 log-signature windows, so the graph operator, the initial
+    # state and the readout drop out.  The allowance of half an array is each
+    # step's share of its window's control and of its entries' closures and
+    # slots: a fifth of an array measured, against 12.5 arrays in all while
+    # each stage state was kept.
+    nodes, dim, batch, solve = 64, 64, 4, SolveSpec("rk4", 2)
+    values, _ = D.synth_series(nodes=nodes, timesteps=12, seed=0)
+    norm = D.fit_normalizer(values, values.shape[1])
+
+    def kept_bytes(input_len):
+        # input_len - 1 knot intervals in windows of subpath_len 2
+        cfg = ModelConfig(num_nodes=nodes, input_len=input_len, horizon=1, dim_h=dim,
+                          dim_z=dim, subpath_len=2)
+        prep = TR.prepare_split(D.make_windows(values, input_len, 1), norm, cfg)
+        params = ParamStore(cfg, seed=0)
+        before = tracemalloc.get_traced_memory()[0]
+        pred = TR.forward_prepared(params, cfg, solve, prep, np.arange(batch))
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del pred
+        clear_tape()
+        return kept
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        kept_bytes(3)  # the head workers' threads start in the first multi-tile call
+        one, three = kept_bytes(3), kept_bytes(7)
+    finally:
+        if started:
+            tracemalloc.stop()
+    per_step = (three - one) / (2 * solve.steps_per_window) / (8 * batch * nodes * dim)
+    assert 9 <= per_step <= 9 + 0.5, per_step
 
 
 @pytest.mark.parametrize("method,steps,stages", [("euler", 1, 1), ("rk4", 2, 4)])
