@@ -45,10 +45,10 @@ from graphrde.model import ParamStore
 PRESET = os.path.join(os.path.dirname(graphrde.__file__), "presets", "pemsd4.cfg")
 # Estimated peak of one step: an upper line over the measured peaks on a
 # 2-CPU machine with numpy 2.4, two head workers and BLAS on one thread:
-# 77, 96, 135, 217 and 387 MB at batch 1, 2, 4, 8 and 16, and 1357 MB at
-# batch 64, with each RK4 stage state rebuilt inside its field's entry. A
+# 72, 91, 129, 207 and 363 MB at batch 1, 2, 4, 8 and 16, and 1298 MB at
+# batch 64, with each tape entry dropped as the backward passes it. A
 # batch is skipped unless MemAvailable exceeds its estimate by SPARE_MB.
-BASE_MB, PER_WINDOW_MB, SPARE_MB = 60, 21, 1000
+BASE_MB, PER_WINDOW_MB, SPARE_MB = 58, 20, 1000
 
 
 def estimate_mb(batch: int) -> int:

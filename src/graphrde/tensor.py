@@ -5,8 +5,8 @@ gradient slot, its ``node``.  Operations on tracked tensors append the
 output's node and a backward closure to an ambient tape; :func:`backward`
 replays the tape in reverse execution order (a reverse topological order,
 since the graph is built incrementally) and accumulates gradients into the
-slot of every tracked leaf tensor; an op output's gradient is released as
-soon as its own entry has run.
+slot of every tracked leaf tensor; an op output's gradient, and the entry
+with the arrays its closure keeps, are released as soon as the entry has run.
 
 The tape holds slots, not tensors, and each closure holds the input slots,
 the shapes and only the arrays its own backward reads (``relu`` its mask,
@@ -299,11 +299,12 @@ def _make(data, inputs: Sequence[Tensor], backward_fn, name: str) -> Tensor:
     return out
 
 
-def _accumulate(node: _Node | None, g: np.ndarray) -> None:
+def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` to ``node``'s slot; an empty slot takes a copy, or ``g`` itself if ``owned``."""
     if node is None:
         return
     if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64, copy=True)
+        node.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         node.grad += g
 
@@ -315,8 +316,11 @@ def backward(loss: Tensor) -> None:
     operations.  An op output's ``grad`` is dropped once its entry has
     run, since every consumer of it ran before; without that, the
     gradients of all intermediates would be alive together at the end.
-    The tape is cleared afterwards, so each graph supports exactly one
-    backward pass.
+    The entry itself leaves the tape before it runs, so its closure, and
+    every array only that closure keeps, is dropped once it has run too,
+    and each entry's backward runs beside the tape that is left, not the
+    whole tape.  The tape is empty afterwards, also when an entry raises,
+    so each graph supports exactly one backward pass.
     """
     _as_tensor(loss)
     if loss.data.size != 1:
@@ -333,8 +337,13 @@ def backward(loss: Tensor) -> None:
 
 
 def _replay(tape: list[tuple[_Node, Callable[[np.ndarray], None]]]) -> None:
-    """Run the entries of ``tape`` whose output has a gradient, last first."""
-    for node, fn in reversed(tape):
+    """Run the entries of ``tape`` whose output has a gradient, last first.
+
+    Each entry leaves the tape before it runs, so its closure, with the
+    arrays it keeps, is dropped once it has run.
+    """
+    while tape:
+        node, fn = tape.pop()
         if node.grad is not None:
             fn(node.grad)
             node.grad = None
@@ -464,11 +473,22 @@ def head_matvec(
     and at least one head row.  It recomputes a block with the forward's
     gemm, bias and tanh calls on the block's columns of ``w`` and ``b``,
     without the finiteness check, which those arrays already passed; takes
-    the block's part of ``x``'s gradient; writes ``g_pre = (g ⊗ x) *
-    (1 - t*t)`` over the block; writes the block's columns of ``w``'s and
-    ``b``'s gradients; and takes its part of ``a``'s gradient.  So no array
-    of the head's size exists, and the parts of ``x``'s and ``a``'s
-    gradients are added to their sums in block order.
+    the block's part of ``x``'s gradient; writes ``g_pre = (1 - t*t) *
+    (g ⊗ x)`` over the block, ``g ⊗ x`` a chunk of rows, about
+    ``HEAD_TILE_BYTES / 8`` bytes, at a time; takes the block's columns of
+    ``w``'s and ``b``'s gradients; and takes its part of ``a``'s gradient.
+    Where the slot of ``w`` or ``b`` already holds a gradient, as it does
+    for every call but the last one taped on a shared weight, a block adds
+    its columns into the slot through a buffer of its worker's; blocks own
+    disjoint columns, so they take no turn for it.  Where the slot is
+    empty, the blocks write their columns into one array, which becomes the
+    slot, uncopied, once every block has run.  Each element is the slot
+    plus the block's part, as a whole gradient added to the slot would
+    give.  So no array of the head's size, and none of ``w``'s beside its
+    slot, exists, and the parts of ``x``'s and ``a``'s gradients are added
+    to their sums in block order.  Each worker holds a block, a chunk of
+    ``g ⊗ x``, its parts of ``x``'s and ``a``'s gradients and, for a slot
+    that holds one, its block's columns of ``w``'s and ``b``'s.
 
     A call with more than one tile or block shares them, in order, among
     one worker thread per CPU, the caller among them; from the first call
@@ -477,9 +497,12 @@ def head_matvec(
     busy takes fewer.  A block adds its parts only after the block before
     it has, and passes the turn on also when it raises.  Workers run numpy
     alone, into buffers made for the call, and the caller waits for all of
-    them before it raises the first error in order.  The tiles, the blocks
-    and every numpy call are the same whatever the number of workers, so
-    every output bit is too.
+    them before it raises the first error in order.  A backward that raises
+    leaves every empty gradient slot empty, but a slot of ``w`` or ``b``
+    that held a gradient may include the columns of the blocks that
+    finished, as the slots of the entries already replayed include theirs.
+    The tiles, the blocks and every numpy call are the same whatever the
+    number of workers, so every output bit is too.
 
     The values and the gradients of ``w`` and ``b`` are the bits of a
     head taken whole, as long as BLAS gives an element of a gemm the same
@@ -515,7 +538,9 @@ def head_matvec(
     pool = _head_pool()
     slots, tile_rows = range(min(pool.workers, tiles)), min(step, total)
     buf, scratch = [None for _ in slots], [None for _ in slots]  # made in the slot's thread
-    out = np.empty((total, rows))
+    # the entry's node holds out itself, which every view a consumer keeps holds too
+    out = np.empty(a_shape[:-1] + (rows,))
+    out2 = out.reshape(total, rows)
 
     def head_tile(a: np.ndarray, w: np.ndarray, b: np.ndarray, p: np.ndarray, finite) -> None:
         """``tanh(a @ w + b)`` into ``p``, checked unless ``finite`` is None."""
@@ -531,7 +556,7 @@ def head_matvec(
             buf[slot], scratch[slot] = np.empty((tile_rows, n)), np.empty((tile_rows, n), bool)
         p = buf[slot][: hi - lo]
         head_tile(a2[lo:hi], wd, bd, p, scratch[slot][: hi - lo])
-        np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out[lo:hi])
+        np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out2[lo:hi])
 
     pool.run(forward, tiles)
 
@@ -545,7 +570,12 @@ def head_matvec(
         a2, g2 = a_again.data.reshape(-1, k), g.reshape(-1, rows)
         per = max(1, min(rows, HEAD_TILE_BYTES // (8 * total * cols)))  # head rows per block
         blocks = -(-rows // per)
-        gw, gb = np.empty(wd.shape), np.empty(bd.shape)
+        chunk = min(total, max(1, HEAD_TILE_BYTES // (64 * per * cols)))  # g ⊗ x rows per chunk
+        # w's and b's gradients: a slot that holds one gets each block's part added to its
+        # columns, and an empty one gets the array that the blocks fill
+        held = [node is not None and node.grad is not None for node in (nw, nb)]
+        gw, gb = [node.grad if kept else np.empty(shape)
+                  for node, kept, shape in zip((nw, nb), held, (wd.shape, bd.shape))]
         # x's and a's gradients, to which every block adds its parts
         sums = [np.zeros((total, cols)), np.zeros((total, k))]
         own = [None for _ in range(min(pool.workers, blocks))]  # made in the slot's thread
@@ -556,24 +586,33 @@ def head_matvec(
             # it checked, then g_pre in place of the block; returns the parts to add
             p0, p1 = j * per, min(j * per + per, rows)
             c0, c1 = p0 * cols, p1 * cols
-            if own[slot] is None:  # a block, g ⊗ x over it, and the parts of x's and a's grads
-                own[slot] = [np.empty(total * per * cols) for _ in range(2)] + [
-                    np.empty(s.shape) for s in sums]
-            flat, flat_outer, *parts = own[slot]
+            if own[slot] is None:  # a block, rows of g ⊗ x, parts of x's, a's, w's and b's grads
+                own[slot] = [np.empty(total * per * cols), np.empty(chunk * per * cols),
+                             np.empty((total, cols)), np.empty((total, k)),
+                             np.empty(k * per * cols if held[0] else 0),
+                             np.empty(per * cols if held[1] else 0)]
+            flat, flat_outer, gx, ga, flat_w, flat_b = own[slot]
             tile = flat[: total * (c1 - c0)].reshape(total, c1 - c0)
             t3 = tile.reshape(total, p1 - p0, cols)
-            outer = flat_outer[: tile.size].reshape(t3.shape)
             head_tile(a2, wd[:, c0:c1], bd[c0:c1], tile, None)
-            gx, ga = parts
             np.einsum("rpq,rp->rq", t3, g2[:, p0:p1], out=gx)
-            np.einsum("rp,rq->rpq", g2[:, p0:p1], x2, out=outer)
             np.multiply(tile, tile, out=tile)
             np.subtract(1.0, tile, out=tile)
-            t3 *= outer
-            np.matmul(a2.T, tile, out=gw[:, c0:c1])
-            np.sum(tile, axis=0, out=gb[c0:c1])
+            for r0 in range(0, total, chunk):
+                outer = flat_outer[: min(chunk, total - r0) * (c1 - c0)].reshape(-1, p1 - p0, cols)
+                np.einsum("rp,rq->rpq", g2[r0 : r0 + chunk, p0:p1], x2[r0 : r0 + chunk], out=outer)
+                t3[r0 : r0 + chunk] *= outer
+            # blocks own disjoint columns, so they add into a held slot without a turn
+            pw = flat_w[: k * (c1 - c0)].reshape(k, c1 - c0) if held[0] else gw[:, c0:c1]
+            pb = flat_b[: c1 - c0] if held[1] else gb[c0:c1]
+            np.matmul(a2.T, tile, out=pw)
+            np.sum(tile, axis=0, out=pb)
+            if held[0]:
+                gw[:, c0:c1] += pw
+            if held[1]:
+                gb[c0:c1] += pb
             np.matmul(tile, wd[:, c0:c1].T, out=ga)
-            return zip(sums, parts)
+            return zip(sums, (gx, ga))
 
         def block(slot: int, j: int) -> None:
             added = ()
@@ -589,13 +628,15 @@ def head_matvec(
 
         pool.run(block, blocks)
         gx, ga = sums
-        for node, grad in ((nx, gx.reshape(a_shape[:-1] + (cols,))),
-                           (a_again.node, ga.reshape(a_shape)), (nw, gw), (nb, gb)):
-            _accumulate(node, grad)
+        _accumulate(nx, gx.reshape(a_shape[:-1] + (cols,)))
+        _accumulate(a_again.node, ga.reshape(a_shape))
+        for node, kept, grad in zip((nw, nb), held, (gw, gb)):
+            if not kept:  # the blocks filled it, so the slot takes it without a copy
+                _accumulate(node, grad, owned=True)
         del own, sums, gx, ga, gw, gb  # freed before the trunk's gradients are made
         _replay(tape)
 
-    return _make(out.reshape(a_shape[:-1] + (rows,)), (a, w, b, x), backward_fn, "head_matvec")
+    return _make(out, (a, w, b, x), backward_fn, "head_matvec")
 
 
 def transpose_last2(a: Tensor) -> Tensor:

@@ -251,10 +251,13 @@ def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
             assert np.array_equal(got, want), name
 
 
-def run_head_matvec(arrays, tracked):
+def run_head_matvec(arrays, tracked, calls=1):
     """Value and (a, w, b, x) gradients of a weighted sum of one head_matvec.
 
     ``tracked`` names the inputs that require grad; None runs under no_grad.
+    With ``calls=2`` a second call on the same ``a``, ``w`` and ``b``, with
+    ``tanh(x)`` as its control, adds its sum to the loss; it is taped last,
+    so its backward fills the slots that the first call's backward adds to.
     """
     *inputs, weights = arrays
     ts = [T.Tensor(arr, requires_grad=tracked is not None and name in tracked)
@@ -263,7 +266,10 @@ def run_head_matvec(arrays, tracked):
         with T.no_grad():
             return [T.head_matvec(NO_TRUNK, *ts, 3).data]
     out = T.head_matvec(NO_TRUNK, *ts, 3)
-    T.backward(sum_all(mul(out, T.constant(weights))))
+    loss = sum_all(mul(out, T.constant(weights)))
+    if calls == 2:
+        loss = loss + sum_all(T.head_matvec(NO_TRUNK, *ts[:3], tanh(ts[3]), 3))
+    T.backward(loss)
     return [out.data] + [t.grad for t in ts]
 
 
@@ -298,20 +304,22 @@ def within(seconds, fn):
     return result["value"]
 
 
-@pytest.mark.parametrize("tracked", ["awbx", "x", None])
-def test_head_matvec_is_tile_invariant(monkeypatch, tracked):
+@pytest.mark.parametrize("tracked, calls", [("awbx", 1), ("x", 1), (None, 1), ("awbx", 2)],
+                         ids=["awbx", "x", "None", "awbx-two-calls"])
+def test_head_matvec_is_tile_invariant(monkeypatch, tracked, calls):
     # 2 x 40 rows of a 12-wide head of 4 head rows, one backward block by default: forward
     # tiles of 1, 3, 32 and 60 rows (all but the first leave a partial last tile), and
-    # backward blocks of 1 head row (the first three) and of 3 (a partial last block)
+    # backward blocks of 1 head row (the first three) and of 3 (a partial last block).
+    # With two calls on one w, the first call's blocks add into the slots the second's filled.
     arrays = [RNG.normal(size=(2, 40, 5)), RNG.normal(size=(5, 12)), RNG.normal(size=12),
               RNG.normal(size=(2, 40, 3)), RNG.normal(size=(2, 40, 4))]
-    want = run_head_matvec(arrays, tracked)
+    want = run_head_matvec(arrays, tracked, calls)
     for tile_bytes in (8 * 12 * 1, 8 * 12 * 3, 8 * 12 * 32, 8 * 80 * 3 * 3):
         monkeypatch.setattr(T, "HEAD_TILE_BYTES", tile_bytes)
         by_workers = {}
         for workers in (1, 2, 3):
             with head_workers(workers):
-                by_workers[workers] = run_head_matvec(arrays, tracked)
+                by_workers[workers] = run_head_matvec(arrays, tracked, calls)
         got = by_workers[1]
         assert len(got) == len(want)
         for workers in (2, 3):  # the same tiles, blocks and numpy calls, so the same bits
@@ -582,10 +590,11 @@ def test_head_matvec_holds_a_head_only_inside_its_backward():
             x = T.head_matvec(NO_TRUNK, a, w, b, x, cols)
         return sum_all(x)
 
-    # the backward's peak, in heads: 0.23 with one worker and 0.37 with two, as each worker
-    # holds a 1 MiB block, g ⊗ x over it and its parts of x's and a's gradients; 0.28 and 0.42
-    # for four calls taped together.  Each bound is the larger plus 0.05 of a head (0.8 MiB).
-    backward_bound = {1: 0.33, 2: 0.47}
+    # the backward's peak, in heads: 0.157 with one worker and 0.244 with two, as each worker
+    # holds a 1 MiB block, 128 KiB of g ⊗ x and its parts of x's and a's gradients; 0.204 and
+    # 0.292 for four calls taped together, whose later backwards add w's gradient into its slot
+    # a block's columns at a time.  Each bound is the larger plus 0.05 of a head (0.8 MiB).
+    backward_bound = {1: 0.26, 2: 0.35}
     for workers in (1, 2):
         with head_workers(workers):
             untracked = [T.constant(arr) for arr in arrays]
@@ -629,6 +638,30 @@ def test_head_matvec_frees_its_head_before_the_trunk_backward_runs():
     # held: the gradients made so far and the trunk's output, about 0.6 MiB
     assert len(held) == 1 and held[0] < head_bytes / 4
     assert all(t.grad is not None for t in (a, w, b, x))
+
+
+def test_backward_drops_each_entry_once_it_has_run():
+    rng = np.random.default_rng(34)  # its own, so that the module's draws stay the same
+    p = T.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    seen = []
+
+    def probe(t):  # an earlier entry, whose backward sees whether the last entry's array lives
+        def backward_fn(g):
+            seen.append(kept())
+            T._accumulate(t.node, g)
+
+        return T._make(t.data + 0.0, (t,), backward_fn, "probe")
+
+    q = probe(p)
+    values = rng.normal(size=(4, 1))
+    column = T.constant(values.copy())
+    kept = weakref.ref(column.data)
+    loss = q @ column  # the last entry, the only one that keeps the column, for q's gradient
+    del column
+    assert kept() is not None
+    T.backward(loss)
+    assert seen == [None]
+    assert np.array_equal(p.grad, values.T)
 
 
 def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
@@ -825,6 +858,19 @@ def test_a_tape_node_reads_its_output_while_the_output_lives():
     assert node.data is out.data
     del out
     assert node.data.size == 0
+    clear_tape()
+
+
+def test_a_head_output_kept_as_the_next_heads_control_reads_its_bytes():
+    rng = np.random.default_rng(33)  # its own, so that the module's draws stay the same
+    a, w, b, x = [T.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in [(2, 4, 5), (5, 9), 9, (2, 4, 3)]]
+    first = T.head_matvec(NO_TRUNK, a, w, b, x, 3)
+    node, _ = T._TAPE[-1]
+    T.head_matvec(NO_TRUNK, a, w, b, first, 3)
+    nbytes = first.data.nbytes
+    del first  # now kept only by the second call's entry, as its control
+    assert node.data.nbytes == nbytes
     clear_tape()
 
 
