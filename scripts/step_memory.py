@@ -6,9 +6,10 @@ The model, solver and optimizer settings come from the bundled
 layers, RK4 with two steps per window) on a synthetic series; only the
 batch size varies.  Each batch size runs in a fresh child process, which
 takes one ``training.train_step`` (forward, L1 loss, backward, Adam) and
-reports the step's loss, its wall time ``step_s`` and the child's own
-peak RSS from ``getrusage``, so no batch inherits another's high-water
-mark, beside the machine: CPUs, MemTotal, the numpy version and the BLAS
+reports the step's loss, its wall time ``step_s``, the CPU time of all
+the child's threads over it, ``cpu_s``, and the child's own peak RSS
+from ``getrusage``, so no batch inherits another's high-water mark,
+beside the machine: CPUs, MemTotal, the numpy version and the BLAS
 thread variables the child saw.  Most of a window's share of the peak is
 the state-sized arrays the tape keeps: 9 per RK4 step, since each field
 rebuilds its stage state inside its own entry.  The step's tape entries
@@ -80,9 +81,9 @@ def one_step(batch: int, seed: int) -> dict:
     adam = TR.Adam(params.tracked(), train_cfg.lr, train_cfg.weight_decay)
     idx = np.arange(batch)
 
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     loss = TR.train_step(params, adam, config, solve, prepared, idx)
-    step_s = time.perf_counter() - start
+    step_s, cpu_s = time.perf_counter() - start, time.process_time() - cpu_start
     return {
         "batch": batch,
         "nproc": len(os.sched_getaffinity(0)),
@@ -96,6 +97,9 @@ def one_step(batch: int, seed: int) -> dict:
         "head_workers": T._head_pool().workers,
         "loss": loss,
         "step_s": step_s,
+        # CPU time of every thread of the child over the step: on a shared machine wall time
+        # swings with the other CPUs' load, so a few percent of work shows here first
+        "cpu_s": cpu_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 

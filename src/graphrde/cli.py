@@ -125,6 +125,9 @@ def _check_extra(extra: dict, channels: int) -> SolveSpec:
     )
     if not pairs:
         raise DataError("checkpoint split ranges must each be a pair of ints")
+    for name, (lo, hi) in ranges.items():
+        if not 0 <= lo < hi:
+            raise DataError(f"checkpoint {name!r} split range [{lo}, {hi}) is not 0 <= lo < hi")
     drop = extra.get("drop")
     if drop:
         rate = drop.get("rate", 0.0) if isinstance(drop, dict) else None

@@ -75,9 +75,25 @@ _GRAD_ENABLED: bool = True
 HEAD_TILE_BYTES = 1 << 20
 
 
+# Where ``k * max|a| * max|w| + max|b|`` is below this, no element of ``a @ w + b`` can
+# overflow.  Each element is a sum of ``k`` products, each at most ``max|a| * max|w|`` in
+# magnitude, and one bias, at most ``max|b|``; the gemm's rounding, and the bound's own,
+# move each partial sum by a relative ``(k + 2) * 2**-52`` or so, and the bound stays 1e8
+# below the largest float64 (1.8e308), so no partial sum reaches inf, and without an inf
+# no NaN arises from finite inputs.  A NaN or inf anywhere in ``a``, ``w`` or ``b`` makes
+# the bound NaN or inf, which fails it.
+_PRE_ACTIVATION_BOUND = 1e300
+
+
 def _check_finite(data: np.ndarray, where: str, scratch: np.ndarray | None = None) -> None:
     if not np.isfinite(data, out=scratch).all():
         raise NonFiniteError(f"non-finite value produced by {where}")
+
+
+def _max_abs(arr: np.ndarray) -> float:
+    """``max|arr|``, 0 for an empty array, NaN if ``arr`` holds one; two scans, no temporary."""
+    # Python floats, so that an overflow of the bound's products warns nowhere
+    return max(float(arr.max(initial=0.0)), float(-arr.min(initial=0.0)))
 
 
 class _TilePool:
@@ -91,6 +107,26 @@ class _TilePool:
         self.workers = workers
         # with one worker the executor is never given work, but it needs a size of 1 or more
         self.executor = ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="head_matvec")
+        self.workspace = np.empty(0)
+
+    def stacked(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``[w; b]``, of shape ``(k + 1, n)``, in a workspace the pool keeps.
+
+        One buffer, grown to the largest head seen, serves every call: a
+        ``head_matvec`` forward or backward reads it only while its tiles or
+        blocks run, and calls run one at a time, as the tape is single
+        threaded.  Made and freed per call, a ``pemsd4.cfg`` head's 2.1 MB
+        ``[w; b]`` raised glibc's threshold for mapping large requests, so
+        the state-sized arrays after it came from the heap, and a batch-8
+        step peaked at 240 MB instead of 207.
+        """
+        k, n = w.shape
+        if self.workspace.size < (k + 1) * n:
+            self.workspace = np.empty((k + 1) * n)
+        wb = self.workspace[: (k + 1) * n].reshape(k + 1, n)
+        wb[:k] = w
+        wb[k] = b
+        return wb
 
     def run(self, fn: Callable[[int, int], object], count: int) -> None:
         """Call ``fn(slot, j)`` for every ``j`` in ``range(count)`` and wait for all.
@@ -465,15 +501,23 @@ def head_matvec(
 
     The forward runs over tiles of rows (a row is one slot of ``a``'s
     leading axes and ``m``), ``HEAD_TILE_BYTES`` of head at a time, so the
-    gemm, the bias, one finiteness check, the tanh and the contraction
-    each pass over a tile while it is in cache.  Each worker has one tile
-    buffer, taped or not, so no call holds a head from its forward to its
-    backward.  The backward runs over blocks of whole head rows ``p``
-    instead, across every row, about ``HEAD_TILE_BYTES`` of head at a time
-    and at least one head row.  It recomputes a block with the forward's
-    gemm, bias and tanh calls on the block's columns of ``w`` and ``b``,
-    without the finiteness check, which those arrays already passed; takes
-    the block's part of ``x``'s gradient; writes ``g_pre = (1 - t*t) *
+    gemm, the tanh and the contraction each pass over a tile while it is in
+    cache.  The gemm takes the bias in: it multiplies the tile's rows of
+    ``a`` with a ones column last, ``[a, 1]``, by ``[w; b]``, built once per
+    call in the pool's workspace (see ``_TilePool.stacked``).  The pre-activation is checked once per call, by a bound: where
+    ``k * max|a| * max|w| + max|b|`` is below ``_PRE_ACTIVATION_BOUND`` no
+    element can overflow, and no tile is checked.  Elsewhere each tile is
+    checked before its tanh, which would hide an overflow, and the first
+    tile in order that fails raises.  Each worker has one buffer of ``[a,
+    1]`` rows and one tile buffer, taped or not, so no call holds a head
+    from its forward to its backward.  The backward runs over blocks of
+    whole head rows ``p`` instead, across every row, about
+    ``HEAD_TILE_BYTES`` of head at a time and at least one head row.  It
+    builds ``[a, 1]`` of the re-run's output and ``[w; b]`` once per call
+    and recomputes a block with the forward's own gemm and tanh, against
+    the block's columns of ``[w; b]``; it checks nothing, since those arrays
+    already passed the forward's check;
+    takes the block's part of ``x``'s gradient; writes ``g_pre = (1 - t*t) *
     (g ⊗ x)`` over the block, ``g ⊗ x`` a chunk of rows, about
     ``HEAD_TILE_BYTES / 8`` bytes, at a time; takes the block's columns of
     ``w``'s and ``b``'s gradients; and takes its part of ``a``'s gradient.
@@ -506,14 +550,16 @@ def head_matvec(
 
     The values and the gradients of ``w`` and ``b`` are the bits of a
     head taken whole, as long as BLAS gives an element of a gemm the same
-    bits whatever the gemm's other rows and columns.  With one block, as
-    for every head of at most ``HEAD_TILE_BYTES`` bytes, so are ``a``'s
-    and ``x``'s, and the values and the gradients of ``a``, ``b`` and
-    ``x`` are bit-identical to ``matmul``, ``add``, ``tanh``, ``reshape``
-    and a per-slot matrix-vector product taped one by one.  With more
-    blocks, ``a``'s and ``x``'s gradients are sums of per-block parts,
-    which agree with one block's sums to rounding.  ``w``'s gradient is one gemm
-    over every leading axis and row at once, ``a.reshape(-1, k).T @
+    bits whatever the gemm's other rows and columns, and sums each element
+    of ``[a, 1] @ [w; b]`` as ``a @ w`` and then adds the bias, as numpy
+    2.4's bundled OpenBLAS does (with the ones column first, it does not).
+    With one block, as for every head of at most ``HEAD_TILE_BYTES`` bytes,
+    so are ``a``'s and ``x``'s, and the values and the gradients of ``a``,
+    ``b`` and ``x`` are bit-identical to ``matmul``, ``add``, ``tanh``,
+    ``reshape`` and a per-slot matrix-vector product taped one by one.  With
+    more blocks, ``a``'s and ``x``'s gradients are sums of per-block parts,
+    which agree with one block's sums to rounding.  ``w``'s gradient is one
+    gemm over every leading axis and row at once, ``a.reshape(-1, k).T @
     g_pre.reshape(-1, n)``, rather than one gemm per leading index summed
     afterwards; with leading axes it therefore sums in another order and
     agrees with the taped chain to rounding, not bit for bit.
@@ -537,15 +583,18 @@ def head_matvec(
     tiles = -(-total // step)
     pool = _head_pool()
     slots, tile_rows = range(min(pool.workers, tiles)), min(step, total)
-    buf, scratch = [None for _ in slots], [None for _ in slots]  # made in the slot's thread
+    # no pre-activation can overflow inside this bound (see _PRE_ACTIVATION_BOUND), so a tile
+    # is checked only where it fails, as it does for any non-finite input
+    bounded = k * _max_abs(a2) * _max_abs(wd) + _max_abs(bd) < _PRE_ACTIVATION_BOUND
+    wb = pool.stacked(wd, bd)  # against each tile's [a, 1]
+    buf = [None for _ in slots]  # made in the slot's thread
     # the entry's node holds out itself, which every view a consumer keeps holds too
     out = np.empty(a_shape[:-1] + (rows,))
     out2 = out.reshape(total, rows)
 
-    def head_tile(a: np.ndarray, w: np.ndarray, b: np.ndarray, p: np.ndarray, finite) -> None:
-        """``tanh(a @ w + b)`` into ``p``, checked unless ``finite`` is None."""
-        np.matmul(a, w, out=p)
-        p += b  # inf and NaN survive the bias, so one check after it sees them
+    def head_tile(a1: np.ndarray, wb: np.ndarray, p: np.ndarray, finite) -> None:
+        """``tanh([a, 1] @ [w; b])`` into ``p``, checked unless ``finite`` is None."""
+        np.matmul(a1, wb, out=p)
         if finite is not None:  # tanh would hide an overflow
             _check_finite(p, "head_matvec (a @ w + b)", finite)
         np.tanh(p, out=p)
@@ -553,9 +602,16 @@ def head_matvec(
     def forward(slot: int, j: int) -> None:
         lo, hi = j * step, min(j * step + step, total)
         if buf[slot] is None:  # in its own malloc arena, so peak RSS hangs on no thread timing
-            buf[slot], scratch[slot] = np.empty((tile_rows, n)), np.empty((tile_rows, n), bool)
-        p = buf[slot][: hi - lo]
-        head_tile(a2[lo:hi], wd, bd, p, scratch[slot][: hi - lo])
+            # a tile and a tile of [a, 1] in one allocation: as two, glibc placed them so that
+            # peak RSS read ~1 MB higher on the irregular_predict workload
+            flat = np.empty(tile_rows * (n + k + 1))
+            a1 = flat[tile_rows * n :].reshape(tile_rows, k + 1)
+            a1[:, k] = 1.0
+            buf[slot] = (a1, flat[: tile_rows * n].reshape(tile_rows, n),
+                         None if bounded else np.empty((tile_rows, n), bool))
+        a1, p, finite = (arr if arr is None else arr[: hi - lo] for arr in buf[slot])
+        a1[:, :k] = a2[lo:hi]
+        head_tile(a1, wb, p, finite)
         np.einsum("rpq,rq->rp", p.reshape(-1, rows, cols), x2[lo:hi], out=out2[lo:hi])
 
     pool.run(forward, tiles)
@@ -568,6 +624,10 @@ def head_matvec(
         if tracked and a_again.node is None:
             raise ContractError("head_matvec: the trunk's re-run is untracked")
         a2, g2 = a_again.data.reshape(-1, k), g.reshape(-1, rows)
+        a1 = np.empty((total, k + 1))  # [a, 1], against each block's columns of [w; b]
+        a1[:, :k] = a2
+        a1[:, k] = 1.0
+        wb = pool.stacked(wd, bd)
         per = max(1, min(rows, HEAD_TILE_BYTES // (8 * total * cols)))  # head rows per block
         blocks = -(-rows // per)
         chunk = min(total, max(1, HEAD_TILE_BYTES // (64 * per * cols)))  # g ⊗ x rows per chunk
@@ -594,7 +654,7 @@ def head_matvec(
             flat, flat_outer, gx, ga, flat_w, flat_b = own[slot]
             tile = flat[: total * (c1 - c0)].reshape(total, c1 - c0)
             t3 = tile.reshape(total, p1 - p0, cols)
-            head_tile(a2, wd[:, c0:c1], bd[c0:c1], tile, None)
+            head_tile(a1, wb[:, c0:c1], tile, None)
             np.einsum("rpq,rp->rq", t3, g2[:, p0:p1], out=gx)
             np.multiply(tile, tile, out=tile)
             np.subtract(1.0, tile, out=tile)
@@ -633,7 +693,7 @@ def head_matvec(
         for node, kept, grad in zip((nw, nb), held, (gw, gb)):
             if not kept:  # the blocks filled it, so the slot takes it without a copy
                 _accumulate(node, grad, owned=True)
-        del own, sums, gx, ga, gw, gb  # freed before the trunk's gradients are made
+        del own, sums, gx, ga, gw, gb, a1  # freed before the trunk's gradients are made
         _replay(tape)
 
     return _make(out, (a, w, b, x), backward_fn, "head_matvec")

@@ -399,6 +399,23 @@ def test_eval_rejects_a_forged_extra_block(workdir, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: checkpoint")
 
 
+@pytest.mark.parametrize("test_range", [[176, 142], [142, 142], [-1, 177]],
+                         ids=["reversed", "empty", "negative"])
+def test_a_stored_split_range_out_of_order_is_a_checkpoint_fault(workdir, tmp_path, capsys,
+                                                                 test_range):
+    # under --split all the range would otherwise pass and its split's drop be skipped
+    path, forecasts = tmp_path / "forged.ckpt", tmp_path / "preds.csv"
+    raw = (workdir["out"] / "model.ckpt").read_bytes()
+    path.write_bytes(_with_header(raw, _set_extra("split_offsets", "test", value=test_range)))
+    data = str(workdir["root"] / "data" / "values.csv")
+    for split in ("test", "all"):
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", data, "--split", split]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint 'test' split range"), split
+        assert cli.main(["predict", "--checkpoint", str(path), "--data", data,
+                         "--split", split, "--out", str(forecasts)]) == 2
+        assert not forecasts.exists()
+
+
 def test_predict_row_count_and_format(workdir, tmp_path):
     out_csv = tmp_path / "preds.csv"
     assert cli.main(["predict", "--checkpoint", str(workdir["out"] / "model.ckpt"),

@@ -230,25 +230,83 @@ def test_head_matvec_checks_the_pre_activation():
 
 
 def test_head_matvec_is_one_tape_entry_and_matches_the_unfused_chain():
-    arrays = [RNG.normal(size=(2, 4, 5)), RNG.normal(size=(5, 6)), RNG.normal(size=6),
-              RNG.normal(size=(2, 4, 3))]
+    # a 5-deep head of 2 x 3, and one 64 deep and 4096 wide (64 x 64) as at pemsd4.cfg's
+    # width, one tile and one block: the gemm of [a, 1] by [w; b] gives a @ w + b's bits
+    wide = np.random.default_rng(64)  # its own, so that the module's draws stay the same
+    inputs = [
+        ([RNG.normal(size=(2, 4, 5)), RNG.normal(size=(5, 6)), RNG.normal(size=6),
+          RNG.normal(size=(2, 4, 3))], 3),
+        ([wide.normal(size=(2, 16, 64)), wide.normal(size=(64, 4096)) * 0.1,
+          wide.normal(size=4096) * 0.1, wide.normal(size=(2, 16, 64))], 64),
+    ]
 
-    def run(fused):
+    def run(arrays, cols, fused):
         a, w, b, x = [T.Tensor(arr, requires_grad=True) for arr in arrays]
         if fused:
-            out = T.head_matvec(NO_TRUNK, a, w, b, x, 3)
+            out = T.head_matvec(NO_TRUNK, a, w, b, x, cols)
             assert T.tape_size() == 1
         else:
             head = tanh(a @ w + b)
-            out = matvec(T.reshape(head, head.shape[:-1] + (2, 3)), x)
+            out = matvec(T.reshape(head, head.shape[:-1] + (w.shape[1] // cols, cols)), x)
         T.backward(sum_all(tanh(out)))
         return [out.data] + [t.grad for t in (a, w, b, x)]
 
-    for name, got, want in zip(["out", "a", "w", "b", "x"], run(True), run(False)):
-        if name == "w":  # one flat gemm over the leading axis sums in another order
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        else:
-            assert np.array_equal(got, want), name
+    for arrays, cols in inputs:
+        fused, unfused = run(arrays, cols, True), run(arrays, cols, False)
+        for name, got, want in zip(["out", "a", "w", "b", "x"], fused, unfused):
+            if name == "w":  # one flat gemm over the leading axis sums in another order
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                assert np.array_equal(got, want), (cols, name)
+
+
+def count_head_checks(monkeypatch):
+    """A list that gets one entry per check of a head's pre-activation from now on."""
+    checks, check = [], T._check_finite
+
+    def counted(data, where, *rest):
+        if where == "head_matvec (a @ w + b)":
+            checks.append(data.shape)
+        check(data, where, *rest)
+
+    monkeypatch.setattr(T, "_check_finite", counted)
+    return checks
+
+
+def test_head_matvec_past_its_overflow_bound_checks_each_tile_and_keeps_the_bits(monkeypatch):
+    # a 1e299 entry of a, in a column whose w row is zero: k * max|a| * max|w| is past the
+    # bound, but every pre-activation is finite and the bits are those without the entry
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 6 * 3)  # 3 rows per tile, 3 tiles
+    rng = np.random.default_rng(35)
+    a, w = rng.normal(size=(2, 4, 5)), rng.normal(size=(5, 6))
+    b, x, weights = rng.normal(size=6), rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 2))
+    w[2], w[0, 0] = 0.0, 3.0
+    a[..., 2] = 0.0
+    big = a.copy()
+    big[1, 3, 2] = 1e299
+    assert 5 * 1e299 * np.abs(w).max() >= T._PRE_ACTIVATION_BOUND
+    checks = count_head_checks(monkeypatch)
+    want = run_head_matvec([a, w, b, x, weights], "wbx")
+    assert checks == []
+    got = run_head_matvec([big, w, b, x, weights], "wbx")
+    assert checks == [(3, 6), (3, 6), (2, 6)]  # the forward's tiles, not the backward's blocks
+    for name, g, ref in zip(["out", "a", "w", "b", "x"], got, want):
+        if name != "w":  # w's row 2 gradient is a's column 2 against the head's
+            assert (g is None and ref is None) or np.array_equal(g, ref), name
+    assert np.array_equal(np.delete(got[2], 2, axis=0), np.delete(want[2], 2, axis=0))
+
+
+def test_head_matvec_inside_its_overflow_bound_checks_no_pre_activation(monkeypatch):
+    # many tiles and blocks, two workers, two calls on held slots: no element is checked
+    monkeypatch.setattr(T, "HEAD_TILE_BYTES", 8 * 12 * 4)
+    rng = np.random.default_rng(36)
+    arrays = [rng.normal(size=(2, 40, 5)), rng.normal(size=(5, 12)), rng.normal(size=12),
+              rng.normal(size=(2, 40, 3)), rng.normal(size=(2, 40, 4))]
+    checks = count_head_checks(monkeypatch)
+    with head_workers(2):
+        for tracked, calls in (("awbx", 2), (None, 1)):
+            run_head_matvec(arrays, tracked, calls)
+    assert checks == []
 
 
 def run_head_matvec(arrays, tracked, calls=1):
@@ -343,6 +401,27 @@ def child_env(threads=None):
         env.update(dict.fromkeys(variables, threads))
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(T.__file__))
     return env
+
+
+def test_head_matvec_builds_w_and_b_in_one_workspace_of_its_pool():
+    # made and freed per call, a large [w; b] moved glibc's threshold for mapping large
+    # requests, and a pemsd4.cfg step's peak RSS with it
+    rng = np.random.default_rng(37)  # its own, so that the module's draws stay the same
+
+    def head(k, n):  # run_head_matvec's arrays for a (k, n) head of 3 columns over 2 x 40 rows
+        return [rng.normal(size=(2, 40, k)), rng.normal(size=(k, n)), rng.normal(size=n),
+                rng.normal(size=(2, 40, 3)), rng.normal(size=(2, 40, n // 3))]
+
+    with head_workers(2):
+        pool = T._HEAD_POOL
+        run_head_matvec(head(5, 12), "awbx")
+        workspace = pool.workspace
+        assert workspace.size == 6 * 12
+        for k, n in ((5, 12), (3, 9)):  # no larger head: the same buffer
+            run_head_matvec(head(k, n), "awbx")
+            assert pool.workspace is workspace
+        run_head_matvec(head(7, 24), "awbx")  # a larger one: grown to its size
+        assert pool.workspace.size == 8 * 24
 
 
 def test_head_matvec_starts_its_workers_with_the_first_multi_tile_call(monkeypatch):
